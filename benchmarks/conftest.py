@@ -10,13 +10,15 @@ kernel with pytest-benchmark, and prints the reproduced table/figure data
 from __future__ import annotations
 
 import json
-import subprocess
 from pathlib import Path
 
 import pytest
 
 from repro.datasets import adult_dataset, adult_hierarchies
 from repro.datasets import paper_tables
+# Re-exported for the trajectory benchmarks: one percentile and one git
+# revision helper for the serve bench and the pytest benchmarks alike.
+from repro.serve.workload import git_rev, percentile  # noqa: F401
 
 #: Schema id of benchmark trajectory files — must match
 #: ``repro.lint.artifacts.BENCH_SCHEMA`` (ART012 validates what we emit).
@@ -53,32 +55,6 @@ def bench_json(request):
     return request.config.getoption("--bench-json")
 
 
-def percentile(values, q):
-    """Linear-interpolated ``q``-quantile (0..1) of a non-empty sample."""
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * q
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
-
-
-def _git_rev():
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except OSError:
-        return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
-
-
 def record_trajectory(path, suite, cases, quick):
     """Append one ``{git_rev, quick, cases}`` entry to a BENCH trajectory.
 
@@ -94,7 +70,7 @@ def record_trajectory(path, suite, cases, quick):
         if existing.get("schema") == BENCH_SCHEMA and existing.get("suite") == suite:
             payload = existing
     payload["entries"].append(
-        {"git_rev": _git_rev(), "quick": bool(quick), "cases": cases}
+        {"git_rev": git_rev(), "quick": bool(quick), "cases": cases}
     )
     target.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -22,7 +22,7 @@ from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
 from ...hierarchy.codes import LevelTable, level_table
 from ...hierarchy.lattice import Lattice, Node
-from ...kernels import active as active_kernels
+from ...kernels import active as active_kernels, pack_columns
 from ...obs import metrics as obs_metrics
 from ..engine import Anonymization, AnonymizationError, recode_node
 
@@ -206,7 +206,8 @@ class RecodingWorkspace:
             return cached
         partition = self._derive_partition(node, names, cache)
         if partition is None:
-            partition = self._fresh_partition(node, names)
+            reps, labels, count = self._kernels.group(self._packed_keys(node, names))
+            partition = _Partition(labels, self._kernels.bincount(labels, count), reps)
             self.partition_stats["fresh"] += 1
             obs_metrics().inc("workspace.partition.fresh")
         else:
@@ -219,23 +220,18 @@ class RecodingWorkspace:
             obs_metrics().inc("workspace.partition.evict")
         return partition
 
-    def _fresh_partition(self, node: Node, names: tuple[str, ...]) -> _Partition:
+    def _packed_keys(self, node: Node, names: tuple[str, ...], rows: Any = None) -> Any:
+        """Unsorted mixed-radix keys of ``rows`` (default: all) at ``node``."""
         kernels = self._kernels
-        combined: Any = None
+        columns: list[tuple[Any, int]] = []
         for name, level in zip(names, node):
             built = self._table(name).level(level)
-            codes = kernels.gather(built.gather, self._base(name))
-            if combined is None:
-                combined = codes
-            else:
-                # pack() re-densifies after each combine: keeps values
-                # < N·count, so the mixed-radix product can never overflow
-                # int64.
-                combined = kernels.pack(combined, built.count, codes)
+            base = self._base(name) if rows is None else kernels.gather(self._base(name), rows)
+            columns.append((kernels.gather(built.gather, base), built.count))
+        combined = pack_columns(kernels, columns)
         if combined is None:
             raise AnonymizationError("grouping requires at least one attribute")
-        reps, labels, count = kernels.group(combined)
-        return _Partition(labels, kernels.bincount(labels, count), reps)
+        return combined
 
     def _derive_partition(
         self,
@@ -268,19 +264,9 @@ class RecodingWorkspace:
         kernels = self._kernels
         parent = best[1]
         # Re-key one representative row per parent class at the new node.
-        combined: Any = None
-        rep_rows = parent.reps
-        for name, level in zip(names, node):
-            built = self._table(name).level(level)
-            rep_base = kernels.gather(self._base(name), rep_rows)
-            codes = kernels.gather(built.gather, rep_base)
-            if combined is None:
-                combined = codes
-            else:
-                combined = kernels.pack(combined, built.count, codes)
-        if combined is None:
-            raise AnonymizationError("grouping requires at least one attribute")
-        child_of_group, count = kernels.densify(combined)
+        child_of_group, count = kernels.densify(
+            self._packed_keys(node, names, parent.reps)
+        )
         labels = kernels.gather(child_of_group, parent.labels)
         sizes = kernels.fold_add(child_of_group, parent.sizes, count)
         reps = kernels.fold_min(

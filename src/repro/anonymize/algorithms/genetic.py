@@ -34,7 +34,7 @@ from ...datasets.schema import AttributeKind
 from ...hierarchy.base import Hierarchy
 from ...hierarchy.codes import level_table
 from ...hierarchy.numeric import Span
-from ...kernels import active as active_kernels
+from ...kernels import active as active_kernels, pack_columns
 from ..engine import Anonymization, released_with_local_cells
 from .base import AlgorithmError, Anonymizer, check_k
 
@@ -216,7 +216,7 @@ class GeneticAnonymizer(Anonymizer):
         view = dataset.columns()
         loss = 0.0
         qi_count = len(plan)
-        combined: Any = None
+        columns: list[tuple[Any, int]] = []
         for gene, (attribute, kind, info) in zip(chromosome.genes, plan):
             column = view.column(attribute)
             base = kernels.from_code_buffer(column.codes)
@@ -248,14 +248,12 @@ class GeneticAnonymizer(Anonymizer):
                 radix = built.count
             for code in column.codes:
                 loss += per_base[code]
-            if combined is None:
-                combined = codes
-            else:
-                combined = kernels.pack(combined, radix, codes)
+            columns.append((codes, radix))
 
         # Iyengar's penalty: every row of a class below k is charged as if
         # suppressed (full loss across all QIs).
         penalty = 0
+        combined = pack_columns(kernels, columns)
         if combined is not None:
             labels, count = kernels.densify(combined)
             sizes = kernels.bincount(labels, count)

@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from ..datasets.dataset import Dataset
 from ..hierarchy.base import SUPPRESSED, Hierarchy
 from ..hierarchy.codes import Level, LevelTable, level_table
-from ..kernels import active as active_kernels
+from ..kernels import active as active_kernels, pack_columns
 from ..lint.api import ensure_valid_hierarchies
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
@@ -216,13 +216,13 @@ def packed_group_labels(
     ``columns`` holds ``(base_codes, level_tables_level, table, level)`` per
     QI attribute; each column contributes ``gather[base]`` (with suppressed
     rows redirected to the level's suppression code), packed into one
-    integer per row.  The running product is re-densified after every
-    column so the packing can never overflow ``int64``.  All array work
+    integer per row by :func:`repro.kernels.pack_columns` (which densifies
+    early only if the product would overflow ``int64``).  All array work
     runs on the active kernel backend (:mod:`repro.kernels`); the returned
-    labels are a kernel array.
+    labels are a kernel array of raw packed keys, not yet densified.
     """
     kernels = active_kernels()
-    combined: Any = None
+    packed: list[tuple[Any, int]] = []
     for base_codes, built, table, level in columns:
         codes = kernels.gather(built.gather, base_codes)
         if suppressed_rows is not None and len(suppressed_rows):
@@ -230,10 +230,8 @@ def packed_group_labels(
             kernels.scatter_fill(codes, suppressed_rows, suppression_code)
         else:
             radix = built.count
-        if combined is None:
-            combined = codes
-        else:
-            combined = kernels.pack(combined, radix, codes)
+        packed.append((codes, radix))
+    combined = pack_columns(kernels, packed)
     if combined is None:
         raise AnonymizationError("grouping requires at least one attribute")
     return combined

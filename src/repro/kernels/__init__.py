@@ -41,7 +41,7 @@ try:  # pragma: no cover - trivially environment-dependent
 except ImportError:  # pragma: no cover
     HAVE_NUMPY = False
 
-from .columnar import PythonKernels
+from .columnar import PythonKernels, pack_columns
 
 _FORCED = os.environ.get("REPRO_KERNELS", "").strip().lower()
 if _FORCED and _FORCED not in ("numpy", "python"):
@@ -102,5 +102,6 @@ __all__ = [
     "active",
     "backend_name",
     "force_backend",
+    "pack_columns",
     "PythonKernels",
 ]

@@ -4,9 +4,8 @@ Every operation the measurement plane needs is expressed over dense int64
 code arrays:
 
 * ``gather`` — fancy-index a (tiny) per-level table over per-row codes;
-* ``pack`` — one mixed-radix packing step ``combined * radix + codes``
-  followed by a canonical re-densify, so the running product can never
-  overflow int64;
+* ``pack`` — one mixed-radix step ``combined * radix + codes``; driven
+  over a column list by :func:`pack_columns`;
 * ``group`` / ``densify`` — label rows by distinct packed value;
 * ``bincount`` / ``fold_add`` / ``fold_min`` — per-group sizes and
   representative rows, fresh or folded through a coarsening map;
@@ -21,6 +20,12 @@ produces) and report one representative per group: the group's minimal row
 index.  The pure backend reproduces this exactly, so partitions, labels,
 sizes and value counts are identical across backends — not merely
 isomorphic — which is what the kernel-equivalence tests assert.
+
+**One sort per partition.**  :func:`pack_columns` packs without sorting,
+densifying the running key only when its tracked bound (the radix product)
+would pass int64.  A partition thus sorts once, in ``group``/``densify``,
+with the labels of densifying after every step: both keys order rows
+lexicographically over the column codes, so their sorted ranks coincide.
 
 Kernel arrays are opaque to callers: ``numpy.ndarray`` under the numpy
 backend, ``array('q')`` under the pure backend.  Callers index them and
@@ -82,23 +87,11 @@ class PythonKernels:
 
     # -- mixed-radix packing and grouping ------------------------------------
 
-    def pack(
-        self,
-        combined: Sequence[int],
-        radix: int,
-        codes: Sequence[int],
-    ) -> "array[int]":
-        """One packing step: ``combined * radix + codes``, re-densified.
-
-        Re-densifying (to canonical sorted-rank labels) after every step
-        keeps values strictly below ``rows * radix``, so the mixed-radix
-        product can never overflow int64 no matter how many columns pack.
-        """
-        packed = [
-            previous * radix + code for previous, code in zip(combined, codes)
-        ]
-        rank = {value: position for position, value in enumerate(sorted(set(packed)))}
-        return array("q", map(rank.__getitem__, packed))
+    def pack(self, combined: Sequence[int], radix: int, codes: Sequence[int]) -> "array[int]":
+        """One packing step ``combined * radix + codes`` (no densify)."""
+        return array(
+            "q", [previous * radix + code for previous, code in zip(combined, codes)]
+        )
 
     def densify(self, combined: Sequence[int]) -> tuple["array[int]", int]:
         """Canonical labels (sorted rank of value) plus the group count."""
@@ -273,12 +266,8 @@ class NumpyKernels:
     # -- mixed-radix packing and grouping ------------------------------------
 
     def pack(self, combined: Any, radix: int, codes: Any) -> Any:
-        """Mixed-radix step: ``combined * radix + codes``, re-densified so
-        packed values stay bounded by ``rows * radix``.
-        """
-        combined = combined * radix + codes
-        _, dense = self._np.unique(combined, return_inverse=True)
-        return dense
+        """One packing step ``combined * radix + codes`` (no densify)."""
+        return combined * radix + codes
 
     def densify(self, combined: Any) -> tuple[Any, int]:
         """Renumber values to dense sorted ranks; returns ``(dense, count)``.
@@ -288,12 +277,14 @@ class NumpyKernels:
 
     def group(self, combined: Any) -> tuple[Any, Any, int]:
         """Group equal values: ``(reps, labels, count)`` with reps the
-        minimal row index per group.
+        minimal row index per group (``minimum.at``: ``return_index``
+        would force a slower stable sort).
         """
-        _, reps, labels = self._np.unique(
-            combined, return_index=True, return_inverse=True
-        )
-        return reps.astype(self._np.int64, copy=False), labels, int(reps.size)
+        np = self._np
+        distinct, labels = np.unique(combined, return_inverse=True)
+        reps = np.full(distinct.size, labels.size, dtype=np.int64)
+        np.minimum.at(reps, labels, np.arange(labels.size, dtype=np.int64))
+        return reps, labels, int(distinct.size)
 
     # -- per-group reductions ------------------------------------------------
 
@@ -429,6 +420,28 @@ class NumpyKernels:
             codes_np[:] = rank[inverse]
         decode = tuple(values[int(position)] for position in first_idx[order])
         return codes, decode
+
+
+_INT64_SPAN = 1 << 63  # keys below a bound b fit int64 iff b <= 2**63
+
+
+def pack_columns(kernels: Any, columns: Sequence[tuple[Any, int]]) -> Any:
+    """Mixed-radix keys of ``[(codes, radix), ...]`` (codes in
+    ``range(radix)``), or ``None`` for no columns; see the module docstring.
+    """
+    combined: Any = None
+    bound = 1
+    for codes, radix in columns:
+        if combined is None:
+            combined, bound = codes, radix
+            continue
+        if bound * radix > _INT64_SPAN:
+            combined, bound = kernels.densify(combined)
+            if bound * radix > _INT64_SPAN:
+                raise OverflowError(f"{bound} groups x radix {radix} overflow int64")
+        combined = kernels.pack(combined, radix, codes)
+        bound *= radix
+    return combined
 
 
 class _writable:

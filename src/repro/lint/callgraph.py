@@ -528,6 +528,21 @@ def _walk_same_function(node: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(current))
 
 
+def _binds_name(node: ast.AST, name: str) -> bool:
+    """Whether a function binds ``name`` itself (parameter or local store)."""
+    arguments = node.args  # type: ignore[attr-defined]
+    parameters = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]
+    parameters += [arg for arg in (arguments.vararg, arguments.kwarg) if arg]
+    if any(arg.arg == name for arg in parameters):
+        return True
+    return any(
+        isinstance(child, ast.Name)
+        and child.id == name
+        and isinstance(child.ctx, ast.Store)
+        for child in _walk_same_function(node)
+    )
+
+
 def return_flow_calls(node: ast.AST) -> set[int]:
     """Ids (``id()``) of Call nodes whose result may reach the return value."""
     closure = returned_name_closure(node)
@@ -674,8 +689,8 @@ class _CallResolver:
             resolved = _resolve_dotted(self.index, self.module, f"{owner.id}.{attr}")
             if resolved is not None:
                 return [resolved]
-            if owner.id in {"self", "cls"} and self.fn.class_name is not None:
-                found = self._resolve_self_method(attr)
+            if owner.id in {"self", "cls"}:
+                found = self._resolve_self_method(owner.id, attr)
                 if found is not None:
                     return [found]
         # Dynamic dispatch: every indexed method of that name is a
@@ -685,13 +700,30 @@ class _CallResolver:
             return []
         return list(self.index.methods_by_name.get(attr, ()))
 
-    def _resolve_self_method(self, attr: str) -> str | None:
-        class_info = self.module.classes.get(self.fn.class_name or "")
+    def _receiver_class(self, name: str) -> str | None:
+        """The class whose instance ``self``/``cls`` denotes in this body.
+
+        A function nested in a method sees the method's ``self``/``cls`` as
+        a free variable — unless it binds the name itself, or no method
+        encloses it.
+        """
+        fn: FunctionInfo | None = self.fn
+        while fn is not None:
+            if fn.class_name is not None:
+                return fn.class_name
+            if fn.parent is None or _binds_name(fn.node, name):
+                return None
+            fn = self.index.functions.get(fn.parent)
+        return None
+
+    def _resolve_self_method(self, receiver: str, attr: str) -> str | None:
+        class_name = self._receiver_class(receiver)
+        if class_name is None:
+            return None
+        class_info = self.module.classes.get(class_name)
         if class_info is None:
             # method of a class defined in another scanned module? fall back
-            class_info = self.index.classes.get(
-                f"{self.fn.module}.{self.fn.class_name}"
-            )
+            class_info = self.index.classes.get(f"{self.fn.module}.{class_name}")
         seen: set[str] = set()
         while class_info is not None and class_info.qualname not in seen:
             seen.add(class_info.qualname)

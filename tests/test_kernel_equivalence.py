@@ -8,7 +8,8 @@ hypothesis-generated and adversarially constructed inputs:
 
 * single-class partitions (constant columns),
 * all-rows-suppressed recodings,
-* mixed-radix packing at the int64 re-densify boundary,
+* mixed-radix packing at the int64 overflow edge, where
+  ``pack_columns`` must fall back to densifying the running key,
 * empty columns,
 * codes far beyond int32,
 * mixed-type columns the vectorized intern must decline rather than
@@ -21,10 +22,16 @@ the generators' byte-identity rests on them.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import HAVE_NUMPY, active, backend_name, force_backend
+from repro.kernels import (
+    HAVE_NUMPY,
+    active,
+    backend_name,
+    force_backend,
+    pack_columns,
+)
 from repro.kernels.prng import (
     CounterStream,
     bounded_int,
@@ -58,14 +65,29 @@ def assert_backends_agree(operation):
     return results["python"]
 
 
+class CountingKernels:
+    """A backend wrapper that counts ``densify`` calls."""
+
+    def __init__(self, kernels):
+        self._kernels = kernels
+        self.densifies = 0
+
+    def __getattr__(self, name):
+        return getattr(self._kernels, name)
+
+    def densify(self, combined):
+        self.densifies += 1
+        return self._kernels.densify(combined)
+
+
 def full_grouping(kernels, columns, radixes):
     """Pack columns mixed-radix, then group: the plane's inner loop."""
     if not columns:
         return [], [], [], 0
-    combined = kernels.asarray(columns[0])
-    combined, _ = kernels.densify(combined)
-    for column, radix in zip(columns[1:], radixes[1:]):
-        combined = kernels.pack(combined, radix, kernels.asarray(column))
+    combined = pack_columns(
+        kernels,
+        [(kernels.asarray(column), radix) for column, radix in zip(columns, radixes)],
+    )
     reps, labels, count = kernels.group(combined)
     sizes = kernels.bincount(labels, count)
     return (
@@ -152,30 +174,41 @@ class TestGroupingEquivalence:
     )
     @settings(max_examples=30, deadline=None)
     def test_redensify_prevents_int64_overflow(self, first, second):
-        """Two radix-2^40 packs overflow int64 unless each step re-densifies.
+        """Two radix-2^40 columns overflow int64 unless pack_columns densifies.
 
-        The naive product ``c1 * 2^40 * 2^40 + ...`` exceeds 2^63; the
-        contract (labels stay below ``rows * radix``) keeps every
-        intermediate in range, and both backends must agree on the result.
+        The naive product ``c1 * 2^40 + c2`` can reach 2^80; the running
+        bound must trigger the densify fallback (labels below ``rows``)
+        before the second column multiplies in, and both backends must
+        agree on the result.
         """
         rows = min(len(first), len(second))
         columns = [first[:rows], second[:rows]]
         radixes = [2**40, 2**40]
-        reps, labels, sizes, count = assert_backends_agree(
-            lambda kernels: full_grouping(kernels, columns, radixes)
-        )
+
+        def operation(kernels):
+            counting = CountingKernels(kernels)
+            return full_grouping(counting, columns, radixes), counting.densifies
+
+        (reps, labels, sizes, count), densifies = assert_backends_agree(operation)
+        assert densifies == 1
         assert sum(sizes) == rows
 
     def test_codes_beyond_int32_at_int64_edge(self):
-        """A radix-2^62 pack step: products touch the int64 boundary."""
+        """A radix-2 column times a radix-2^62 column: the bound is exactly
+        2^63, so the raw keys touch the int64 boundary without a densify."""
         column = [0, 1, 1, 0]
         combined = [0, 0, 1, 1]
 
         def operation(kernels):
-            packed = kernels.pack(
-                kernels.asarray(combined), 2**62, kernels.asarray(column)
+            counting = CountingKernels(kernels)
+            packed = pack_columns(
+                counting,
+                [(kernels.asarray(combined), 2), (kernels.asarray(column), 2**62)],
             )
-            return kernels.tolist(packed)
+            assert counting.densifies == 0
+            assert kernels.tolist(packed)[2] == 2**62 + 1
+            labels, _ = kernels.densify(packed)
+            return kernels.tolist(labels)
 
         labels = assert_backends_agree(operation)
         assert labels == [0, 1, 3, 2]
@@ -260,6 +293,124 @@ def reference_intern(values):
             lookup[value] = code
         codes.append(code)
     return codes, tuple(lookup)
+
+
+#: Most rows a generated oracle case has; radices stay at or below
+#: ``2**63 // MAX_ORACLE_ROWS`` so a densified key always has room for the
+#: next column.
+MAX_ORACLE_ROWS = 20
+MAX_ORACLE_RADIX = 2**63 // MAX_ORACLE_ROWS
+EDGE_RADIXES = [2**31, 2**32 + 1, 2**40, 2**58, MAX_ORACLE_RADIX]
+
+
+def per_step_reference(columns, radixes):
+    """Pure-python oracle: densify after every multiply-add, then group.
+
+    Returns ``(reps, labels, sizes, count)`` with sorted-rank labels and
+    each group's minimal row index as its representative.
+    """
+    combined = list(columns[0])
+    for column, radix in zip(columns[1:], radixes[1:]):
+        packed = [value * radix + code for value, code in zip(combined, column)]
+        rank = {value: position for position, value in enumerate(sorted(set(packed)))}
+        combined = [rank[value] for value in packed]
+    rank = {value: position for position, value in enumerate(sorted(set(combined)))}
+    labels = [rank[value] for value in combined]
+    reps = [None] * len(rank)
+    sizes = [0] * len(rank)
+    for row, label in enumerate(labels):
+        if reps[label] is None:
+            reps[label] = row
+        sizes[label] += 1
+    return reps, labels, sizes, len(rank)
+
+
+@st.composite
+def radix_columns(draw):
+    """One to three columns, codes below radices that span the int64 edge."""
+    rows = draw(st.integers(min_value=0, max_value=MAX_ORACLE_ROWS))
+    width = draw(st.integers(min_value=1, max_value=3))
+    radixes = [
+        draw(
+            st.one_of(
+                st.integers(min_value=1, max_value=8),
+                st.sampled_from(EDGE_RADIXES),
+                st.integers(min_value=1, max_value=MAX_ORACLE_RADIX),
+            )
+        )
+        for _ in range(width)
+    ]
+    columns = [
+        draw(
+            st.lists(
+                st.one_of(
+                    st.integers(min_value=0, max_value=min(radix, 4) - 1),
+                    st.just(radix - 1),
+                    st.integers(min_value=0, max_value=radix - 1),
+                ),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        for radix in radixes
+    ]
+    return columns, radixes
+
+
+class TestPackColumnsOracle:
+    """``pack_columns`` + ``group`` equals densifying after every step."""
+
+    @given(radix_columns())
+    @example(([[0, 1, 1, 0], [0, 0, 1, 1]], [2, 2**62]))
+    @example(([[5, 0, 5], [2**40 - 1, 3, 2**40 - 1], [7, 7, 0]], [2**40] * 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_step_densify_reference(self, case):
+        columns, radixes = case
+        expected = per_step_reference(columns, radixes)
+        result = assert_backends_agree(
+            lambda kernels: full_grouping(kernels, columns, radixes)
+        )
+        assert result == expected
+
+    def test_three_columns_densify_twice(self):
+        """2^40 x 2^40 overflows; after a densify, rows x 2^40 x 2^40 again."""
+        columns = [[3, 0, 3, 1], [2**40 - 1, 0, 2**40 - 1, 0], [1, 1, 0, 1]]
+        radixes = [2**40, 2**40, 2**40]
+
+        def operation(kernels):
+            counting = CountingKernels(kernels)
+            return full_grouping(counting, columns, radixes), counting.densifies
+
+        result, densifies = assert_backends_agree(operation)
+        assert densifies == 2
+        assert result == per_step_reference(columns, radixes)
+
+    def test_small_radices_never_densify(self):
+        """Adult-sized radices pack raw: the only sort is group's."""
+        columns = [[0, 1, 2, 1], [4, 4, 0, 4], [1, 0, 1, 0]]
+        radixes = [3, 5, 2]
+
+        def operation(kernels):
+            counting = CountingKernels(kernels)
+            return full_grouping(counting, columns, radixes), counting.densifies
+
+        result, densifies = assert_backends_agree(operation)
+        assert densifies == 0
+        assert result == per_step_reference(columns, radixes)
+
+    def test_unrepresentable_product_raises(self):
+        """Even densified, 3 groups x radix 2^62 cannot fit int64."""
+        for name in ["python"] + (["numpy"] if HAVE_NUMPY else []):
+            with force_backend(name):
+                kernels = active()
+                with pytest.raises(OverflowError):
+                    pack_columns(
+                        kernels,
+                        [
+                            (kernels.asarray([0, 1, 2]), 3),
+                            (kernels.asarray([0, 0, 0]), 2**62),
+                        ],
+                    )
 
 
 class TestInternEquivalence:

@@ -43,6 +43,39 @@ class TestCallResolution:
         index = build_program_index([root])
         assert "app.mod.Worker.step" in index.callees("app.mod.Worker.run")
 
+    def test_self_in_a_closure_resolves_to_the_enclosing_class(self, tmp_path):
+        root = tree(
+            tmp_path,
+            {
+                "app/__init__.py": "",
+                "app/mod.py": """
+                class Other:
+                    def step(self):
+                        return 2
+
+                class Worker:
+                    def run(self):
+                        def inner():
+                            return self.step()
+                        def rebinds(self):
+                            return self.step()
+                        return inner() + rebinds(Other())
+
+                    def step(self):
+                        return 1
+                """,
+            },
+        )
+        index = build_program_index([root])
+        inner = "app.mod.Worker.run.<locals>.inner"
+        assert set(index.callees(inner)) == {"app.mod.Worker.step"}
+        # A closure that binds its own ``self`` keeps name-based dispatch.
+        rebinds = "app.mod.Worker.run.<locals>.rebinds"
+        assert set(index.callees(rebinds)) == {
+            "app.mod.Other.step",
+            "app.mod.Worker.step",
+        }
+
     def test_imported_function_call_resolves_across_modules(self, tmp_path):
         root = tree(
             tmp_path,

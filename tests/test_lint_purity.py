@@ -128,6 +128,69 @@ class TestRep201GlobalState:
         assert findings == []
 
 
+class TestSelfInNestedFunctions:
+    """``self`` inside a closure is the enclosing method's instance."""
+
+    def test_closure_self_call_reaches_the_classs_own_write(self, tmp_path):
+        # ``update`` is a builtin-collection name, so only resolution
+        # through the enclosing class links the closure to the write.
+        findings = findings_for(
+            tmp_path,
+            """
+            LOG = []
+
+            class Ledger:
+                def update(self, value):
+                    LOG.append(value)
+
+                def record(self, values):
+                    def each(value):
+                        self.update(value)
+                    for value in values:
+                        each(value)
+
+            @register_op("app.ledger")
+            def ledger(params, deps, seed):
+                Ledger().record([seed])
+                return dict(params)
+            """,
+        )
+        assert rules_of(findings) == ["REP201"]
+
+    def test_closure_self_call_ignores_same_named_methods_elsewhere(
+        self, tmp_path
+    ):
+        findings = findings_for(
+            tmp_path,
+            """
+            import random
+
+            REGISTRY = {}
+
+            class Transport:
+                def _table(self, key):
+                    REGISTRY[key] = random.random()
+                    return REGISTRY[key]
+
+            class Workspace:
+                def _table(self, key):
+                    return len(key)
+
+                def widths(self, names):
+                    def width(name):
+                        return self._table(name)
+                    for name in names:
+                        width(name)
+                    return len(names)
+
+            @register_op("app.widths")
+            def widths(params, deps, seed):
+                return {"widths": Workspace().widths(["a", "bb"])}
+            """,
+        )
+        assert findings == []
+
+
 class TestRep202AmbientNondeterminism:
     def test_planted_random_random_two_calls_deep_fires(self, tmp_path):
         # The kill-test: process-global RNG reached through two layers of
