@@ -6,30 +6,18 @@ scale with (lattice size × N) via the vectorized frequency-set path;
 Mondrian with (N log N × partitions); the cut-based TDS with
 (specializations × candidates × N).
 
-Also benchmarks the scheduler's cooperative mode: one executor versus two
-executors cooperating over one shared :class:`ResultCache` through file
-leases, recorded to ``BENCH_runtime.json`` (ART012) with the
-lease-coordination outcome as the plane-equivalence witness.
+Also benchmarks the study runtime's two transports on a real study grid:
+the ``inline`` transport (``n=1``) against a two-process ``pool``
+(``n=2``), uncached, recorded to ``BENCH_runtime.json`` (ART012) with
+result identity (scalars, property vectors and comparisons) as the
+plane-equivalence witness.
 """
 
-import hashlib
-import tempfile
-import threading
 import time
-from pathlib import Path
-
-import pytest
 
 from repro import Datafly, Mondrian, Samarati, TopDownSpecialization
 from repro.datasets import adult_dataset, adult_hierarchies
-from repro.runtime import (
-    CacheKey,
-    ResultCache,
-    StudyExecutor,
-    TaskGraph,
-    TaskSpec,
-    register_op,
-)
+from repro.runtime import AlgorithmSpec, DatasetSpec, StudySpec, run_study
 from conftest import emit, percentile, record_trajectory
 
 SIZES = [200, 500, 1000, 2000]
@@ -77,110 +65,68 @@ def test_bench_runtime_vs_n(benchmark):
         assert ratio < growth, f"{name} grew {ratio:.1f}x over {growth:.1f}x bound"
 
 
-# -- cooperative scheduler benchmark ------------------------------------------
+# -- transport benchmark ------------------------------------------------------
 
-COOP_TASKS = 8
-
-
-@register_op("bench.coopwork")
-def _op_bench_coopwork(params, deps, seed):
-    """Deterministic CPU spin: an iterated sha256 chain over the task name."""
-    digest = params["name"].encode("utf-8")
-    for _ in range(params["iterations"]):
-        digest = hashlib.sha256(digest).digest()
-    return digest.hex()
+#: The study grid: six algorithms x two k values, 73 tasks in all.
+GRID_ALGORITHMS = ("datafly", "samarati", "incognito", "muargus", "mondrian", "topdown")
+GRID_KS = (5, 10)
 
 
-def _coop_graph(dataset: str, iterations: int) -> TaskGraph:
-    graph = TaskGraph()
-    for i in range(COOP_TASKS):
-        name = f"w{i}"
-        graph.add(
-            TaskSpec(
-                task_id=name,
-                op="bench.coopwork",
-                params={"name": name, "iterations": iterations},
-                key=CacheKey(dataset=dataset, algorithm=name),
-            )
-        )
-    return graph
+def _grid_spec(rows: int) -> StudySpec:
+    return StudySpec(
+        dataset=DatasetSpec.of("adult", rows=rows, seed=42),
+        algorithms=tuple(
+            AlgorithmSpec.of(name, k=k) for name in GRID_ALGORITHMS for k in GRID_KS
+        ),
+    )
 
 
-def _run_cooperating(executors: int, iterations: int) -> tuple[float, dict]:
-    """One cold cooperative run; returns (wall seconds, task values)."""
-    with tempfile.TemporaryDirectory() as root:
-        cache = ResultCache(Path(root) / "cache")
-        reports = {}
-
-        def drive(index: int) -> None:
-            executor = StudyExecutor(
-                cache=cache, cooperate=executors > 1, lease_ttl=60.0
-            )
-            reports[index] = executor.run(_coop_graph("bench-coop", iterations))
-
-        start = time.perf_counter()
-        if executors == 1:
-            drive(0)
-        else:
-            threads = [
-                threading.Thread(target=drive, args=(i,)) for i in range(executors)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        elapsed = time.perf_counter() - start
-        executed = 0
-        for report in reports.values():
-            report.raise_on_failure()
-            executed += report.executed
-        # The lease-race bound: a cold cooperative run executes each task
-        # at most once across all executors.
-        assert executed == COOP_TASKS
-        values = {t: o.value for t, o in reports[0].outcomes.items()}
-        return elapsed, values
-
-
-def test_bench_cooperative_executors(quick, bench_json):
-    """1 vs 2 executors cooperating over one shared cache through leases."""
-    iterations = 20_000 if quick else 120_000
+def test_bench_inline_vs_pool(quick, bench_json):
+    """The uncached study grid, inline (n=1) versus a 2-process pool (n=2)."""
+    rows = 600 if quick else 7000
     repeats = 2 if quick else 3
+    spec = _grid_spec(rows)
 
     timings = {}
-    values_by_config = {}
-    for executors in (1, 2):
+    results = {}
+    for n, transport in ((1, "inline"), (2, "pool")):
         samples = []
         for _ in range(repeats):
-            elapsed, values = _run_cooperating(executors, iterations)
-            samples.append(elapsed)
-            values_by_config.setdefault(executors, values)
-            # Transport/coordination must never change results.
-            assert values == values_by_config[executors]
-        timings[executors] = samples
-    plane_equivalent = values_by_config[1] == values_by_config[2]
+            start = time.perf_counter()
+            result = run_study(spec, jobs=n, transport=transport)
+            samples.append(time.perf_counter() - start)
+            assert result.report.executed == len(result.report.outcomes)
+            results.setdefault(n, result)
+        timings[n] = samples
+    inline, pool = results[1], results[2]
+    plane_equivalent = (
+        inline.scalars == pool.scalars
+        and inline.vectors == pool.vectors
+        and inline.comparisons == pool.comparisons
+    )
     assert plane_equivalent
 
     if bench_json:
         cases = [
             {
-                "n": executors,
+                "n": n,
                 "repeats": repeats,
                 "p50_wall_s": round(percentile(samples, 0.50), 6),
                 "p95_wall_s": round(percentile(samples, 0.95), 6),
                 "plane_equivalent": plane_equivalent,
             }
-            for executors, samples in sorted(timings.items())
+            for n, samples in sorted(timings.items())
         ]
         record_trajectory(bench_json, "runtime", cases, quick)
 
-    lines = [f"{'executors':>9}  {'p50 s':>9}  {'p95 s':>9}"]
-    for executors, samples in sorted(timings.items()):
+    lines = [f"{'transport':>9}  {'p50 s':>9}  {'p95 s':>9}"]
+    for n, samples in sorted(timings.items()):
         lines.append(
-            f"{executors:>9}  {percentile(samples, 0.50):9.4f}"
+            f"{('inline', 'pool')[n - 1]:>9}  {percentile(samples, 0.50):9.4f}"
             f"  {percentile(samples, 0.95):9.4f}"
         )
     emit(
-        f"E10b: cooperative executors over one cache "
-        f"({COOP_TASKS} tasks, {iterations} hash iterations each)",
+        f"E10b: study grid inline vs pool --jobs 2 "
+        f"({len(inline.report.outcomes)} tasks, {rows} rows, uncached)",
         lines,
     )

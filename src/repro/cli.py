@@ -10,10 +10,6 @@ Subcommands mirror the workflow of the examples:
 * ``repro paper`` — regenerate the paper's running example tables;
 * ``repro study`` — run an algorithm × k grid through the parallel,
   content-addressed study runtime (:mod:`repro.runtime`);
-* ``repro worker`` — join a ``--transport socket`` study as a remote
-  task worker;
-* ``repro runs`` — run-directory maintenance (merge cooperative
-  per-writer event logs);
 * ``repro serve`` — long-lived anonymization service over HTTP
   (:mod:`repro.serve`);
 * ``repro bench`` — concurrent workload benchmarks (``bench serve``);
@@ -135,18 +131,6 @@ def _parser() -> argparse.ArgumentParser:
         help="run an algorithm x k grid on the parallel, memoized runtime",
     )
     runtime_cli.configure_parser(study)
-
-    worker = commands.add_parser(
-        "worker",
-        help="connect to a study coordinator as a socket-transport worker",
-    )
-    runtime_cli.configure_worker_parser(worker)
-
-    runs = commands.add_parser(
-        "runs",
-        help="run-directory maintenance (merge cooperative writer logs)",
-    )
-    runtime_cli.configure_runs_parser(runs)
 
     sweep = commands.add_parser(
         "sweep", help="k-sweep one algorithm (privacy / bias / utility)"
@@ -298,8 +282,6 @@ _HANDLERS = {
     "audit": _cmd_audit,
     "paper": _cmd_paper,
     "study": runtime_cli.run,
-    "worker": runtime_cli.run_worker,
-    "runs": runtime_cli.run_runs,
     "sweep": _cmd_sweep,
     "attack": _cmd_attack,
     "serve": serve_cli.run_serve,

@@ -43,11 +43,18 @@ class PropertyVector:
         name: str = "property",
         higher_is_better: bool = True,
     ):
+        # Rejected before the backend array is built, so an ndarray of any
+        # backend, or a nested sequence, fails the same way on both.
+        shape = getattr(values, "shape", None)
+        if shape is not None and len(shape) != 1:
+            raise PropertyVectorError(f"property vector must be 1-D, got shape {shape}")
         source = values if isinstance(values, np.ndarray) else list(values)
+        if shape is None and source and (
+            isinstance(source[0], (list, tuple)) or getattr(source[0], "shape", ())
+        ):
+            raise PropertyVectorError("property vector must be 1-D, got nested input")
         # Always copy: the vector must not alias (or freeze) caller arrays.
         array = np.array(source, dtype=float, copy=True)
-        if array.ndim != 1:
-            raise PropertyVectorError(f"property vector must be 1-D, got shape {array.shape}")
         if array.size == 0:
             raise PropertyVectorError("property vector must be non-empty")
         if not np.all(np.isfinite(array)):

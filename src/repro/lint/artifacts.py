@@ -694,18 +694,11 @@ def check_run_artifacts(run_dir: str | Path, label: str | None = None) -> list[D
             **where,
         )
     if status in {"completed", "failed"} and isinstance(manifest.get("cache_hits"), int):
-        # A merged multi-writer log may hold more cache-hit events than
-        # unique cache-hit tasks (two cooperating executors can each
-        # settle the same task from cache); such manifests carry the raw
-        # event count under cache_hit_events, which is what must match.
-        expected_hits = manifest["cache_hits"]
-        if isinstance(manifest.get("cache_hit_events"), int):
-            expected_hits = manifest["cache_hit_events"]
-        if hit_events != expected_hits:
+        if hit_events != manifest["cache_hits"]:
             out.error(
                 "ART009",
                 f"event log shows {hit_events} cache-hit event(s) but the "
-                f"manifest tallies {expected_hits}",
+                f"manifest tallies {manifest['cache_hits']}",
                 **where,
             )
     return out.findings

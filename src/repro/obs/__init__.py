@@ -11,7 +11,7 @@ The current observation is process-local by design: worker processes start
 at the null default, the pool worker installs a fresh live observation per
 task when the coordinator asks for one, and ships the recorded spans and a
 metrics snapshot back in the task result (see
-``repro.runtime.executor._pool_execute``).  Nothing here touches ambient
+``repro.runtime.worker.execute_task``).  Nothing here touches ambient
 global state that could leak between sequential studies — per-run reporting
 is cut with :meth:`MetricsRegistry.delta_since`.
 """

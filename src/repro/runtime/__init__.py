@@ -28,20 +28,11 @@ Quick start::
 """
 
 from .cache import MISS, CacheError, CacheStats, ResultCache
-from .certify import (
-    CertificateError,
-    OpCertificates,
-    default_certificates,
-    ensure_transport_allowed,
-    transport_allowed,
-)
 from .events import (
     EVENT_KINDS,
     RunLog,
-    merge_run_dir,
     read_events,
     read_manifest,
-    run_dir_writers,
     summarize_events,
 )
 from .executor import (
@@ -50,16 +41,13 @@ from .executor import (
     StudyExecutor,
     TaskOutcome,
 )
-from .leases import LeaseBoard
 from .transports import (
     TRANSPORT_NAMES,
     InlineTransport,
     PoolTransport,
-    SocketTransport,
     TaskPayload,
     TaskResult,
     TransportError,
-    TransportRefused,
     WorkerTransport,
     create_transport,
 )
@@ -97,7 +85,6 @@ __all__ = [
     "CacheError",
     "CacheKey",
     "CacheStats",
-    "CertificateError",
     "CODE_EPOCH",
     "DATASET_PROVIDERS",
     "DatasetSpec",
@@ -105,14 +92,11 @@ __all__ = [
     "ExecutionError",
     "ExecutionReport",
     "InlineTransport",
-    "LeaseBoard",
     "MISS",
-    "OpCertificates",
     "PoolTransport",
     "ResultCache",
     "RunLog",
     "SCALAR_MEASURES",
-    "SocketTransport",
     "StudyError",
     "StudyExecutor",
     "StudyResult",
@@ -125,25 +109,19 @@ __all__ = [
     "TaskSpec",
     "TRANSPORT_NAMES",
     "TransportError",
-    "TransportRefused",
     "VECTOR_PROPERTIES",
     "WorkerTransport",
     "build_study",
     "canonical_json",
     "create_transport",
-    "default_certificates",
     "derive_seed",
-    "ensure_transport_allowed",
     "format_study_grid",
-    "merge_run_dir",
     "read_events",
     "read_manifest",
     "register_op",
     "registered_ops",
     "resolve_op",
-    "run_dir_writers",
     "run_release_grid",
     "run_study",
     "summarize_events",
-    "transport_allowed",
 ]

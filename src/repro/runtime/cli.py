@@ -16,8 +16,7 @@ import argparse
 from ..obs import Observation
 from ..obs.export import write_chrome_trace, write_metrics_snapshot
 from .cache import ResultCache
-from .certify import CertificateError
-from .events import RunLog, merge_run_dir, read_manifest, summarize_events
+from .events import RunLog
 from .executor import ExecutionError
 from .transports import TRANSPORT_NAMES
 from .study import (
@@ -68,34 +67,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--transport",
         choices=list(TRANSPORT_NAMES),
         default=None,
-        help="where task attempts run: inline (coordinator loop), pool "
-        "(multiprocessing), socket (repro worker subprocesses); default "
-        "inline for --jobs 1, pool otherwise",
-    )
-    parser.add_argument(
-        "--strict-ops",
-        action="store_true",
-        help="fail fast when the study graph contains an op the "
-        "lint certificates refuse for the chosen transport",
-    )
-    parser.add_argument(
-        "--cooperate",
-        action="store_true",
-        help="claim tasks through file-lock leases under the cache root "
-        "so several `repro study` processes can share this study",
-    )
-    parser.add_argument(
-        "--writer-id",
-        default=None,
-        help="log events to events.<id>.jsonl (required when several "
-        "cooperating executors share one --run-dir)",
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        help="cooperative lease expiry in seconds (default 30; must "
-        "exceed the longest expected task attempt)",
+        help="where task attempts run: inline (coordinator loop) or pool "
+        "(multiprocessing); default inline for --jobs 1, pool otherwise",
     )
     parser.add_argument(
         "--measures",
@@ -184,10 +157,7 @@ def run(args: argparse.Namespace) -> int:
     if not args.no_cache:
         max_bytes = None if args.cache_max_mb is None else args.cache_max_mb * 1024 * 1024
         cache = ResultCache(args.cache_dir, max_bytes=max_bytes)
-    if args.cooperate and cache is None:
-        print("--cooperate requires a cache (drop --no-cache)")
-        return 2
-    log = RunLog(args.run_dir, writer_id=args.writer_id) if args.run_dir else None
+    log = RunLog(args.run_dir) if args.run_dir else None
     observation = Observation() if (args.trace or args.metrics) else None
 
     try:
@@ -200,13 +170,7 @@ def run(args: argparse.Namespace) -> int:
             retries=args.retries,
             obs=observation,
             transport=args.transport,
-            cooperate=args.cooperate,
-            lease_ttl=args.lease_ttl,
-            strict_ops=args.strict_ops,
         )
-    except CertificateError as exc:
-        print(f"--strict-ops: {exc}")
-        return 2
     except ExecutionError as exc:
         print(f"study failed: {exc}")
         return 1
@@ -247,70 +211,3 @@ def run(args: argparse.Namespace) -> int:
         )
         return EXIT_NOT_CACHED
     return 0
-
-
-def configure_worker_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``repro worker`` arguments to a subcommand parser."""
-    parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address announced by the socket transport",
-    )
-    parser.add_argument(
-        "--import",
-        dest="imports",
-        action="append",
-        default=[],
-        metavar="MODULE",
-        help="import an extra op-registry module before serving "
-        "(repeatable; the standard study ops are always registered)",
-    )
-
-
-def run_worker(args: argparse.Namespace) -> int:
-    """Execute ``repro worker``: serve tasks until the coordinator stops."""
-    from .worker import serve_worker
-
-    return serve_worker(args.connect, imports=tuple(args.imports))
-
-
-def configure_runs_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``repro runs`` arguments to a subcommand parser."""
-    actions = parser.add_subparsers(dest="runs_command", required=True)
-    merge = actions.add_parser(
-        "merge",
-        help="merge per-writer events/manifests of a cooperative run "
-        "into the canonical events.jsonl + manifest.json",
-    )
-    merge.add_argument("run_dir", help="run directory shared by the writers")
-
-
-def run_runs(args: argparse.Namespace) -> int:
-    """Execute ``repro runs`` maintenance actions."""
-    if args.runs_command == "merge":
-        from .events import read_events, run_dir_writers
-
-        writers = run_dir_writers(args.run_dir)
-        events_path = merge_run_dir(args.run_dir)
-        events = read_events(events_path)
-        try:
-            manifest = read_manifest(args.run_dir)
-        except (OSError, ValueError):
-            manifest = {}
-        counts = summarize_events(events)
-        ordered = ", ".join(f"{kind}={counts[kind]}" for kind in sorted(counts))
-        print(
-            f"merged {len(writers)} writer(s) ({', '.join(writers) or 'none'}) "
-            f"-> {events_path} ({len(events)} event(s))"
-        )
-        print(f"events: {ordered}")
-        print(
-            f"status: {manifest.get('status')}  tasks: {manifest.get('tasks')}  "
-            f"completed: {manifest.get('completed')}  "
-            f"executed: {manifest.get('executed')}  "
-            f"cache hits: {manifest.get('cache_hits')}  "
-            f"failed: {manifest.get('failed')}"
-        )
-        return 0
-    return 2

@@ -1,11 +1,10 @@
-"""Run logs and manifests (single-writer and cooperative multi-writer).
+"""Run logs and manifests.
 
 A run directory holds two artifacts:
 
 * ``events.jsonl`` — an append-only JSON-lines log, one event per task
   state transition (``cache-hit``, ``submitted``, ``finished``, ``failed``,
-  ``timeout``, ``retry``, ``blocked``, plus the cooperative-scheduling
-  kinds ``lease-wait``, ``lease-steal``, ``inline-fallback``) and
+  ``timeout``, ``retry``, ``blocked``, ``inline-fallback``) and
   run-level ``run-start`` / ``run-finish`` records.  Appending is
   crash-safe: a killed run leaves a readable prefix, never a torn file
   (at worst one truncated final line, which readers skip).
@@ -13,26 +12,9 @@ A run directory holds two artifacts:
   atomically at start (``status: "running"``) and rewritten at the end, so
   an interrupted run is recognizable by its stale ``running`` status.
 
-**Multi-writer runs.**  Two executors appending to one ``events.jsonl``
-could interleave partial lines (plain ``open("a")`` is only atomic per
-``write`` on most filesystems, and even then only up to ``PIPE_BUF``).
-A :class:`RunLog` constructed with a ``writer_id`` therefore appends to
-its *own* ``events.<writer_id>.jsonl`` (each record stamped with the
-writer and a per-writer monotonic ``seq``) and writes its manifest to
-``manifest.<writer_id>.json``.  :func:`merge_run_dir` — called from
-:meth:`RunLog.finish` and by ``repro runs merge`` — stably merges every
-per-writer log (ordered by ``ts``, then writer, then ``seq``) into the
-canonical ``events.jsonl`` and derives one combined ``manifest.json``
-whose tallies count each task's terminal state exactly once, so the
-``ART009`` contract (``cache_hits + executed == completed``,
-``completed + failed + blocked == tasks``) holds over the merged view.
-The merged manifest additionally records ``writers`` and the raw
-``cache_hit_events`` count (several cooperating executors may each
-settle the same task from cache).
-
 A run executed under an enabled observation (``repro study --trace``)
 additionally drops ``trace.json`` (Chrome-trace spans) and ``metrics.json``
-next to the manifest — suffixed per writer in cooperative runs.
+next to the manifest.
 
 These artifacts are plain data and are validated by the lint layer
 (``ART009`` for the log/manifest, ``ART011`` for trace/metrics) like every
@@ -42,7 +24,6 @@ other checkable object in the pipeline.
 from __future__ import annotations
 
 import json
-import re
 import time
 from pathlib import Path
 from typing import Any, Iterable
@@ -69,90 +50,35 @@ EVENT_KINDS = frozenset(
         "timeout",
         "retry",
         "blocked",
-        "lease-wait",
-        "lease-steal",
         "inline-fallback",
     }
 )
 
-_WRITER_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_WRITER_EVENTS = re.compile(r"^events\.(?P<writer>[A-Za-z0-9][A-Za-z0-9._-]*)\.jsonl$")
-
 
 class RunLog:
-    """Appends task events to ``events.jsonl`` inside one run directory.
+    """Appends task events to ``events.jsonl`` inside one run directory."""
 
-    With a ``writer_id`` (cooperative runs) events go to a per-writer
-    ``events.<writer_id>.jsonl`` instead, and :meth:`finish` merges every
-    writer's log into the canonical ``events.jsonl``.
-    """
-
-    def __init__(self, run_dir: str | Path, writer_id: str | None = None):
-        if writer_id is not None and not _WRITER_ID.match(writer_id):
-            raise ValueError(
-                f"writer_id {writer_id!r} must match {_WRITER_ID.pattern}"
-            )
+    def __init__(self, run_dir: str | Path):
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.writer_id = writer_id
-        self._seq = 0
-        if writer_id is None:
-            self._events_path = self.run_dir / EVENTS_FILENAME
-            self._manifest_path = self.run_dir / MANIFEST_FILENAME
-        else:
-            self._events_path = self.run_dir / f"events.{writer_id}.jsonl"
-            self._manifest_path = self.run_dir / f"manifest.{writer_id}.json"
-
-    @property
-    def events_path(self) -> Path:
-        """Path of this writer's JSONL event log."""
-        return self._events_path
-
-    def artifact_path(self, name: str) -> Path:
-        """Run-dir path for an export, suffixed per writer when shared.
-
-        ``trace.json`` becomes ``trace.<writer_id>.json`` in a
-        cooperative run so two executors never clobber each other.
-        """
-        if self.writer_id is None:
-            return self.run_dir / name
-        stem, dot, suffix = name.rpartition(".")
-        if not dot:
-            return self.run_dir / f"{name}.{self.writer_id}"
-        return self.run_dir / f"{stem}.{self.writer_id}.{suffix}"
+        self.events_path = self.run_dir / EVENTS_FILENAME
 
     def event(self, kind: str, task_id: str | None = None, **fields: Any) -> None:
         """Append one event record (flushed immediately)."""
         record: dict[str, Any] = {"ts": time.time(), "event": kind}
         if task_id is not None:
             record["task"] = task_id
-        if self.writer_id is not None:
-            record["writer"] = self.writer_id
-            record["seq"] = self._seq
-            self._seq += 1
         record.update(fields)
-        with self._events_path.open("a", encoding="utf-8") as handle:
+        with self.events_path.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
 
     def write_manifest(self, manifest: dict[str, Any]) -> Path:
-        """Atomically (re)write this writer's manifest; returns its path."""
-        path = self._manifest_path
+        """Atomically (re)write the run manifest; returns its path."""
+        path = self.run_dir / MANIFEST_FILENAME
         with atomic_writer(path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True, default=str)
             handle.write("\n")
         return path
-
-    def finish(self) -> Path:
-        """Merge per-writer artifacts into the canonical run view.
-
-        A no-op for single-writer logs.  Cooperative writers each call
-        this as their run ends; the merge is recomputed from whatever is
-        on disk, so the *last* finisher produces the complete view (and
-        ``repro runs merge`` can always redo it deterministically).
-        """
-        if self.writer_id is None:
-            return self._events_path
-        return merge_run_dir(self.run_dir)
 
 
 def read_events(path: str | Path) -> list[dict[str, Any]]:
@@ -188,151 +114,3 @@ def summarize_events(events: Iterable[dict[str, Any]]) -> dict[str, int]:
         kind = record.get("event", "?")
         counts[kind] = counts.get(kind, 0) + 1
     return counts
-
-
-# -- multi-writer merge ------------------------------------------------------
-
-
-def run_dir_writers(run_dir: str | Path) -> list[str]:
-    """Writer ids with a per-writer event log in a run directory."""
-    writers = []
-    for path in Path(run_dir).iterdir():
-        match = _WRITER_EVENTS.match(path.name)
-        if match:
-            writers.append(match.group("writer"))
-    return sorted(writers)
-
-
-def merge_run_dir(run_dir: str | Path) -> Path:
-    """Merge per-writer logs/manifests into ``events.jsonl``/``manifest.json``.
-
-    Stable order: ``(ts, writer, seq)`` — per-writer streams keep their
-    monotonic sequence, concurrent writers interleave by timestamp.  The
-    merge is idempotent and side-effect-free on the per-writer files, so
-    it can be re-run (``repro runs merge``) after every cooperating
-    executor has exited to produce the deterministic final view.
-    """
-    run_path = Path(run_dir)
-    writers = run_dir_writers(run_path)
-    if not writers:
-        return run_path / EVENTS_FILENAME
-    records: list[dict[str, Any]] = []
-    for writer in writers:
-        records.extend(read_events(run_path / f"events.{writer}.jsonl"))
-    records.sort(
-        key=lambda r: (r.get("ts", 0.0), str(r.get("writer", "")), r.get("seq", 0))
-    )
-    events_path = run_path / EVENTS_FILENAME
-    with atomic_writer(events_path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-
-    manifests: dict[str, dict[str, Any]] = {}
-    for writer in writers:
-        manifest_path = run_path / f"manifest.{writer}.json"
-        if not manifest_path.exists():
-            continue
-        try:
-            with manifest_path.open("r", encoding="utf-8") as handle:
-                manifests[writer] = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue
-    merged = _merged_manifest(writers, manifests, records)
-    manifest_path = run_path / MANIFEST_FILENAME
-    with atomic_writer(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
-    return events_path
-
-
-def _merged_manifest(
-    writers: list[str],
-    manifests: dict[str, dict[str, Any]],
-    records: list[dict[str, Any]],
-) -> dict[str, Any]:
-    """One manifest over all writers, counting each task exactly once.
-
-    Tallies are recomputed from the merged event stream rather than
-    summed across per-writer manifests: two executors may both settle
-    the same task (one executes, a peer takes the cache hit), and naive
-    sums would double-count.  ``executed`` counts tasks with at least
-    one ``finished`` event; every other completed task was a cache hit
-    somewhere, so ``cache_hits = completed - executed`` and the ART009
-    equations hold.  The raw per-writer hit count is preserved under
-    ``cache_hit_events`` (which ART009 checks instead for merged logs).
-    """
-    base: dict[str, Any] = {}
-    for writer in writers:
-        if writer in manifests:
-            base = manifests[writer]
-            break
-    finished_tasks: set[str] = set()
-    hit_tasks: set[str] = set()
-    failed_tasks: set[str] = set()
-    blocked_tasks: set[str] = set()
-    retry_events = 0
-    hit_events = 0
-    for record in records:
-        kind = record.get("event")
-        task = record.get("task")
-        if kind == "retry":
-            retry_events += 1
-        if kind == "cache-hit":
-            hit_events += 1
-        if not isinstance(task, str):
-            continue
-        if kind == "finished":
-            finished_tasks.add(task)
-        elif kind == "cache-hit":
-            hit_tasks.add(task)
-        elif kind == "failed":
-            failed_tasks.add(task)
-        elif kind == "blocked":
-            blocked_tasks.add(task)
-    done = finished_tasks | hit_tasks
-    failed = failed_tasks - done
-    blocked = blocked_tasks - done - failed
-    statuses = [manifests.get(writer, {}).get("status") for writer in writers]
-    if any(status in (None, "running") for status in statuses):
-        status = "running"
-    elif failed or blocked or any(status == "failed" for status in statuses):
-        status = "failed"
-    else:
-        status = "completed"
-    merged = {
-        key: base[key]
-        for key in ("tasks", "task_ids", "study_seed", "jobs", "transport")
-        if key in base
-    }
-    merged.update(
-        {
-            "status": status,
-            "writers": writers,
-            "completed": len(done),
-            "executed": len(finished_tasks),
-            "cache_hits": len(done) - len(finished_tasks),
-            "failed": len(failed),
-            "blocked": len(blocked),
-            "retries": retry_events,
-            "cache_hit_events": hit_events,
-        }
-    )
-    started = [
-        m.get("started_at") for m in manifests.values()
-        if isinstance(m.get("started_at"), (int, float))
-    ]
-    finished = [
-        m.get("finished_at") for m in manifests.values()
-        if isinstance(m.get("finished_at"), (int, float))
-    ]
-    if started:
-        merged["started_at"] = min(started)
-    if finished:
-        merged["finished_at"] = max(finished)
-    walls = [
-        m.get("wall_seconds") for m in manifests.values()
-        if isinstance(m.get("wall_seconds"), (int, float))
-    ]
-    if walls:
-        merged["wall_seconds"] = max(walls)
-    return merged

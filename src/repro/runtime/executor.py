@@ -1,16 +1,15 @@
-"""Transport-agnostic scheduling with memoization, retries and leases.
+"""Transport-agnostic scheduling with memoization and retries.
 
 :class:`StudyExecutor` is split into two halves:
 
 * a **scheduler** (this module) that owns the DAG frontier, cache
   lookup/store, retry budgets, timeouts, failure isolation and event
   logging; and
-* a pluggable :class:`~repro.runtime.transports.WorkerTransport` that
-  decides *where* a task attempt physically runs — ``inline`` (the
-  coordinating process, byte-for-byte the old ``jobs=1`` loop), ``pool``
-  (a ``multiprocessing`` pool with timeout-via-rebuild and innocent-task
-  resubmission), or ``socket`` (standalone ``repro worker`` processes,
-  gated on the lint op certificates).
+* a :class:`~repro.runtime.transports.WorkerTransport` that decides
+  *where* a task attempt physically runs — ``inline`` (the coordinating
+  process, byte-for-byte the old ``jobs=1`` loop) or ``pool`` (a
+  ``multiprocessing`` pool with timeout-via-rebuild and innocent-task
+  resubmission).
 
 Before a task executes its content-addressed cache key is consulted, so
 finished work is never repeated — this is also the resume mechanism: a
@@ -20,16 +19,8 @@ Failure isolation: a task that raises is retried up to its budget, then
 marked ``failed``; its transitive dependents are marked ``blocked`` and
 every independent branch of the graph keeps running.  A task that
 exceeds its timeout is abandoned through the transport (the pool is torn
-down and rebuilt; a socket worker is killed), and innocent in-flight
-tasks are resubmitted without consuming their retry budget.
-
-Cooperative execution: with ``cooperate=True`` several executors pointed
-at one :class:`~repro.runtime.cache.ResultCache` claim tasks through
-file-lock leases (:mod:`repro.runtime.leases`) keyed by cache digest.  A
-task leased by a live peer is *deferred* — the scheduler polls the cache
-until the peer's result lands — while an expired lease (dead executor)
-is stolen and the task re-run locally.  The cache's atomic key-verified
-writes make the duplicate-execution race safe.
+down and rebuilt), and innocent in-flight tasks are resubmitted without
+consuming their retry budget.
 
 Seeds: each task receives ``derive_seed(study_seed, task_id)`` — derived
 by ``hashlib`` splitting, never from worker-local RNG state — so results
@@ -47,16 +38,13 @@ from ..obs import Observation, current as current_observation, observing
 from ..obs.export import write_chrome_trace, write_metrics_snapshot
 from ..obs.trace import TASK_CATEGORY
 from .cache import MISS, ResultCache
-from .certify import OpCertificates
 from .events import METRICS_FILENAME, TRACE_FILENAME, RunLog
-from .leases import DEFAULT_TTL, LeaseBoard
 from .task import TaskGraph, TaskSpec, derive_seed, op_is_inline_only, resolve_op
 from .transports import (
     TaskPayload,
     WorkerTransport,
     create_transport,
 )
-from .worker import pool_entry as _pool_execute  # noqa: F401 — back-compat alias
 
 
 class ExecutionError(RuntimeError):
@@ -187,8 +175,7 @@ class StudyExecutor:
     default_retries:
         Fallback retry budget for specs that set none (spec value wins).
     poll_interval:
-        Scheduler poll period in seconds (asynchronous transports and
-        cooperative waits).
+        Scheduler poll period in seconds (asynchronous transports).
     obs:
         Optional :class:`repro.obs.Observation` receiving spans and
         metrics.  Defaults to the process-current observation
@@ -196,19 +183,9 @@ class StudyExecutor:
         caller installed a live one — the untraced path records nothing
         and allocates nothing.
     transport:
-        ``"inline"`` / ``"pool"`` / ``"socket"``, or a ready
+        ``"inline"`` / ``"pool"``, or a ready
         :class:`~repro.runtime.transports.WorkerTransport` instance.
-        Defaults to ``inline`` when ``jobs == 1`` and ``pool`` otherwise
-        (the historical behavior).
-    cooperate:
-        Claim tasks through file-lock leases under the cache root so
-        several executors can share one study (requires ``cache``).
-    lease_ttl:
-        Lease expiry in seconds; a peer may steal a lease this stale.
-        Must exceed the longest expected task attempt.
-    certificates:
-        Optional :class:`~repro.runtime.certify.OpCertificates` override
-        for transports that gate on op certification.
+        Defaults to ``inline`` when ``jobs == 1`` and ``pool`` otherwise.
     """
 
     def __init__(
@@ -222,9 +199,6 @@ class StudyExecutor:
         poll_interval: float = 0.02,
         obs: Observation | None = None,
         transport: str | WorkerTransport | None = None,
-        cooperate: bool = False,
-        lease_ttl: float = DEFAULT_TTL,
-        certificates: OpCertificates | None = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -237,9 +211,6 @@ class StudyExecutor:
         self.poll_interval = poll_interval
         self.obs = obs
         self.transport = transport
-        self.cooperate = cooperate
-        self.lease_ttl = lease_ttl
-        self.certificates = certificates
 
     # -- shared helpers ------------------------------------------------------
 
@@ -249,7 +220,7 @@ class StudyExecutor:
         name = self.transport
         if name is None:
             name = "inline" if self.jobs == 1 else "pool"
-        return create_transport(name, self.jobs, certificates=self.certificates)
+        return create_transport(name, self.jobs)
 
     def _event(self, kind: str, task_id: str | None = None, **fields: Any) -> None:
         if self.log is not None:
@@ -301,9 +272,6 @@ class StudyExecutor:
             "study_seed": self.study_seed,
             "started_at": time.time(),
         }
-        writer = getattr(self.log, "writer_id", None)
-        if writer is not None:
-            manifest["writer"] = writer
         self.log.write_manifest(manifest)
 
     def _finish_manifest(
@@ -327,9 +295,6 @@ class StudyExecutor:
             "finished_at": time.time(),
             **report.summary(),
         }
-        writer = getattr(self.log, "writer_id", None)
-        if writer is not None:
-            manifest["writer"] = writer
         if self.cache is not None:
             # Report this run's delta, not the cache object's lifetime
             # totals: a long-lived cache shared by sequential studies must
@@ -358,7 +323,7 @@ class StudyExecutor:
 
         This is byte-for-byte the body of the historical serial loop —
         same spans, same clock reads, same event order — so the inline
-        transport (and inline fallbacks of remote transports) preserve
+        transport (and the inline fallback of the pool) preserve
         the pinned observability goldens.
         """
         tracer = observation.trace
@@ -422,7 +387,6 @@ class StudyExecutor:
         graph: TaskGraph,
         observation: Any,
         transport: WorkerTransport,
-        board: LeaseBoard | None,
     ) -> dict[str, TaskOutcome]:
         tracer = observation.trace
         metrics = observation.metrics
@@ -437,10 +401,6 @@ class StudyExecutor:
         # task_id -> submission instant, for queue-latency histograms
         # (tracked only under observation; the untraced path pays nothing).
         submitted_at: dict[str, float] = {}
-        # Cooperative state: tasks a live peer holds / digests we hold.
-        deferred: dict[str, str] = {}
-        held: dict[str, str] = {}
-        last_refresh = time.monotonic()
 
         def settle_cached(spec: TaskSpec, value: Any) -> None:
             outcomes[spec.task_id] = TaskOutcome(
@@ -478,10 +438,6 @@ class StudyExecutor:
             metrics.inc("executor.tasks.failed")
             self._block_dependents(graph, spec.task_id, outcomes)
 
-        def release_lease(task_id: str) -> None:
-            if board is not None and task_id in held:
-                board.release(held.pop(task_id))
-
         def submit_remote(spec: TaskSpec) -> None:
             attempts[spec.task_id] = attempts.get(spec.task_id, 0) + 1
             payload = TaskPayload(
@@ -503,63 +459,26 @@ class StudyExecutor:
 
         def dispatch(spec: TaskSpec) -> None:
             if not transport.synchronous:
-                if op_is_inline_only(spec.op):
-                    # Parameters may hold arbitrary callables; run in the
-                    # coordinating process.
-                    self._event("inline-fallback", spec.task_id, reason="inline-only")
-                elif not transport.allows(spec.op):
-                    self._event("inline-fallback", spec.task_id, reason="uncertified")
-                    metrics.inc("executor.tasks.refused")
-                else:
+                if not op_is_inline_only(spec.op):
                     submit_remote(spec)
                     return
+                # Parameters may hold arbitrary callables; run in the
+                # coordinating process.
+                self._event("inline-fallback", spec.task_id, reason="inline-only")
             self._run_local(
                 graph, spec, values, outcomes, completed, attempts, observation
             )
-            release_lease(spec.task_id)
-
-        def try_lease(spec: TaskSpec) -> bool:
-            """Try to lease a task; ``False`` defers it to a live peer."""
-            if board is None or spec.key is None:
-                return True
-            digest = spec.key.digest()
-            grant = board.claim(digest)
-            if grant is None:
-                deferred[spec.task_id] = digest
-                self._event("lease-wait", spec.task_id)
-                metrics.inc("executor.lease.deferred")
-                return False
-            held[spec.task_id] = digest
-            if grant == "stolen":
-                self._event("lease-steal", spec.task_id)
-                metrics.inc("executor.lease.stolen")
-            return True
 
         while len(outcomes) < len(graph):
             progressed = False
 
             # Schedule everything whose dependencies are satisfied.
-            excluded = scheduled | set(outcomes) | set(deferred)
-            for spec in graph.ready(completed, excluded):
+            for spec in graph.ready(completed, scheduled | set(outcomes)):
                 cached = self._cache_lookup(spec)
                 if cached is not MISS:
                     settle_cached(spec, cached)
                     progressed = True
                     continue
-                if not try_lease(spec):
-                    continue
-                if board is not None:
-                    # A peer may have stored the result and released its
-                    # lease between our miss above and the claim (peers
-                    # always store before releasing), so a fresh claim
-                    # must re-check the cache before executing — this
-                    # closes the duplicate-execution race.
-                    cached = self._cache_lookup(spec)
-                    if cached is not MISS:
-                        release_lease(spec.task_id)
-                        settle_cached(spec, cached)
-                        progressed = True
-                        continue
                 scheduled.add(spec.task_id)
                 dispatch(spec)
                 progressed = True
@@ -588,14 +507,12 @@ class StudyExecutor:
                         )
                     if result.ok:
                         complete(spec, result.value, result.duration)
-                        release_lease(task_id)
                     elif attempts[task_id] <= self._retries_for(spec):
                         self._event("retry", task_id, attempt=attempts[task_id])
                         metrics.inc("task.retry")
                         submit_remote(spec)
                     else:
                         fail(spec, result.error or "unknown worker failure")
-                        release_lease(task_id)
 
                 # Enforce deadlines through the transport; innocents lost
                 # as collateral (a pool rebuild) are resubmitted free.
@@ -622,7 +539,6 @@ class StudyExecutor:
                                     f"timed out after {self._timeout_for(spec)}s "
                                     f"({attempts[task_id]} attempt(s))",
                                 )
-                                release_lease(task_id)
                         for task_id in innocents:
                             attempts[task_id] -= 1
                             in_flight.discard(task_id)
@@ -630,43 +546,9 @@ class StudyExecutor:
                             submitted_at.pop(task_id, None)
                             submit_remote(graph.task(task_id))
 
-            if board is not None:
-                # Re-check tasks a peer holds: settle them from the cache
-                # when the peer's result lands, or steal an expired lease.
-                for task_id, digest in list(deferred.items()):
-                    spec = graph.task(task_id)
-                    cached = self._cache_lookup(spec)
-                    if cached is not MISS:
-                        del deferred[task_id]
-                        settle_cached(spec, cached)
-                        progressed = True
-                        continue
-                    grant = board.claim(digest)
-                    if grant is not None:
-                        del deferred[task_id]
-                        held[task_id] = digest
-                        if grant == "stolen":
-                            self._event("lease-steal", task_id)
-                            metrics.inc("executor.lease.stolen")
-                        # Same store-then-release race as above: the peer
-                        # may have finished between our cache miss and
-                        # this successful claim.
-                        cached = self._cache_lookup(spec)
-                        if cached is not MISS:
-                            release_lease(task_id)
-                            settle_cached(spec, cached)
-                            progressed = True
-                            continue
-                        scheduled.add(task_id)
-                        dispatch(spec)
-                        progressed = True
-                if held and time.monotonic() - last_refresh > board.ttl / 3.0:
-                    board.refresh(list(held.values()))
-                    last_refresh = time.monotonic()
-
             if progressed:
                 continue
-            if not in_flight and not deferred:
+            if not in_flight:
                 if len(outcomes) < len(graph) and not graph.ready(
                     completed, scheduled | set(outcomes)
                 ):
@@ -697,11 +579,6 @@ class StudyExecutor:
         """
         observation = self.obs if self.obs is not None else current_observation()
         transport = self._make_transport()
-        board = None
-        if self.cooperate:
-            if self.cache is None:
-                raise ValueError("cooperative execution requires a ResultCache")
-            board = LeaseBoard(self.cache.root, ttl=self.lease_ttl)
         with observing(observation):
             tracer = observation.trace
             metrics = observation.metrics
@@ -719,9 +596,7 @@ class StudyExecutor:
                 with tracer.span(
                     "run", category="executor", tasks=len(graph), jobs=self.jobs
                 ):
-                    outcomes = self._run_scheduled(
-                        graph, observation, transport, board
-                    )
+                    outcomes = self._run_scheduled(graph, observation, transport)
             finally:
                 transport.stop()
             report = ExecutionReport(outcomes, time.perf_counter() - started)
@@ -731,13 +606,10 @@ class StudyExecutor:
             )
             if observation.enabled and self.log is not None:
                 write_chrome_trace(
-                    tracer.spans[span_mark:],
-                    self.log.artifact_path(TRACE_FILENAME),
+                    tracer.spans[span_mark:], self.log.run_dir / TRACE_FILENAME
                 )
                 write_metrics_snapshot(
                     metrics.delta_since(obs_mark),
-                    self.log.artifact_path(METRICS_FILENAME),
+                    self.log.run_dir / METRICS_FILENAME,
                 )
-            if self.log is not None:
-                self.log.finish()
             return report

@@ -302,7 +302,8 @@ def _op_compare(params: Mapping[str, Any], deps: Mapping[str, Any], seed: int) -
 
 # -- graph construction ------------------------------------------------------
 
-def _algorithm_key(spec: AlgorithmSpec) -> str:
+def algorithm_key(spec: AlgorithmSpec) -> str:
+    """The ``algorithm`` component of a grid cell's cache keys."""
     return canonical_json(spec.as_payload())
 
 
@@ -339,7 +340,7 @@ def build_study(
                 op="anonymize",
                 params={"dataset": dataset_payload, "algorithm": cell.as_payload()},
                 key=CacheKey(
-                    dataset=dataset_fingerprint, algorithm=_algorithm_key(cell)
+                    dataset=dataset_fingerprint, algorithm=algorithm_key(cell)
                 ),
                 timeout=timeout,
                 retries=retries,
@@ -365,7 +366,7 @@ def build_study(
                     deps=(cell_id,),
                     key=CacheKey(
                         dataset=dataset_fingerprint,
-                        algorithm=_algorithm_key(cell),
+                        algorithm=algorithm_key(cell),
                         metric=metric,
                     ),
                     timeout=timeout,
@@ -454,43 +455,19 @@ def run_study(
     retries: int = 0,
     obs: Any | None = None,
     transport: Any | None = None,
-    cooperate: bool = False,
-    lease_ttl: float | None = None,
-    strict_ops: bool = False,
-    certificates: Any | None = None,
 ) -> StudyResult:
     """Build and execute a study, assembling the materialized result.
 
     ``obs`` is an optional :class:`repro.obs.Observation` enabling span
     tracing and metric collection for this run; the default keeps the
     zero-overhead null observation.  ``transport`` selects where task
-    attempts run (``"inline"``/``"pool"``/``"socket"`` or a
-    :class:`~repro.runtime.transports.WorkerTransport` instance);
-    ``cooperate`` claims tasks through file-lock leases under the cache
-    root so several executors can share the study; ``strict_ops`` fails
-    fast (:class:`~repro.runtime.certify.CertificateError`) when the
-    graph contains an op the certificate table refuses for the chosen
-    transport, instead of silently falling back to the coordinator.
+    attempts run (``"inline"``/``"pool"`` or a
+    :class:`~repro.runtime.transports.WorkerTransport` instance).
 
     Raises :class:`~repro.runtime.executor.ExecutionError` if any task
     failed; partial results are never silently returned.
     """
     graph = build_study(spec, timeout=timeout, retries=retries)
-    if strict_ops:
-        from .certify import ensure_transport_allowed
-
-        transport_name = (
-            transport if isinstance(transport, str)
-            else getattr(transport, "name", None)
-        )
-        if transport_name is None:
-            transport_name = "inline" if jobs == 1 else "pool"
-        ensure_transport_allowed(
-            {task.op for task in graph}, transport_name, certificates
-        )
-    executor_options: dict[str, Any] = {}
-    if lease_ttl is not None:
-        executor_options["lease_ttl"] = lease_ttl
     executor = StudyExecutor(
         jobs=jobs,
         cache=cache,
@@ -500,9 +477,6 @@ def run_study(
         default_retries=retries,
         obs=obs,
         transport=transport,
-        cooperate=cooperate,
-        certificates=certificates,
-        **executor_options,
     )
     report = executor.run(graph)
     report.raise_on_failure()

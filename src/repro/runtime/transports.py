@@ -1,4 +1,4 @@
-"""Pluggable worker transports for the study scheduler.
+"""Worker transports for the study scheduler.
 
 The scheduler half of :class:`~repro.runtime.executor.StudyExecutor`
 owns the DAG frontier, cache, retries, timeouts and event log; *where*
@@ -13,45 +13,29 @@ a task attempt physically runs is delegated to a
   enforced by tearing the pool down and rebuilding it (a stuck worker
   cannot be interrupted cooperatively); innocent in-flight tasks are
   reported back so the scheduler can resubmit them at no retry cost.
-* :class:`SocketTransport` — standalone worker processes
-  (``repro worker --connect HOST:PORT``) speaking the length-prefixed
-  pickle protocol of :mod:`repro.runtime.worker`.  Only ops whose
-  ``lint/op_certificates.json`` verdict is ``certified`` may be
-  submitted; ``inline-only``/uncertified ops are refused at submission
-  time (:class:`TransportRefused`) and the scheduler runs them in the
-  coordinator instead.
+  A worker that dies mid-task also triggers a rebuild, and every
+  in-flight attempt is reported failed so the retry budget bounds it.
 
 Transports are single-run objects: the scheduler calls ``start()``
 before the first submission and ``stop()`` in a ``finally`` block.
 A transport never interprets results — it moves payloads and result
-tuples, nothing else, which is what keeps the three paths bit-identical.
+tuples, nothing else, which is what keeps both paths bit-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
-import selectors
-import signal
-import socket
-import subprocess
-import sys
 from typing import Any, Mapping
 
-from .certify import OpCertificates, default_certificates
-from .worker import extract_frames, pool_entry, send_frame
+from .worker import pool_entry
 
 #: Transport registry names accepted by ``repro study --transport``.
-TRANSPORT_NAMES = ("inline", "pool", "socket")
+TRANSPORT_NAMES = ("inline", "pool")
 
 
 class TransportError(RuntimeError):
     """A transport-level fault (not a task failure)."""
-
-
-class TransportRefused(TransportError):
-    """Raised at submission time for ops the transport will not ship."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,20 +76,16 @@ class TaskResult:
 class WorkerTransport:
     """Interface between the scheduler and a task-execution substrate."""
 
-    #: Registry name (``inline`` / ``pool`` / ``socket``).
+    #: Registry name (``inline`` / ``pool``).
     name = "abstract"
     #: ``True`` when the scheduler should execute tasks itself, inline.
     synchronous = False
-
-    def allows(self, op_name: str) -> bool:
-        """May this op be submitted?  (Refused ops run in the coordinator.)"""
-        return True
 
     def start(self) -> None:
         """Bring up workers; called once before the first submission."""
 
     def submit(self, payload: TaskPayload) -> None:
-        """Queue one task attempt (raises :class:`TransportRefused`)."""
+        """Queue one task attempt."""
         raise NotImplementedError
 
     def poll(self) -> list[TaskResult]:
@@ -143,10 +123,25 @@ class PoolTransport(WorkerTransport):
         self.processes = processes
         self._context = multiprocessing.get_context()
         self._pool: Any = None
+        self._workers: list[Any] = []
         self._handles: dict[str, Any] = {}
 
     def start(self) -> None:
         self._pool = self._context.Pool(processes=self.processes)
+        self._watch_workers()
+
+    def _watch_workers(self) -> None:
+        # ``Pool`` silently replaces a worker that dies, and the task it
+        # held never becomes ready; watching the processes it started is
+        # the only way to notice.
+        self._workers = list(self._pool._pool)
+
+    def _rebuild(self) -> None:
+        self._handles.clear()
+        self._pool.terminate()
+        self._pool.join()
+        self._pool = self._context.Pool(processes=self.processes)
+        self._watch_workers()
 
     def submit(self, payload: TaskPayload) -> None:
         if self._pool is None:
@@ -164,6 +159,18 @@ class PoolTransport(WorkerTransport):
                 results.append(
                     TaskResult(task_id, False, None, _describe(exc), 0.0)
                 )
+        dead = [worker for worker in self._workers if worker.exitcode is not None]
+        if dead:
+            # Which in-flight attempt the dead worker held is unknowable,
+            # so every one of them is charged a failed attempt.
+            error = "pool worker died mid-task: " + ", ".join(
+                f"pid {worker.pid} exit code {worker.exitcode}" for worker in dead
+            )
+            results.extend(
+                TaskResult(task_id, False, None, error, 0.0)
+                for task_id in self._handles
+            )
+            self._rebuild()
         return results
 
     def abandon(self, task_ids: set[str]) -> list[str]:
@@ -171,10 +178,7 @@ class PoolTransport(WorkerTransport):
         # whole pool is torn down and rebuilt, and in-flight tasks that
         # merely shared it are reported back as innocents.
         survivors = [t for t in self._handles if t not in task_ids]
-        self._handles.clear()
-        self._pool.terminate()
-        self._pool.join()
-        self._pool = self._context.Pool(processes=self.processes)
+        self._rebuild()
         return survivors
 
     def stop(self) -> None:
@@ -184,277 +188,14 @@ class PoolTransport(WorkerTransport):
             self._pool = None
 
 
-class _Connection:
-    """Per-worker connection state on the coordinator side."""
-
-    __slots__ = ("sock", "buffer", "task", "pid", "ready")
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.buffer = bytearray()
-        self.task: TaskPayload | None = None
-        self.pid: int | None = None
-        self.ready = False
-
-
-class SocketTransport(WorkerTransport):
-    """Standalone worker processes over a length-prefixed socket protocol.
-
-    The coordinator listens on ``host:port`` (port ``0`` picks a free
-    one) and, by default, spawns ``workers`` local
-    ``repro worker --connect`` subprocesses pointed back at itself —
-    the same protocol serves workers started by hand on other hosts.
-    Submission is gated on the op certificates: an op whose verdict is
-    not ``certified`` raises :class:`TransportRefused` instead of being
-    shipped.
-
-    A connection that drops mid-task surfaces as a failed attempt
-    (``worker connection lost``) consuming the task's retry budget; the
-    transport respawns a replacement worker (bounded by
-    ``respawn_limit``) so the run keeps its capacity.
-    """
-
-    name = "socket"
-
-    def __init__(
-        self,
-        workers: int = 2,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        certificates: OpCertificates | None = None,
-        spawn_workers: bool = True,
-        worker_imports: tuple[str, ...] = (),
-        env: Mapping[str, str] | None = None,
-        respawn_limit: int | None = None,
-    ):
-        if workers < 1:
-            raise ValueError(f"socket transport needs >= 1 worker, got {workers}")
-        self.workers = workers
-        self.host = host
-        self.port = port
-        self.address: tuple[str, int] | None = None
-        self.worker_imports = tuple(worker_imports)
-        self._certificates = certificates
-        self._spawn_workers = spawn_workers
-        self._env = dict(env) if env is not None else None
-        self._respawn_limit = (
-            respawn_limit if respawn_limit is not None else workers * 4
-        )
-        self._spawned = 0
-        self._listener: socket.socket | None = None
-        self._selector: selectors.BaseSelector | None = None
-        self._connections: dict[socket.socket, _Connection] = {}
-        self._procs: list[subprocess.Popen] = []
-        self._queue: list[TaskPayload] = []
-
-    # -- certificate gate ----------------------------------------------------
-
-    def _table(self) -> OpCertificates:
-        if self._certificates is None:
-            self._certificates = default_certificates()
-        return self._certificates
-
-    def allows(self, op_name: str) -> bool:
-        return self._table().transport_allowed(op_name, self.name)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((self.host, self.port))
-        self._listener.listen()
-        self._listener.setblocking(False)
-        self.address = self._listener.getsockname()[:2]
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ)
-        if self._spawn_workers:
-            for _ in range(self.workers):
-                self._spawn()
-
-    def _spawn(self) -> None:
-        if self._spawned >= self.workers + self._respawn_limit:
-            return
-        self._spawned += 1
-        host, port = self.address  # type: ignore[misc]
-        command = [
-            sys.executable, "-m", "repro.cli", "worker",
-            "--connect", f"{host}:{port}",
-        ]
-        for module in self.worker_imports:
-            command.extend(["--import", module])
-        proc = subprocess.Popen(
-            command, env=self._env, stdout=subprocess.DEVNULL
-        )
-        self._procs.append(proc)
-
-    # -- scheduling ----------------------------------------------------------
-
-    def submit(self, payload: TaskPayload) -> None:
-        if self._selector is None:
-            raise TransportError("socket transport not started")
-        if not self.allows(payload.op):
-            raise TransportRefused(
-                f"op {payload.op!r} is not certified for the socket transport "
-                "(see lint/op_certificates.json)"
-            )
-        self._queue.append(payload)
-        self._pump()
-
-    def _pump(self) -> None:
-        """Hand queued payloads to idle, hello'd workers."""
-        if not self._queue:
-            return
-        for connection in list(self._connections.values()):
-            if not self._queue:
-                break
-            if not connection.ready or connection.task is not None:
-                continue
-            payload = self._queue.pop(0)
-            try:
-                send_frame(
-                    connection.sock,
-                    {"type": "task", **_task_message(payload)},
-                )
-            except OSError:
-                self._queue.insert(0, payload)
-                self._drop(connection, None)
-                continue
-            connection.task = payload
-
-    def poll(self) -> list[TaskResult]:
-        if self._selector is None:
-            return []
-        results: list[TaskResult] = []
-        for key, _ in self._selector.select(timeout=0):
-            sock = key.fileobj
-            if sock is self._listener:
-                self._accept()
-                continue
-            connection = self._connections.get(sock)  # type: ignore[arg-type]
-            if connection is None:
-                continue
-            try:
-                data = sock.recv(1 << 16)  # type: ignore[union-attr]
-            except OSError:
-                data = b""
-            if not data:
-                self._drop(connection, results)
-                continue
-            connection.buffer.extend(data)
-            for message in extract_frames(connection.buffer):
-                kind = message.get("type")
-                if kind == "hello":
-                    connection.pid = message.get("pid")
-                    connection.ready = True
-                elif kind == "result":
-                    results.append(TaskResult.from_tuple(message["payload"]))
-                    connection.task = None
-        self._pump()
-        return results
-
-    def _accept(self) -> None:
-        assert self._listener is not None and self._selector is not None
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except BlockingIOError:
-                return
-            self._selector.register(sock, selectors.EVENT_READ)
-            self._connections[sock] = _Connection(sock)
-
-    def _drop(self, connection: _Connection, results: list[TaskResult] | None) -> None:
-        """Close a dead connection; surface its in-flight task as failed."""
-        self._connections.pop(connection.sock, None)
-        try:
-            self._selector.unregister(connection.sock)  # type: ignore[union-attr]
-        except (KeyError, ValueError):
-            pass
-        connection.sock.close()
-        if connection.task is not None and results is not None:
-            results.append(
-                TaskResult(
-                    connection.task.task_id,
-                    False,
-                    None,
-                    "worker connection lost (worker process died?)",
-                    0.0,
-                )
-            )
-        if self._spawn_workers and len(self._connections) < self.workers:
-            self._spawn()
-
-    def abandon(self, task_ids: set[str]) -> list[str]:
-        # Unlike the pool, only the stuck workers are killed; every other
-        # in-flight attempt keeps running, so there are no innocents.
-        for task_id in task_ids:
-            self._queue = [p for p in self._queue if p.task_id != task_id]
-        own_pids = {proc.pid for proc in self._procs}
-        for connection in list(self._connections.values()):
-            if connection.task is None or connection.task.task_id not in task_ids:
-                continue
-            if connection.pid in own_pids:
-                try:
-                    os.kill(connection.pid, signal.SIGKILL)
-                except (OSError, TypeError):
-                    pass
-            connection.task = None  # the attempt is charged by the scheduler
-            self._drop(connection, None)
-        return []
-
-    def stop(self) -> None:
-        for connection in list(self._connections.values()):
-            try:
-                send_frame(connection.sock, {"type": "shutdown"})
-            except OSError:
-                pass
-            connection.sock.close()
-        self._connections.clear()
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-        for proc in self._procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        self._procs.clear()
-
-
-def _task_message(payload: TaskPayload) -> dict[str, Any]:
-    return {
-        "task_id": payload.task_id,
-        "op": payload.op,
-        "params": payload.params,
-        "deps": payload.deps,
-        "seed": payload.seed,
-        "observe": payload.observe,
-    }
-
-
 def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def create_transport(
-    name: str,
-    jobs: int,
-    certificates: OpCertificates | None = None,
-    worker_imports: tuple[str, ...] = (),
-) -> WorkerTransport:
+def create_transport(name: str, jobs: int) -> WorkerTransport:
     """Build a transport by registry name (``repro study --transport``)."""
     if name == "inline":
         return InlineTransport()
     if name == "pool":
         return PoolTransport(processes=max(jobs, 1))
-    if name == "socket":
-        return SocketTransport(
-            workers=max(jobs, 1),
-            certificates=certificates,
-            worker_imports=worker_imports,
-        )
     raise ValueError(f"unknown transport {name!r}; choose from {TRANSPORT_NAMES}")

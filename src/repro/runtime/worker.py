@@ -1,53 +1,21 @@
-"""Worker-side task execution, shared by every remote transport.
+"""Worker-side task execution for the pool transport.
 
 :func:`execute_task` is the single worker-side runner: it resolves the
 op through the registry, executes it under failure isolation (never
 raises), and — when the coordinator requested observation — records the
 task in a fresh process-local :class:`~repro.obs.Observation`, shipping
 the spans plus a metrics snapshot back with the result.  The
-``multiprocessing`` pool transport calls it through :func:`pool_entry`;
-the socket transport's standalone workers call it from
-:func:`serve_worker`.
-
-The socket wire protocol is deliberately boring: each frame is an
-8-byte big-endian length prefix followed by a pickled payload dict.
-Messages:
-
-* worker → coordinator ``{"type": "hello", "pid": ...}`` on connect;
-* coordinator → worker ``{"type": "task", "task_id", "op", "params",
-  "deps", "seed", "observe"}``;
-* worker → coordinator ``{"type": "result", "payload": <result tuple>}``;
-* coordinator → worker ``{"type": "shutdown"}``.
-
-``repro worker --connect HOST:PORT`` runs :func:`serve_worker` until the
-coordinator shuts it down or the connection drops.  ``--import MODULE``
-(repeatable) imports extra op-registry modules before serving — the
-standard study ops are always registered.
+``multiprocessing`` pool transport calls it through :func:`pool_entry`.
 """
 
 from __future__ import annotations
 
-import importlib
-import os
-import pickle
-import socket
-import struct
 import time
 from typing import Any, Mapping
 
 from ..obs import Observation, observing
 from ..obs.trace import TASK_CATEGORY
 from .task import resolve_op
-
-_LENGTH = struct.Struct(">Q")
-
-#: Refuse frames beyond this size — a corrupt length prefix must not
-#: trigger a multi-gigabyte allocation.
-MAX_FRAME_BYTES = 1 << 31
-
-
-class ProtocolError(RuntimeError):
-    """Raised on a malformed frame (bad length, oversized payload)."""
 
 
 def _format_error(exc: BaseException) -> str:
@@ -117,107 +85,3 @@ def pool_entry(
 ) -> tuple[str, bool, Any, str | None, float, tuple[Any, ...], dict[str, Any] | None]:
     """``multiprocessing`` pool entry point over :func:`execute_task`."""
     return execute_task(*payload)
-
-
-# -- frame protocol ----------------------------------------------------------
-
-
-def send_frame(sock: socket.socket, message: dict[str, Any]) -> None:
-    """Pickle ``message`` and send it as one length-prefixed frame."""
-    body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LENGTH.pack(len(body)) + body)
-
-
-def _recv_exact(sock: socket.socket, size: int) -> bytes | None:
-    chunks: list[bytes] = []
-    remaining = size
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
-    """Read one frame; ``None`` on a cleanly closed connection."""
-    header = _recv_exact(sock, _LENGTH.size)
-    if header is None:
-        return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    body = _recv_exact(sock, length)
-    if body is None:
-        return None
-    message = pickle.loads(body)
-    if not isinstance(message, dict):
-        raise ProtocolError(f"frame payload is {type(message).__name__}, not dict")
-    return message
-
-
-def extract_frames(buffer: bytearray) -> list[dict[str, Any]]:
-    """Pop every complete frame off a receive buffer (non-blocking side)."""
-    messages: list[dict[str, Any]] = []
-    while len(buffer) >= _LENGTH.size:
-        (length,) = _LENGTH.unpack(bytes(buffer[: _LENGTH.size]))
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-        end = _LENGTH.size + length
-        if len(buffer) < end:
-            break
-        message = pickle.loads(bytes(buffer[_LENGTH.size : end]))
-        del buffer[:end]
-        if not isinstance(message, dict):
-            raise ProtocolError(
-                f"frame payload is {type(message).__name__}, not dict"
-            )
-        messages.append(message)
-    return messages
-
-
-# -- standalone socket worker ------------------------------------------------
-
-
-def parse_address(address: str) -> tuple[str, int]:
-    """Split ``HOST:PORT`` (the host may be omitted: ``:9000``)."""
-    host, sep, port = address.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"expected HOST:PORT, got {address!r}")
-    return (host or "127.0.0.1", int(port))
-
-
-def serve_worker(address: str, imports: tuple[str, ...] = ()) -> int:
-    """Connect to a coordinator and execute tasks until shutdown.
-
-    Exit codes: 0 on coordinator-initiated shutdown or clean EOF, 1 when
-    the connection drops mid-protocol.
-    """
-    for module in imports:
-        importlib.import_module(module)
-    from . import study as _study  # noqa: F401 — register the standard ops
-
-    host, port = parse_address(address)
-    sock = socket.create_connection((host, port))
-    try:
-        send_frame(sock, {"type": "hello", "pid": os.getpid()})
-        while True:
-            message = recv_frame(sock)
-            if message is None or message.get("type") == "shutdown":
-                return 0
-            if message.get("type") != "task":
-                continue
-            result = execute_task(
-                message["task_id"],
-                message["op"],
-                message["params"],
-                message["deps"],
-                message["seed"],
-                message.get("observe", False),
-            )
-            send_frame(sock, {"type": "result", "payload": result})
-    except (ConnectionError, BrokenPipeError, OSError):
-        return 1
-    finally:
-        sock.close()

@@ -15,9 +15,9 @@ Two invariants matter here:
   and nothing else, so raw quasi-identifier values cannot flow into a
   response by construction;
 * **determinism** — group keys are sorted, top-k ties break on the
-  rendered value, and no ambient state is read, so the op is certified
-  for the content-addressed cache and for distributed execution
-  (``lint/op_certificates.json``).
+  rendered value, and no ambient state is read, so the op is safe to
+  memoize in the content-addressed cache and to run on the executor's
+  process pool.
 
 Generalized cells (intervals, spans, suppression stars) render through the
 same lossless serialization the CSV release writer uses, so ``point``

@@ -15,9 +15,8 @@ serves that study's results without recomputing a single cell — and a
 restarted server resumes from disk with 100% hits.
 
 Request handlers resolve through the registered task operations
-(``anonymize``, ``measure``, ``compare``, ``serve.query``), all certified
-for determinism and parallel safety in ``lint/op_certificates.json`` —
-the serve plane runs nothing the distributed executor could not.
+(``anonymize``, ``measure``, ``compare``, ``serve.query``) — the same
+ops the study executor runs inline or on its process pool.
 
 Seeds follow the study convention: algorithm specs that accept a ``seed``
 get one derived from the server's study seed with
@@ -41,7 +40,7 @@ from ..runtime.study import (
     AlgorithmSpec,
     DatasetSpec,
     StudyError,
-    _algorithm_key,
+    algorithm_key,
 )
 from ..runtime.task import CacheKey, canonical_json, derive_seed, resolve_op
 
@@ -218,7 +217,7 @@ class ServeState:
         """
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
-            algorithm=_algorithm_key(cell),
+            algorithm=algorithm_key(cell),
         )
         params = {
             "dataset": dataset_spec.as_payload(),
@@ -240,7 +239,7 @@ class ServeState:
         release, _ = self.release_for(dataset_spec, cell)
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
-            algorithm=_algorithm_key(cell),
+            algorithm=algorithm_key(cell),
             metric=prop,
         )
         params = {
@@ -266,7 +265,7 @@ class ServeState:
         release, _ = self.release_for(dataset_spec, cell)
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
-            algorithm=_algorithm_key(cell),
+            algorithm=algorithm_key(cell),
             metric=measure,
         )
         params = {
@@ -332,15 +331,15 @@ class ServeState:
         """
         release, _ = self.release_for(dataset_spec, cell)
         deps: dict[str, Any] = {"release": release}
-        algorithm_key = _algorithm_key(cell)
+        query_algorithm = algorithm_key(cell)
         if other is not None:
             deps["other"] = self.release_for(dataset_spec, other)[0]
-            algorithm_key = canonical_json(
+            query_algorithm = canonical_json(
                 [cell.as_payload(), other.as_payload()]
             )
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
-            algorithm=algorithm_key,
+            algorithm=query_algorithm,
             metric=f"serve.query:{canonical_json(dict(query))}",
         )
         return self._resolve(

@@ -1,188 +1,136 @@
-"""Transport layer: certificates, wire protocol, parity across transports.
+"""Transport layer: inline/pool parity, pool fault handling, resume.
 
-The acceptance bar for the scheduler/transport split: ``inline``,
-``pool`` and ``socket`` runs of the same graph produce bit-identical
-values, and the socket transport refuses ops the lint certificates have
-not certified for distributed execution.
+The acceptance bar for the scheduler/transport split: ``inline`` and
+``pool`` runs of the same graph produce bit-identical values, and a pool
+worker that dies mid-task costs the task one attempt instead of hanging
+the study.
+
+The test operations are registered at module import time so that forked
+pool workers (the default start method on Linux) inherit them.
 """
 
 from __future__ import annotations
 
 import os
-import socket
-import sys
+import signal
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-import tests.socket_ops  # noqa: F401 — registers the sock.* ops locally
-
-from repro.runtime.certify import (
-    CertificateError,
-    OpCertificates,
-    ensure_transport_allowed,
-)
-from repro.runtime.events import RunLog, merge_run_dir, read_events, read_manifest
-from repro.runtime.executor import StudyExecutor
 from repro.runtime.cache import ResultCache
-from repro.runtime.task import CacheKey, TaskGraph, TaskSpec
+from repro.runtime.events import RunLog, read_events
+from repro.runtime.executor import StudyExecutor
+from repro.runtime.task import CacheKey, TaskGraph, TaskSpec, register_op
 from repro.runtime.transports import (
     InlineTransport,
     PoolTransport,
-    SocketTransport,
-    TransportRefused,
     create_transport,
 )
-from repro.runtime.worker import (
-    extract_frames,
-    parse_address,
-    recv_frame,
-    send_frame,
-)
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: Certificates for the tests' own ops — the committed certificate file
-#: only knows the real study ops.
-SOCK_CERTIFICATES = OpCertificates(
-    {
-        "sock.echo": "certified",
-        "sock.pid": "certified",
-        "sock.seeded": "certified",
-        "sock.fail": "certified",
-        "sock.pidwait": "certified",
-    },
-    source="tests",
-)
+#: task names executed in-process, appended under _EXECUTED_LOCK by tx.touch.
+_EXECUTED: list[str] = []
+_EXECUTED_LOCK = threading.Lock()
 
 
-def worker_env() -> dict[str, str]:
-    """Environment for spawned workers: repro + the tests package."""
-    env = dict(os.environ)
-    extra = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
-    current = env.get("PYTHONPATH")
-    if current:
-        extra.append(current)
-    env["PYTHONPATH"] = os.pathsep.join(extra)
-    return env
+@register_op("tx.echo")
+def _op_tx_echo(params, deps, seed):
+    """Return the given value summed with dependency values."""
+    return params["value"] + sum(deps.values())
 
 
-def socket_transport(workers: int = 2, **overrides) -> SocketTransport:
-    options = {
-        "workers": workers,
-        "certificates": SOCK_CERTIFICATES,
-        "worker_imports": ("tests.socket_ops",),
-        "env": worker_env(),
-    }
-    options.update(overrides)
-    return SocketTransport(**options)
+@register_op("tx.pid")
+def _op_tx_pid(params, deps, seed):
+    """Return the executing worker's pid (proves out-of-process execution)."""
+    return os.getpid()
 
 
-def sock_task(task_id, value, deps=(), key=None, retries=0, op="sock.echo"):
-    params = {"value": value}
+@register_op("tx.seeded")
+def _op_tx_seeded(params, deps, seed):
+    """Return the derived seed (proves seed propagation to workers)."""
+    return seed
+
+
+@register_op("tx.fail")
+def _op_tx_fail(params, deps, seed):
+    """Always raise."""
+    raise RuntimeError("worker boom")
+
+
+@register_op("tx.die-once")
+def _op_tx_die_once(params, deps, seed):
+    """Record our pid; SIGKILL ourselves on the first attempt only."""
+    pidfile = Path(params["pidfile"])
+    with pidfile.open("a") as handle:
+        handle.write(f"{os.getpid()}\n")
+    if len(pidfile.read_text().split()) == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return params["value"]
+
+
+@register_op("tx.local", inline_only=True)
+def _op_tx_local(params, deps, seed):
+    """An op declared coordinator-local; returns the executing pid."""
+    return os.getpid()
+
+
+@register_op("tx.touch")
+def _op_tx_touch(params, deps, seed):
+    """Record the execution and return the task's value."""
+    with _EXECUTED_LOCK:
+        _EXECUTED.append(params["name"])
+    return params["value"]
+
+
+def tx_task(task_id, value, deps=(), key=None, retries=0, op="tx.echo"):
     return TaskSpec(
-        task_id=task_id, op=op, params=params, deps=tuple(deps),
+        task_id=task_id, op=op, params={"value": value}, deps=tuple(deps),
         key=key, retries=retries,
     )
 
 
 def diamond_graph() -> TaskGraph:
     graph = TaskGraph()
-    graph.add(sock_task("a", 1))
-    graph.add(sock_task("b", 10))
-    graph.add(sock_task("c", 100, deps=["a", "b"]))
-    graph.add(sock_task("seeded", 0, op="sock.seeded"))
-    graph.add(sock_task("final", 1000, deps=["c", "seeded"]))
+    graph.add(tx_task("a", 1))
+    graph.add(tx_task("b", 10))
+    graph.add(tx_task("c", 100, deps=["a", "b"]))
+    graph.add(tx_task("seeded", 0, op="tx.seeded"))
+    graph.add(tx_task("final", 1000, deps=["c", "seeded"]))
     return graph
 
 
-class TestCertificates:
-    def test_inline_always_allowed(self):
-        table = OpCertificates({})
-        assert table.transport_allowed("anything", "inline")
+class _Hung(Exception):
+    """Raised by the alarm guard when a run does not return in time."""
 
-    def test_remote_requires_certified_verdict(self):
-        table = OpCertificates({"good": "certified", "bad": "inline-only"})
-        assert table.transport_allowed("good", "socket")
-        assert table.transport_allowed("good", "pool")
-        assert not table.transport_allowed("bad", "socket")
-        assert not table.transport_allowed("unknown", "socket")
 
-    def test_load_missing_file_degrades_with_warning(self, tmp_path):
-        with pytest.warns(RuntimeWarning, match="inline-only"):
-            table = OpCertificates.load(tmp_path / "nope.json")
-        assert table.transport_allowed("anonymize", "inline")
-        assert not table.transport_allowed("anonymize", "socket")
+def run_bounded(executor: StudyExecutor, graph: TaskGraph, seconds: int):
+    """Run ``graph``, failing (not hanging) if it takes over ``seconds``.
 
-    def test_load_corrupt_file_degrades_with_warning(self, tmp_path):
-        bad = tmp_path / "certs.json"
-        bad.write_text("{not json")
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            table = OpCertificates.load(bad)
-        assert not table.transport_allowed("anonymize", "pool")
+    The alarm interrupts the scheduler's poll loop in the main thread; the
+    executor's ``finally`` then tears the pool down.
+    """
 
-    def test_load_committed_repo_certificates(self):
-        table = OpCertificates.load(REPO_ROOT / "lint" / "op_certificates.json")
-        assert table.transport_allowed("anonymize", "socket")
-        assert table.transport_allowed("measure", "socket")
-        assert table.transport_allowed("compare", "socket")
-        # sweep cells carry callables in their params: inline-only.
-        assert not table.transport_allowed("analysis.sweep-cell", "socket")
+    def expire(signum, frame):
+        raise _Hung(f"executor did not return within {seconds}s")
 
-    def test_ensure_transport_allowed_lists_refused_ops(self):
-        table = OpCertificates({"ok": "certified"})
-        ensure_transport_allowed(["ok"], "socket", table)
-        with pytest.raises(CertificateError, match="nope"):
-            ensure_transport_allowed(["ok", "nope"], "socket", table)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return executor.run(graph)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
+
+class TestTransportRegistry:
     def test_create_transport_names(self):
         assert create_transport("inline", 1).name == "inline"
         assert create_transport("pool", 2).name == "pool"
-        assert create_transport("socket", 2).name == "socket"
+        with pytest.raises(ValueError):
+            create_transport("socket", 2)
         with pytest.raises(ValueError):
             create_transport("carrier-pigeon", 1)
-
-
-class TestFrameProtocol:
-    def test_send_recv_roundtrip(self):
-        left, right = socket.socketpair()
-        try:
-            send_frame(left, {"type": "hello", "pid": 42})
-            message = recv_frame(right)
-        finally:
-            left.close()
-            right.close()
-        assert message == {"type": "hello", "pid": 42}
-
-    def test_recv_none_on_clean_close(self):
-        left, right = socket.socketpair()
-        left.close()
-        try:
-            assert recv_frame(right) is None
-        finally:
-            right.close()
-
-    def test_extract_frames_handles_partial_buffers(self):
-        left, right = socket.socketpair()
-        try:
-            send_frame(left, {"n": 1})
-            send_frame(left, {"n": 2})
-            raw = right.recv(1 << 16)
-        finally:
-            left.close()
-            right.close()
-        buffer = bytearray()
-        buffer.extend(raw[:5])  # partial header
-        assert extract_frames(buffer) == []
-        buffer.extend(raw[5:])
-        assert extract_frames(buffer) == [{"n": 1}, {"n": 2}]
-        assert not buffer
-
-    def test_parse_address(self):
-        assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
-        assert parse_address(":9000") == ("127.0.0.1", 9000)
-        with pytest.raises(ValueError):
-            parse_address("no-port")
 
 
 class TestTransportParity:
@@ -192,62 +140,42 @@ class TestTransportParity:
         report.raise_on_failure()
         return {t: o.value for t, o in report.outcomes.items()}
 
-    def test_inline_pool_socket_values_identical(self):
+    def test_inline_pool_values_identical(self):
         inline = self.run_with(InlineTransport())
         pool = self.run_with(PoolTransport(processes=2))
-        sock = self.run_with(socket_transport(workers=2))
-        assert inline == pool == sock
+        assert inline == pool
         assert inline["final"] == 1000 + (100 + 1 + 10) + inline["seeded"]
 
-    def test_socket_tasks_run_in_other_processes(self):
+    def test_pool_tasks_run_in_other_processes(self):
         graph = TaskGraph()
-        graph.add(sock_task("pid", 0, op="sock.pid"))
-        executor = StudyExecutor(transport=socket_transport(workers=1))
-        report = executor.run(graph)
+        graph.add(tx_task("pid", 0, op="tx.pid"))
+        report = StudyExecutor(transport=PoolTransport(processes=1)).run(graph)
         report.raise_on_failure()
         assert report.outcomes["pid"].value != os.getpid()
 
-    def test_socket_failure_isolation_and_retry_budget(self):
+    def test_pool_failure_isolation_and_retry_budget(self):
         graph = TaskGraph()
-        graph.add(sock_task("boom", 0, op="sock.fail", retries=1))
-        graph.add(sock_task("child", 5, deps=["boom"]))
-        graph.add(sock_task("independent", 7))
-        executor = StudyExecutor(transport=socket_transport(workers=1))
-        report = executor.run(graph)
+        graph.add(tx_task("boom", 0, op="tx.fail", retries=1))
+        graph.add(tx_task("child", 5, deps=["boom"]))
+        graph.add(tx_task("independent", 7))
+        report = StudyExecutor(transport=PoolTransport(processes=1)).run(graph)
         assert report.outcomes["boom"].status == "failed"
         assert report.outcomes["boom"].attempts == 2
-        assert "socket boom" in report.outcomes["boom"].error
+        assert "worker boom" in report.outcomes["boom"].error
         assert report.outcomes["child"].status == "blocked"
         assert report.outcomes["independent"].value == 7
 
-
-class TestSocketRefusal:
-    def test_submit_refuses_uncertified_op(self):
-        transport = socket_transport(
-            workers=1, certificates=OpCertificates({}), spawn_workers=False
-        )
-        transport.start()
-        try:
-            assert not transport.allows("sock.echo")
-            from repro.runtime.transports import TaskPayload
-
-            with pytest.raises(TransportRefused, match="sock.echo"):
-                transport.submit(TaskPayload("t", "sock.echo", {}, {}, 0, False))
-        finally:
-            transport.stop()
-
-    def test_scheduler_falls_back_inline_for_refused_ops(self, tmp_path):
+    def test_scheduler_falls_back_inline_for_inline_only_ops(self, tmp_path):
         log = RunLog(tmp_path / "run")
-        transport = socket_transport(
-            workers=1, certificates=OpCertificates({}), spawn_workers=False
-        )
-        executor = StudyExecutor(transport=transport, log=log)
-        report = executor.run(diamond_graph())
+        graph = TaskGraph()
+        graph.add(tx_task("local", 0, op="tx.local"))
+        graph.add(tx_task("remote", 0, op="tx.pid"))
+        report = StudyExecutor(transport=PoolTransport(processes=1), log=log).run(graph)
         report.raise_on_failure()
-        events = read_events(log.events_path)
-        fallbacks = [e for e in events if e["event"] == "inline-fallback"]
-        assert len(fallbacks) == len(diamond_graph())
-        assert all(e["reason"] == "uncertified" for e in fallbacks)
+        assert report.outcomes["local"].value == os.getpid()
+        assert report.outcomes["remote"].value != os.getpid()
+        fallbacks = [e for e in read_events(log.events_path) if e["event"] == "inline-fallback"]
+        assert [(e["task"], e["reason"]) for e in fallbacks] == [("local", "inline-only")]
 
 
 class TestStudyParityAcrossTransports:
@@ -271,153 +199,101 @@ class TestStudyParityAcrossTransports:
         cache = ResultCache(tmp_path / f"cache-{name}")
         return run_study(spec, cache=cache, **kwargs)
 
-    def test_inline_pool_socket_bit_identical(self, tmp_path):
+    def test_inline_pool_bit_identical(self, tmp_path):
         inline = self.run_study_with(tmp_path, "inline", transport="inline")
         pool = self.run_study_with(tmp_path, "pool", jobs=2, transport="pool")
-        sock = self.run_study_with(
-            tmp_path, "sock", jobs=2,
-            transport=SocketTransport(workers=2, env=worker_env()),
-        )
-        assert inline.scalars == pool.scalars == sock.scalars
-        assert inline.vectors == pool.vectors == sock.vectors
-        assert inline.comparisons == pool.comparisons == sock.comparisons
+        assert inline.report.executed == pool.report.executed > 0
+        assert inline.scalars == pool.scalars
+        assert inline.vectors == pool.vectors
+        assert inline.comparisons == pool.comparisons
 
-    def test_socket_strict_ops_accepts_certified_study(self, tmp_path):
-        result = self.run_study_with(
-            tmp_path, "strict", jobs=2,
-            transport=SocketTransport(workers=2, env=worker_env()),
-            strict_ops=True,
-        )
-        assert result.report.failed == 0
 
-    def test_strict_ops_rejects_uncertified_graph(self, tmp_path):
-        with pytest.raises(CertificateError):
-            self.run_study_with(
-                tmp_path, "reject", transport="socket",
-                strict_ops=True, certificates=OpCertificates({}),
+class TestPoolWorkerDeath:
+    """A SIGKILLed pool worker must cost an attempt, never hang the study."""
+
+    @staticmethod
+    def victim_graph(pidfile: Path, key: CacheKey, retries: int) -> TaskGraph:
+        graph = TaskGraph()
+        graph.add(
+            TaskSpec(
+                task_id="victim",
+                op="tx.die-once",
+                params={"pidfile": str(pidfile), "value": 42},
+                key=key,
+                retries=retries,
             )
-
-
-class TestMultiWriterRunLog:
-    def test_per_writer_files_and_sequence(self, tmp_path):
-        run_dir = tmp_path / "run"
-        left = RunLog(run_dir, writer_id="left")
-        right = RunLog(run_dir, writer_id="right")
-        left.event("run-start", tasks=1)
-        right.event("run-start", tasks=1)
-        left.event("finished", task_id="t1")
-        assert left.events_path.name == "events.left.jsonl"
-        assert right.events_path.name == "events.right.jsonl"
-        records = read_events(left.events_path)
-        assert [r["seq"] for r in records] == [0, 1]
-        assert all(r["writer"] == "left" for r in records)
-
-    def test_writer_id_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            RunLog(tmp_path, writer_id="../evil")
-
-    def test_artifact_path_suffixing(self, tmp_path):
-        log = RunLog(tmp_path / "run", writer_id="w1")
-        assert log.artifact_path("trace.json").name == "trace.w1.json"
-        plain = RunLog(tmp_path / "plain")
-        assert plain.artifact_path("trace.json").name == "trace.json"
-
-    def test_merge_is_stable_and_complete(self, tmp_path):
-        run_dir = tmp_path / "run"
-        a = RunLog(run_dir, writer_id="a")
-        b = RunLog(run_dir, writer_id="b")
-        a.write_manifest({"status": "completed", "tasks": 2,
-                          "task_ids": ["t1", "t2"], "wall_seconds": 1.0,
-                          "started_at": 5.0, "finished_at": 6.0})
-        b.write_manifest({"status": "completed", "tasks": 2,
-                          "task_ids": ["t1", "t2"], "wall_seconds": 2.0,
-                          "started_at": 5.5, "finished_at": 7.0})
-        a.event("run-start", tasks=2)
-        b.event("run-start", tasks=2)
-        a.event("submitted", task_id="t1", attempt=1)
-        a.event("finished", task_id="t1")
-        b.event("cache-hit", task_id="t1")
-        b.event("submitted", task_id="t2", attempt=1)
-        b.event("finished", task_id="t2")
-        a.event("run-finish")
-        b.event("run-finish")
-        merged_path = a.finish()
-        assert merged_path == run_dir / "events.jsonl"
-        events = read_events(merged_path)
-        assert len(events) == 9
-        timestamps = [e["ts"] for e in events]
-        assert timestamps == sorted(timestamps)
-        # per-writer sequences stay monotonic in the merged stream
-        for writer in ("a", "b"):
-            seqs = [e["seq"] for e in events if e["writer"] == writer]
-            assert seqs == sorted(seqs)
-        manifest = read_manifest(run_dir)
-        assert manifest["status"] == "completed"
-        assert manifest["writers"] == ["a", "b"]
-        # t1 executed by a (b's settle was a cache hit), t2 executed by b
-        assert manifest["completed"] == 2
-        assert manifest["executed"] == 2
-        assert manifest["cache_hits"] == 0
-        assert manifest["cache_hit_events"] == 1
-        assert manifest["wall_seconds"] == 2.0
-        assert manifest["started_at"] == 5.0
-        assert manifest["finished_at"] == 7.0
-
-    def test_merged_run_dir_is_art009_clean(self, tmp_path):
-        from repro.lint.artifacts import check_run_artifacts
-
-        run_dir = tmp_path / "run"
-        cache = ResultCache(tmp_path / "cache")
-        graph1, graph2 = TaskGraph(), TaskGraph()
-        for graph in (graph1, graph2):
-            graph.add(sock_task("t1", 1, key=CacheKey(dataset="mw", algorithm="t1")))
-            graph.add(sock_task("t2", 2, key=CacheKey(dataset="mw", algorithm="t2")))
-        StudyExecutor(cache=cache, log=RunLog(run_dir, writer_id="a")).run(graph1)
-        StudyExecutor(cache=cache, log=RunLog(run_dir, writer_id="b")).run(graph2)
-        merge_run_dir(run_dir)
-        findings = check_run_artifacts(run_dir)
-        errors = [f for f in findings if f.severity.value == "error"]
-        assert errors == []
-        manifest = read_manifest(run_dir)
-        assert manifest["executed"] == 2
-        assert manifest["cache_hits"] == 0
-        assert manifest["cache_hit_events"] == 2  # writer b hit both
-
-
-class TestWorkerCli:
-    def test_worker_connects_executes_and_shuts_down(self):
-        import subprocess
-
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen()
-        host, port = listener.getsockname()[:2]
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "worker",
-             "--connect", f"{host}:{port}", "--import", "tests.socket_ops"],
-            env=worker_env(),
         )
-        try:
-            listener.settimeout(30)
-            conn, _ = listener.accept()
-            conn.settimeout(30)
-            hello = recv_frame(conn)
-            assert hello["type"] == "hello"
-            assert hello["pid"] == proc.pid
-            send_frame(conn, {
-                "type": "task", "task_id": "t", "op": "sock.echo",
-                "params": {"value": 5}, "deps": {"d": 2}, "seed": 0,
-                "observe": False,
-            })
-            result = recv_frame(conn)
-            assert result["type"] == "result"
-            payload = result["payload"]
-            assert payload[0] == "t" and payload[1] is True and payload[2] == 7
-            send_frame(conn, {"type": "shutdown"})
-            assert proc.wait(timeout=30) == 0
-            conn.close()
-        finally:
-            listener.close()
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+        return graph
+
+    def test_sigkilled_pool_worker_rebuilds_and_retries(self, tmp_path):
+        """After the kill: right value, two attempts, one cache object."""
+        cache = ResultCache(tmp_path / "cache")
+        pidfile = tmp_path / "pids.txt"
+        key = CacheKey(dataset="sigkill", algorithm="victim")
+        executor = StudyExecutor(
+            jobs=2, transport="pool", cache=cache, default_retries=1
+        )
+        report = run_bounded(executor, self.victim_graph(pidfile, key, 1), 60)
+
+        report.raise_on_failure()
+        outcome = report.outcomes["victim"]
+        assert outcome.value == 42
+        assert outcome.attempts == 2
+        assert report.retries == 1
+        # The retry ran in a different process: the first one is dead.
+        pids = [int(line) for line in pidfile.read_text().split()]
+        assert len(pids) == 2 and pids[0] != pids[1]
+        # Exactly one stored object for the key; nothing lost, nothing
+        # duplicated, and the content address verifies.
+        assert cache.get(key) == 42
+        assert len(cache) == 1
+        assert len(list((tmp_path / "cache").glob("objects/*/*.pkl"))) == 1
+
+    def test_sigkilled_pool_worker_without_retries_fails_cleanly(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        pidfile = tmp_path / "pids.txt"
+        key = CacheKey(dataset="sigkill", algorithm="victim")
+        graph = self.victim_graph(pidfile, key, 0)
+        graph.add(tx_task("independent", 7))
+        executor = StudyExecutor(jobs=2, transport="pool", cache=cache)
+        started = time.monotonic()
+        report = run_bounded(executor, graph, 60)
+
+        assert time.monotonic() - started < 30
+        outcome = report.outcomes["victim"]
+        assert outcome.status == "failed"
+        assert outcome.attempts == 1
+        assert "pool worker died" in outcome.error
+        assert report.outcomes["independent"].value == 7
+        assert len(cache) == 0
+
+
+class TestResume:
+    def test_fresh_executor_resumes_killed_run_without_recompute(self, tmp_path):
+        """Cache-backed resume: a successor run never re-executes work."""
+
+        def touch_graph() -> TaskGraph:
+            graph = TaskGraph()
+            for i in range(4):
+                name = f"t{i}"
+                graph.add(
+                    TaskSpec(
+                        task_id=name,
+                        op="tx.touch",
+                        params={"name": name, "value": i * 10},
+                        key=CacheKey(dataset="resume", algorithm=name),
+                    )
+                )
+            return graph
+
+        cache = ResultCache(tmp_path / "cache")
+        with _EXECUTED_LOCK:
+            _EXECUTED.clear()
+        first = StudyExecutor(cache=cache).run(touch_graph())
+        assert first.executed == 4
+        with _EXECUTED_LOCK:
+            _EXECUTED.clear()
+        second = StudyExecutor(cache=cache).run(touch_graph())
+        assert second.cache_hits == 4
+        assert second.executed == 0
+        assert _EXECUTED == []
