@@ -13,14 +13,15 @@ from typing import Hashable, Mapping
 
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
+from ...obs import metrics as obs_metrics
 from ..engine import Anonymization
 from .base import Anonymizer, check_k
 from .cuts import (
     Cut,
+    CutCoding,
+    CutEvaluator,
     apply_cuts,
     bottom_cuts,
-    cut_total_loss,
-    cut_violations,
 )
 
 
@@ -55,30 +56,34 @@ class BottomUpGeneralization(Anonymizer):
             raise ValueError(
                 f"dataset of {len(dataset)} rows cannot be {self.k}-anonymized"
             )
-        cuts = bottom_cuts(dataset, hierarchies)
-        while cut_violations(dataset, cuts, self.k) > 0:
-            current_violations = cut_violations(dataset, cuts, self.k)
-            current_loss = cut_total_loss(dataset, cuts)
-            best: tuple[float, str, Hashable | int] | None = None
-            for attribute, parent in self._candidates(cuts):
-                trial = dict(cuts)
-                trial[attribute] = cuts[attribute].generalize(parent)
-                removed = current_violations - cut_violations(
-                    dataset, trial, self.k
+        evaluator = CutEvaluator(dataset, bottom_cuts(dataset, hierarchies))
+        current_violations = evaluator.violations(self.k)
+        while current_violations > 0:
+            current_loss = evaluator.total_loss()
+            cuts = evaluator.cuts()
+            candidates = self._candidates(cuts)
+            obs_metrics().inc("cuts.trials", len(candidates))
+            best: tuple[float, CutCoding, int] | None = None
+            for attribute, parent in candidates:
+                trial = evaluator.coding(
+                    attribute, cuts[attribute].generalize(parent)
                 )
-                added_loss = cut_total_loss(dataset, trial) - current_loss
+                violations = evaluator.violations(self.k, trial)
+                removed = current_violations - violations
+                added_loss = evaluator.total_loss(trial) - current_loss
                 # Benefit/cost; free-loss candidates rank by removals alone.
                 score = removed / added_loss if added_loss > 0 else float(removed)
                 if best is None or score > best[0]:
-                    best = (score, attribute, parent)
+                    best = (score, trial, violations)
             if best is None:
                 # No candidate left: the cut is the hierarchy top already
                 # but violations remain — impossible for k <= N since the
                 # top puts all rows in one group.
                 raise AssertionError("generalization exhausted below k")
-            _, attribute, parent = best
-            cuts[attribute] = cuts[attribute].generalize(parent)
-        return cuts
+            _, trial, current_violations = best
+            evaluator.assign(trial)
+            obs_metrics().inc("cuts.steps")
+        return evaluator.cuts()
 
     def anonymize(
         self, dataset: Dataset, hierarchies: Mapping[str, Hierarchy]

@@ -65,23 +65,35 @@ class Mondrian(Anonymizer):
 
     # -- partitioning ---------------------------------------------------------
 
+    @staticmethod
+    def _extent(dataset: Dataset, attribute: str, kind: AttributeKind) -> Any:
+        """The dataset-wide denominator of :meth:`_spread`: the value range
+        of a numeric attribute, else its number of distinct values."""
+        if kind is AttributeKind.NUMERIC:
+            full = dataset.column(attribute)
+            return max(full) - min(full)
+        return len(dataset.distinct(attribute))
+
     def _spread(
-        self, dataset: Dataset, rows: Sequence[int], attribute: str, kind: AttributeKind
+        self,
+        dataset: Dataset,
+        rows: Sequence[int],
+        attribute: str,
+        kind: AttributeKind,
+        extent: Any,
     ) -> float:
-        """Normalized range of the attribute within the partition."""
+        """Normalized range of the attribute within the partition
+        (``extent`` from :meth:`_extent`)."""
         column = dataset.column(attribute)
         values = [column[r] for r in rows]
         if kind is AttributeKind.NUMERIC:
-            full = dataset.column(attribute)
-            full_range = max(full) - min(full)
-            if full_range == 0:
+            if extent == 0:
                 return 0.0
-            return (max(values) - min(values)) / full_range
+            return (max(values) - min(values)) / extent
         distinct = len(set(values))
-        total_distinct = len(dataset.distinct(attribute))
-        if total_distinct <= 1:
+        if extent <= 1:
             return 0.0
-        return (distinct - 1) / (total_distinct - 1)
+        return (distinct - 1) / (extent - 1)
 
     def _split(
         self, dataset: Dataset, rows: list[int], attribute: str, kind: AttributeKind
@@ -150,6 +162,10 @@ class Mondrian(Anonymizer):
         """The final multidimensional partitions (row-index lists)."""
         schema = dataset.schema
         qi = [(a.name, a.kind) for a in schema.quasi_identifiers]
+        extents = {
+            attribute: self._extent(dataset, attribute, kind)
+            for attribute, kind in qi
+        }
         finished: list[list[int]] = []
         pending: list[list[int]] = [list(range(len(dataset)))]
         while pending:
@@ -157,7 +173,9 @@ class Mondrian(Anonymizer):
             # Try attributes by decreasing spread until one admits a cut.
             by_spread = sorted(
                 qi,
-                key=lambda item: self._spread(dataset, rows, item[0], item[1]),
+                key=lambda item: self._spread(
+                    dataset, rows, item[0], item[1], extents[item[0]]
+                ),
                 reverse=True,
             )
             for attribute, kind in by_spread:

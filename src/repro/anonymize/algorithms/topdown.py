@@ -18,14 +18,15 @@ from typing import Mapping
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
 from ...hierarchy.numeric import IntervalHierarchy
+from ...obs import metrics as obs_metrics
 from ..engine import Anonymization
 from .base import Anonymizer, check_k
 from .cuts import (
     Cut,
+    CutCoding,
+    CutEvaluator,
     NumericSplitCut,
     apply_cuts,
-    cut_total_loss,
-    cut_violations,
     top_cuts,
 )
 
@@ -74,17 +75,15 @@ class TopDownSpecialization(Anonymizer):
         return cuts
 
     def _trials(
-        self, dataset: Dataset, cuts: Mapping[str, Cut]
+        self,
+        cuts: Mapping[str, Cut],
+        numeric_columns: Mapping[str, list[int | float]],
     ) -> list[tuple[str, Cut]]:
         """Every legal one-step specialization as (attribute, new cut)."""
         trials: list[tuple[str, Cut]] = []
         for attribute, cut in cuts.items():
             if isinstance(cut, NumericSplitCut):
-                column = [
-                    v
-                    for v in dataset.column(attribute)
-                    if isinstance(v, (int, float))
-                ]
+                column = numeric_columns[attribute]
                 for segment in cut.specializations():
                     split = cut.split_value(segment, column)
                     if split is not None:
@@ -102,30 +101,42 @@ class TopDownSpecialization(Anonymizer):
             raise ValueError(
                 f"dataset of {len(dataset)} rows cannot be {self.k}-anonymized"
             )
-        cuts = self._start_cuts(dataset, hierarchies)
+        evaluator = CutEvaluator(
+            dataset, self._start_cuts(dataset, hierarchies)
+        )
+        # The numeric values split points are drawn from, per flexible
+        # attribute (the data never changes during the search).
+        numeric_columns = {
+            attribute: [
+                v
+                for v in dataset.column(attribute)
+                if isinstance(v, (int, float))
+            ]
+            for attribute, cut in evaluator.cuts().items()
+            if isinstance(cut, NumericSplitCut)
+        }
         performed = 0
-        while True:
-            if (
-                self.max_specializations is not None
-                and performed >= self.max_specializations
-            ):
-                break
-            current_loss = cut_total_loss(dataset, cuts)
-            best: tuple[float, str, Cut] | None = None
-            for attribute, trial_cut in self._trials(dataset, cuts):
-                trial = dict(cuts)
-                trial[attribute] = trial_cut
-                if cut_violations(dataset, trial, self.k) > 0:
+        while (
+            self.max_specializations is None
+            or performed < self.max_specializations
+        ):
+            current_loss = evaluator.total_loss()
+            trials = self._trials(evaluator.cuts(), numeric_columns)
+            obs_metrics().inc("cuts.trials", len(trials))
+            best: tuple[float, CutCoding] | None = None
+            for attribute, trial_cut in trials:
+                trial = evaluator.coding(attribute, trial_cut)
+                if evaluator.violations(self.k, trial) > 0:
                     continue
-                gain = current_loss - cut_total_loss(dataset, trial)
+                gain = current_loss - evaluator.total_loss(trial)
                 if best is None or gain > best[0]:
-                    best = (gain, attribute, trial_cut)
+                    best = (gain, trial)
             if best is None:
                 break
-            _, attribute, trial_cut = best
-            cuts[attribute] = trial_cut
+            evaluator.assign(best[1])
+            obs_metrics().inc("cuts.steps")
             performed += 1
-        return cuts
+        return evaluator.cuts()
 
     def anonymize(
         self, dataset: Dataset, hierarchies: Mapping[str, Hierarchy]

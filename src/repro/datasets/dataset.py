@@ -103,6 +103,24 @@ class Dataset:
     def __repr__(self) -> str:
         return f"Dataset({len(self)} rows x {len(self._schema)} attributes)"
 
+    # -- pickling -------------------------------------------------------------
+
+    def __getstate__(self) -> tuple[None, dict[str, Any]]:
+        # Persist the table only.  The column memo and the columnar view
+        # (interned codes, decode and level tables) are derived from it and
+        # rebuild lazily; pickling them would more than double every cached
+        # release and every dataset sent to a pool worker.
+        return None, {"_schema": self._schema, "_rows": self._rows}
+
+    def __setstate__(self, state: tuple[Any, dict[str, Any]]) -> None:
+        # Also accepts the default slots state of pickles that carried the
+        # derived caches; those are dropped here.
+        _, slots = state
+        self._schema = slots["_schema"]
+        self._rows = slots["_rows"]
+        self._column_cache = {}
+        self._columnar = None
+
     # -- identity ------------------------------------------------------------
 
     def fingerprint(self) -> str:
