@@ -11,9 +11,10 @@ The view is value-preserving and order-preserving by construction:
 
 * codes are assigned by first occurrence in row order, so decode tables are
   deterministic and independent of ``PYTHONHASHSEED``;
-* ``decode[codes[i]] is column[i]`` — the decode table stores the exact
-  objects of the source column, so any value materialized through the
-  plane is identical (not merely equal) to its row-plane counterpart.
+* ``decode[codes[i]] == column[i]`` — the decode table stores the exact
+  objects of the source column, the first of each set of equal values.
+  Interning is by equality, so ``7`` and ``7.0`` (or ``True`` and ``1``)
+  share one code and release as whichever came first.
 
 :meth:`Dataset.columns` (see ``datasets/dataset.py``) caches one
 :class:`ColumnarView` per dataset; hierarchy *level tables* built on top of
@@ -48,7 +49,7 @@ class ColumnCodes:
         ``array('q')`` of per-row codes, in row order.
     decode:
         Tuple mapping code -> original value, in first-occurrence order;
-        ``decode[codes[i]]`` is the exact object stored in row ``i``.
+        ``decode[codes[i]]`` is the first object equal to row ``i``'s.
     """
 
     __slots__ = ("name", "codes", "decode", "level_tables")
