@@ -76,9 +76,8 @@ def relation_matrix_serial(
 
     The pure half of :func:`relation_matrix`: no executor, no task graph —
     and therefore the path registered task operations (``compare``) call,
-    so the parallel-safety pass can certify them without the conservative
-    call graph dragging a nested :class:`StudyExecutor` (clocks, run-dir
-    IO, observability state) into their effect summaries.
+    so a task never nests a :class:`StudyExecutor` (clocks, run-dir IO,
+    observability state) inside itself.
     """
     names = list(vectors)
     matrix: dict[PairKey, Relation] = {}

@@ -472,24 +472,16 @@ class CutEvaluator:
             for name, coding in self._current.items()
         ]
 
-    def groups(self, trial: CutCoding | None = None) -> tuple[Any, Any] | None:
-        """``(reps, sizes)`` kernel arrays of the recoding's groups (minimal
-        row and size per group), or ``None`` without QIs."""
+    def violations(self, k: int, trial: CutCoding | None = None) -> int:
+        """Rows in groups smaller than ``k``."""
         kernels = self._kernels
         combined = pack_columns(
             kernels, [coding.tokens() for coding in self.codings(trial)]
         )
         if combined is None:
-            return None
-        reps, labels, count = kernels.group(combined)
-        return reps, kernels.bincount(labels, count)
-
-    def violations(self, k: int, trial: CutCoding | None = None) -> int:
-        """Rows in groups smaller than ``k``."""
-        grouped = self.groups(trial)
-        if grouped is None:
             return 0
-        return self._kernels.sum_less(grouped[1], k)
+        _, labels, count = kernels.group(combined)
+        return kernels.sum_less(kernels.bincount(labels, count), k)
 
     def total_loss(self, trial: CutCoding | None = None) -> float:
         """Total LM loss, added over the QIs in schema order."""
@@ -516,24 +508,6 @@ def apply_cuts(
         for row in range(len(dataset))
     ]
     return released_with_local_cells(dataset, qi_cells, name=name)
-
-
-def cut_group_sizes(
-    dataset: Dataset, cuts: Mapping[str, Cut]
-) -> dict[tuple, int]:
-    """Frequency set of the recoding induced by ``cuts``, keyed by released
-    QI tuple in first-occurrence order."""
-    evaluator = CutEvaluator(dataset, cuts)
-    grouped = evaluator.groups()
-    if grouped is None:
-        return {}
-    kernels = active_kernels()
-    reps, sizes = (kernels.tolist(array) for array in grouped)
-    columns = [coding.released() for coding in evaluator.codings()]
-    return {
-        tuple(column[rep] for column in columns): size
-        for rep, size in sorted(zip(reps, sizes))
-    }
 
 
 def cut_violations(dataset: Dataset, cuts: Mapping[str, Cut], k: int) -> int:

@@ -1,6 +1,6 @@
 """``repro.lint`` — static analysis for anonymization pipelines.
 
-Two layers share one diagnostic core:
+Three layers share one diagnostic core:
 
 * **Layer 1, artifact analysis** (:mod:`repro.lint.artifacts`) validates
   the objects a run is configured with — hierarchy completeness and
@@ -11,31 +11,18 @@ Two layers share one diagnostic core:
   artifacts that fail.
 * **Layer 2, codebase analysis** (:mod:`repro.lint.rules` on the
   :mod:`repro.lint.engine` visitor framework) enforces the repo rules
-  ``REP001``–``REP005``: seeded randomness, tolerance-aware float
-  comparison in comparators, no mutable defaults, no persisted set order,
-  complete :class:`~repro.anonymize.algorithms.base.Anonymizer`
-  subclasses.
+  ``REP001``–``REP005`` and ``REP008``: seeded randomness,
+  tolerance-aware float comparison in comparators, no mutable defaults,
+  no persisted set order, complete
+  :class:`~repro.anonymize.algorithms.base.Anonymizer` subclasses, no
+  per-row generalization loops — plus ``REP302``/``REP303``: durable
+  writes go through the atomic writer (:mod:`repro.utility.atomic`).
 * **Layer 3, taint analysis** (:mod:`repro.lint.taint` on the
   :mod:`repro.lint.dataflow` CFG/fixpoint machinery) proves raw
   quasi-identifier and sensitive values cannot leak past the anonymizer
   boundary through exceptions, logs, writers or provenance — the
   ``REP101``–``REP104`` family.  Violations are fixed by routing messages
   through :func:`repro.lint.redact.redact_value`.
-* **Layer 4, parallel-safety analysis** (:mod:`repro.lint.purity` on the
-  :mod:`repro.lint.callgraph` whole-program call graph) certifies every
-  registered task operation for distributed execution — no module-state
-  writes, no ambient nondeterminism, picklable payloads, complete cache
-  keys, no persisted iteration order, no inline-only reachability — the
-  ``REP200``–``REP206`` family, with machine-readable verdicts in
-  ``lint/op_certificates.json``.
-* **Layer 5, resource-lifecycle analysis** (:mod:`repro.lint.resources`
-  on the exception-aware CFG of :mod:`repro.lint.dataflow`) certifies
-  crash safety: every file handle, temp file, pool, lock and socket is
-  released on all paths including exceptional ones, every durable write
-  goes through the sanctioned atomic writer
-  (:mod:`repro.utility.atomic`), and lock acquisition stays
-  deadlock-free — the ``REP300``–``REP305`` family, folded into the same
-  op certificates as Layer 4 under each op's ``crash_safety`` key.
 
 Run all of it from the command line with ``repro lint [paths] [--strict]
 [--format json|sarif] [--select REP1] [--baseline FILE] [--artifacts]``, or
@@ -45,8 +32,6 @@ with examples in ``docs/static_analysis.md``.
 
 from .api import (
     ARTIFACT_RULES,
-    PROGRAM_RULES,
-    RESOURCE_RULES,
     apply_baseline,
     check_bench_artifacts,
     check_cache_store,
@@ -55,11 +40,9 @@ from .api import (
     check_index_registry,
     check_lattice,
     check_obs_artifacts,
-    check_parallel_safety,
     check_privacy_parameters,
     check_profile,
     check_property_vectors,
-    check_resource_safety,
     check_run_artifacts,
     check_shipped_artifacts,
     check_unary_index,
@@ -69,12 +52,9 @@ from .api import (
     lint_paths,
     lint_source,
     load_baseline,
-    op_certificates,
     redact_value,
     registered_rules,
-    render_certificates,
     write_baseline,
-    write_op_certificates,
 )
 from .diagnostics import Diagnostic, DiagnosticCollector, LintError, Severity
 from .engine import LintContext, Rule, RuleVisitor, register
@@ -82,8 +62,6 @@ from .report import render, render_json, render_text
 
 __all__ = [
     "ARTIFACT_RULES",
-    "PROGRAM_RULES",
-    "RESOURCE_RULES",
     "apply_baseline",
     "check_bench_artifacts",
     "check_cache_store",
@@ -92,18 +70,13 @@ __all__ = [
     "check_index_registry",
     "check_lattice",
     "check_obs_artifacts",
-    "check_parallel_safety",
     "check_privacy_parameters",
     "check_profile",
     "check_property_vectors",
-    "check_resource_safety",
     "check_run_artifacts",
     "check_shipped_artifacts",
     "check_unary_index",
     "expand_selection",
-    "op_certificates",
-    "render_certificates",
-    "write_op_certificates",
     "Diagnostic",
     "DiagnosticCollector",
     "ensure_valid_hierarchies",

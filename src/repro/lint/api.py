@@ -50,17 +50,9 @@ from .engine import (
     lint_source,
     registered_rules,
 )
-from .purity import (
-    PROGRAM_RULES,
-    check_parallel_safety,
-    op_certificates,
-    render_certificates,
-    write_op_certificates,
-)
 from .redact import redact_value
 from .report import render
-from .resources import RESOURCE_RULES, check_resource_safety
-from . import rules as _rules  # noqa: F401 — importing registers REP001-REP005
+from . import rules as _rules  # noqa: F401 — importing registers the REP0xx/REP3xx rules
 from . import taint as _taint  # noqa: F401 — importing registers REP101-REP104
 
 __all__ = [
@@ -74,11 +66,9 @@ __all__ = [
     "check_index_registry",
     "check_lattice",
     "check_obs_artifacts",
-    "check_parallel_safety",
     "check_privacy_parameters",
     "check_profile",
     "check_property_vectors",
-    "check_resource_safety",
     "check_run_artifacts",
     "check_serve_bench_artifacts",
     "check_shipped_artifacts",
@@ -92,17 +82,12 @@ __all__ = [
     "lint_source",
     "LintError",
     "load_baseline",
-    "op_certificates",
-    "PROGRAM_RULES",
     "redact_value",
     "registered_rules",
     "render",
-    "render_certificates",
-    "RESOURCE_RULES",
     "Severity",
     "sort_diagnostics",
     "write_baseline",
-    "write_op_certificates",
 ]
 
 #: Rules whose ERROR findings make a recoding semantically wrong and
@@ -154,7 +139,9 @@ def ensure_valid_hierarchies(hierarchies: Mapping[str, Hierarchy]) -> None:
         )
     for hierarchy in validated:
         try:
-            _validated_hierarchies.add(hierarchy)  # lint: disable=REP201 -- idempotent weak-set memo of a pure validation; never observed by results
+            # Idempotent weak-set memo of a pure validation; never observed
+            # by results.
+            _validated_hierarchies.add(hierarchy)
         except TypeError:
             pass
 

@@ -87,46 +87,33 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "routed by schema tag)",
     )
     parser.add_argument(
-        "--certify-ops",
-        metavar="FILE",
-        help="run the Layer 4 parallel-safety analysis over the lint paths "
-        "and write per-op effect certificates (JSON) to FILE",
-    )
-    parser.add_argument(
         "--trace",
         metavar="FILE",
-        help="record a Chrome trace of the lint passes to FILE (spans per "
-        "pass, plus parse-cache hit/fresh counters)",
+        help="record a Chrome trace of the lint passes to FILE (one span "
+        "per pass)",
     )
 
 
 def _partition_selectors(
     select: Sequence[str] | None,
-) -> tuple[list[str] | None, list[str], list[str], list[str]]:
-    """Partition ``--select`` into (code, program, resource, artifact) ids.
+) -> tuple[list[str] | None, list[str]]:
+    """Partition ``--select`` into (code, artifact) rule ids.
 
     One code path for every rule family: the selectors are expanded over
-    the union of the AST-rule registry, the Layer 4 program rules, the
-    Layer 5 resource rules and the artifact checkers with
-    :func:`repro.lint.engine.expand_selection`, so ``REP1``, ``REP2``,
-    ``REP3``, ``ART`` and exact ids all get identical prefix semantics.
-    Raises ``ValueError`` on a selector matching nothing.
+    the union of the AST-rule registry and the artifact checkers with
+    :func:`repro.lint.engine.expand_selection`, so ``REP1``, ``REP3``,
+    ``ART`` and exact ids all get identical prefix semantics.  Raises
+    ``ValueError`` on a selector matching nothing.
     """
     if select is None:
-        return None, [], [], []
+        return None, []
     registry = set(api.registered_rules())
-    universe = (
-        registry
-        | set(api.PROGRAM_RULES)
-        | set(api.RESOURCE_RULES)
-        | set(api.ARTIFACT_RULES)
+    expanded = expand_selection(
+        select, universe=registry | set(api.ARTIFACT_RULES)
     )
-    expanded = expand_selection(select, universe=universe)
     code = [rule_id for rule_id in expanded if rule_id in registry]
-    program = [rule_id for rule_id in expanded if rule_id in api.PROGRAM_RULES]
-    resource = [rule_id for rule_id in expanded if rule_id in api.RESOURCE_RULES]
     artifact = [rule_id for rule_id in expanded if rule_id in api.ARTIFACT_RULES]
-    return (code or None), program, resource, artifact
+    return (code or None), artifact
 
 
 def _check_bench_file(target: Path) -> list[Diagnostic]:
@@ -153,78 +140,30 @@ def run(args: argparse.Namespace) -> int:
         print("--update-baseline requires --baseline FILE")
         return 2
     findings: list[Diagnostic] = []
-    # Under --trace every pass runs inside a span and the parse-cache
-    # hit/fresh counters land in the trace args, making the shared-AST
-    # speedup (files parsed once across Layers 2-5) observable.
+    # Under --trace every pass runs inside a span.
     from ..obs import NULL_OBSERVATION, Observation, observing
 
     observation = Observation() if args.trace else NULL_OBSERVATION
     tracer = observation.trace
     try:
         with observing(observation):
-            (
-                code_select,
-                program_select,
-                resource_select,
-                artifact_select,
-            ) = _partition_selectors(args.select)
-            # A --select naming only artifact/program rules asks for those
-            # checks, not a full code sweep under "no filter".
+            code_select, artifact_select = _partition_selectors(args.select)
+            # A --select naming only artifact rules asks for those checks,
+            # not a full code sweep under "no filter".
             run_code = not args.no_code and not (
                 args.select and code_select is None
             )
             if run_code:
                 with tracer.span("lint.code", category="lint"):
                     findings.extend(api.lint_paths(args.paths, select=code_select))
-            if program_select:
-                with tracer.span("lint.parallel_safety", category="lint"):
-                    findings.extend(
-                        api.check_parallel_safety(
-                            args.paths, select=program_select
-                        )
-                    )
-            if resource_select:
-                with tracer.span("lint.resource_safety", category="lint"):
-                    findings.extend(
-                        api.check_resource_safety(
-                            args.paths, select=resource_select
-                        )
-                    )
-            if args.certify_ops:
-                with tracer.span("lint.certify_ops", category="lint"):
-                    certificates = api.write_op_certificates(
-                        args.paths, args.certify_ops
-                    )
-                verdicts = [
-                    op["verdict"] for op in certificates["ops"].values()
-                ]
-                print(
-                    f"wrote {len(verdicts)} op certificate(s) to "
-                    f"{args.certify_ops} "
-                    f"({verdicts.count('certified')} certified, "
-                    f"{verdicts.count('inline-only')} inline-only, "
-                    f"{verdicts.count('uncertified')} uncertified)"
-                )
     except ValueError as exc:  # unknown rule id or nonexistent path
         print(exc)
         return 2
     if args.trace:
         from ..obs.export import write_chrome_trace
 
-        counters = observation.metrics.snapshot().get("counters", {})
-        with tracer.span(
-            "lint.parse_cache",
-            category="lint",
-            hits=counters.get("lint.parse.hit", 0),
-            fresh=counters.get("lint.parse.fresh", 0),
-        ):
-            pass
         write_chrome_trace(tracer.spans, args.trace, process_name="repro-lint")
-        print(
-            f"wrote lint trace to {args.trace} "
-            f"(parse cache: {counters.get('lint.parse.fresh', 0)} fresh, "
-            f"{counters.get('lint.parse.hit', 0)} hit)"
-        )
+        print(f"wrote lint trace to {args.trace}")
     if args.artifacts:
         findings.extend(api.check_shipped_artifacts())
     for runtime_path in args.runtime or ():
@@ -259,15 +198,10 @@ def run(args: argparse.Namespace) -> int:
             findings.extend(api.check_cache_store(target))
 
     if artifact_select:
-        # Code/program findings were already narrowed by their passes;
-        # filter the artifact findings too so --select governs the report.
-        # Expanded ids are exact, so plain membership suffices.
-        selected = (
-            set(artifact_select)
-            | set(program_select)
-            | set(resource_select)
-            | set(code_select or ())
-        )
+        # Code findings were already narrowed by their pass; filter the
+        # artifact findings too so --select governs the report.  Expanded
+        # ids are exact, so plain membership suffices.
+        selected = set(artifact_select) | set(code_select or ())
         findings = [finding for finding in findings if finding.rule in selected]
 
     baseline_note = ""

@@ -35,16 +35,12 @@ class Block:
 
     Compound statements appear as *header* entries — the transfer function
     of an ``ast.If`` evaluates only its test, the bodies live in successor
-    blocks.  ``exc_successors`` is populated only by the exception-aware
-    builder (:func:`build_exception_cfg`): blocks a raising statement may
-    transfer control *from*, carrying the block's **entry** state (the
-    raising statement never completed, so its effects have not happened).
+    blocks.
     """
 
     id: int
     statements: list[ast.AST] = field(default_factory=list)
     successors: list[int] = field(default_factory=list)
-    exc_successors: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -226,317 +222,6 @@ class _CFGBuilder:
 def build_cfg(body: Sequence[ast.stmt]) -> CFG:
     """The statement-level CFG of one function body."""
     return _CFGBuilder().build(body)
-
-
-# -- exception-aware CFG (Layer 5) -------------------------------------------
-
-@dataclass
-class ExceptionCFG(CFG):
-    """A CFG with explicit exceptional flow and two distinguished exits.
-
-    ``normal_exit`` is where fall-through and ``return`` paths end;
-    ``raise_exit`` is where an exception leaving the function ends.  A
-    resource held at either exit was not released on that path.
-    """
-
-    normal_exit: int = -1
-    raise_exit: int = -1
-
-
-def statement_may_raise(statement: ast.AST) -> bool:
-    """Whether a statement can transfer control to an exception landing.
-
-    Conservative-but-focused default: any statement containing a call,
-    an explicit ``raise``, an ``assert``, an ``await``, a ``yield`` (the
-    caller may throw into a generator — exactly how ``@contextmanager``
-    cleanup blocks fire) or a subscript may raise.  Plain name/constant
-    moves cannot (in any way the resource analysis cares about), which
-    keeps blocks coarse.
-    """
-    for node in ast.walk(statement):
-        if isinstance(
-            node,
-            (
-                ast.Call,
-                ast.Raise,
-                ast.Assert,
-                ast.Await,
-                ast.Yield,
-                ast.YieldFrom,
-                ast.Subscript,
-            ),
-        ):
-            return True
-    return False
-
-
-def _raise_probe(statement: ast.AST) -> list[ast.AST]:
-    """The nodes whose raising makes *this* statement's exception edge.
-
-    For a compound statement only the header can raise "as" the statement
-    — body statements get their own blocks and their own edges — so
-    probing the whole subtree would smear a body raise onto the header's
-    entry state (e.g. a ``yield`` inside a ``with`` flagging the ``with``
-    itself, whose context manager guarantees cleanup past that point).
-    """
-    if isinstance(statement, (ast.If, ast.While)):
-        return [statement.test]
-    if isinstance(statement, (ast.For, ast.AsyncFor)):
-        return [statement.iter]
-    if isinstance(statement, (ast.With, ast.AsyncWith)):
-        return [item.context_expr for item in statement.items]
-    if isinstance(statement, ast.Match):
-        return [statement.subject]
-    return [statement]
-
-
-def _handler_catches_all(handler: ast.ExceptHandler) -> bool:
-    """Whether an ``except`` clause matches every exception.
-
-    A bare ``except:`` or ``except BaseException`` literally does; we also
-    treat ``except Exception`` as catch-all — the escapees
-    (``KeyboardInterrupt``, ``SystemExit``) abort the process, where
-    resource lifecycle findings would be pure noise.
-    """
-    if handler.type is None:
-        return True
-    node = handler.type
-    name = node.attr if isinstance(node, ast.Attribute) else (
-        node.id if isinstance(node, ast.Name) else None
-    )
-    return name in ("BaseException", "Exception")
-
-
-def _with_suppresses(statement: ast.With | ast.AsyncWith) -> bool:
-    """Whether a ``with`` uses a known exception-swallowing manager.
-
-    Recognizes ``contextlib.suppress(...)`` under its usual spellings; a
-    suppressing ``with`` routes body exceptions to the statement's own
-    continuation instead of outward.
-    """
-    for item in statement.items:
-        call = item.context_expr
-        if not isinstance(call, ast.Call):
-            continue
-        func = call.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
-        )
-        if name == "suppress":
-            return True
-    return False
-
-
-class _ExceptionCFGBuilder(_CFGBuilder):
-    """CFG builder that threads exceptional flow.
-
-    Every may-raise statement *starts* its own block so the block's entry
-    state is exactly the program state at the moment of the (potential)
-    raise; exception edges therefore soundly model partial execution.
-    ``try`` bodies raise into a per-``try`` dispatch block that fans out
-    to every handler *and* the outer landing (the exception may match no
-    handler); handler and ``else`` bodies raise past the handlers to the
-    outer landing; ``finally`` runs on both the fall-through and the
-    re-raise path, so its tail edges to both continuations.  ``return``
-    routes through the innermost pending ``finally``.
-    """
-
-    def __init__(self, may_raise=statement_may_raise) -> None:
-        super().__init__()
-        self.may_raise = may_raise
-        self._landing: list[Block] = []
-        self._finally: list[Block] = []
-        self.normal_exit: Block | None = None
-        self.raise_exit: Block | None = None
-
-    def build(self, body: Sequence[ast.stmt]) -> ExceptionCFG:
-        entry = self.new_block()
-        self.normal_exit = self.new_block()
-        self.raise_exit = self.new_block()
-        self._landing = [self.raise_exit]
-        tail = self.visit_body(body, entry, [], [])
-        self.edge(tail, self.normal_exit)
-        return ExceptionCFG(
-            self.blocks,
-            entry.id,
-            normal_exit=self.normal_exit.id,
-            raise_exit=self.raise_exit.id,
-        )
-
-    def exc_edge(self, source: Block, target: Block) -> None:
-        if target.id not in source.exc_successors:
-            source.exc_successors.append(target.id)
-
-    def _place(self, statement: ast.AST, current: Block) -> Block:
-        """The block ``statement`` lives in, split so raisers start blocks."""
-        if any(self.may_raise(probe) for probe in _raise_probe(statement)):
-            if current.statements:
-                split = self.new_block()
-                self.edge(current, split)
-                current = split
-            current.statements.append(statement)
-            self.exc_edge(current, self._landing[-1])
-            return current
-        current.statements.append(statement)
-        return current
-
-    def visit_statement(
-        self,
-        statement: ast.stmt,
-        current: Block,
-        break_targets: list[Block],
-        continue_targets: list[Block],
-    ) -> Block:
-        if isinstance(statement, ast.If):
-            current = self._place(statement, current)
-            join = self.new_block()
-            then_entry = self.new_block()
-            self.edge(current, then_entry)
-            then_tail = self.visit_body(
-                statement.body, then_entry, break_targets, continue_targets
-            )
-            self.edge(then_tail, join)
-            if statement.orelse:
-                else_entry = self.new_block()
-                self.edge(current, else_entry)
-                else_tail = self.visit_body(
-                    statement.orelse, else_entry, break_targets, continue_targets
-                )
-                self.edge(else_tail, join)
-            else:
-                self.edge(current, join)
-            return join
-        if isinstance(statement, (ast.While, ast.For, ast.AsyncFor)):
-            header = self.new_block()
-            self.edge(current, header)
-            header = self._place(statement, header)
-            after = self.new_block()
-            body_entry = self.new_block()
-            self.edge(header, body_entry)
-            self.edge(header, after)
-            body_tail = self.visit_body(
-                statement.body,
-                body_entry,
-                break_targets + [after],
-                continue_targets + [header],
-            )
-            self.edge(body_tail, header)
-            if statement.orelse:
-                else_entry = self.new_block()
-                self.edge(header, else_entry)
-                else_tail = self.visit_body(
-                    statement.orelse, else_entry, break_targets, continue_targets
-                )
-                self.edge(else_tail, after)
-            return after
-        if isinstance(statement, ast.Try):
-            after = self.new_block()
-            final_entry = self.new_block() if statement.finalbody else None
-            outer = final_entry if final_entry is not None else self._landing[-1]
-            dispatch = self.new_block()
-            # Unmatched exception types propagate past every handler —
-            # unless some handler is a catch-all, which matches them all.
-            if not any(_handler_catches_all(h) for h in statement.handlers):
-                self.edge(dispatch, outer)
-            if final_entry is not None:
-                self._finally.append(final_entry)
-            body_entry = self.new_block()
-            self.edge(current, body_entry)
-            self._landing.append(dispatch)
-            body_tail = self.visit_body(
-                statement.body, body_entry, break_targets, continue_targets
-            )
-            self._landing.pop()
-            # The else clause runs only after an exception-free body; its
-            # own exceptions skip this try's handlers.
-            self._landing.append(outer)
-            orelse_tail = self.visit_body(
-                statement.orelse, body_tail, break_targets, continue_targets
-            )
-            handler_tails = []
-            for handler in statement.handlers:
-                handler_entry = self.new_block()
-                if handler.name:
-                    handler_entry.statements.append(handler)
-                self.edge(dispatch, handler_entry)
-                handler_tails.append(
-                    self.visit_body(
-                        handler.body, handler_entry, break_targets, continue_targets
-                    )
-                )
-            self._landing.pop()
-            if final_entry is not None:
-                self._finally.pop()
-                self.edge(orelse_tail, final_entry)
-                for tail in handler_tails:
-                    self.edge(tail, final_entry)
-                final_tail = self.visit_body(
-                    statement.finalbody, final_entry, break_targets, continue_targets
-                )
-                self.edge(final_tail, after)
-                # Entered exceptionally, the finally re-raises on exit.
-                self.edge(final_tail, self._landing[-1])
-            else:
-                self.edge(orelse_tail, after)
-                for tail in handler_tails:
-                    self.edge(tail, after)
-            return after
-        if isinstance(statement, (ast.With, ast.AsyncWith)):
-            current = self._place(statement, current)
-            if _with_suppresses(statement):
-                after = self.new_block()
-                self._landing.append(after)
-                tail = self.visit_body(
-                    statement.body, current, break_targets, continue_targets
-                )
-                self._landing.pop()
-                self.edge(tail, after)
-                return after
-            return self.visit_body(
-                statement.body, current, break_targets, continue_targets
-            )
-        if isinstance(statement, ast.Match):
-            current = self._place(statement, current)
-            join = self.new_block()
-            self.edge(current, join)  # no case may match
-            for case in statement.cases:
-                case_entry = self.new_block()
-                self.edge(current, case_entry)
-                case_tail = self.visit_body(
-                    case.body, case_entry, break_targets, continue_targets
-                )
-                self.edge(case_tail, join)
-            return join
-        if isinstance(statement, (ast.Break, ast.Continue)):
-            targets = break_targets if isinstance(statement, ast.Break) else (
-                continue_targets
-            )
-            if targets:
-                self.edge(current, targets[-1])
-            return self.new_block()  # unreachable continuation
-        if isinstance(statement, ast.Return):
-            current = self._place(statement, current)
-            assert self.normal_exit is not None
-            target = self._finally[-1] if self._finally else self.normal_exit
-            self.edge(current, target)
-            return self.new_block()  # unreachable continuation
-        if isinstance(statement, ast.Raise):
-            self._place(statement, current)
-            return self.new_block()  # unreachable continuation
-        return self._place(statement, current)
-
-
-def build_exception_cfg(
-    body: Sequence[ast.stmt], may_raise=statement_may_raise
-) -> ExceptionCFG:
-    """The exception-aware CFG of one function body.
-
-    ``may_raise`` decides which statements get exception edges; the
-    resource analysis narrows it so that a bare release call (``f.close()``
-    inside a ``finally``) does not spuriously raise with the resource
-    still held.
-    """
-    return _ExceptionCFGBuilder(may_raise=may_raise).build(body)
 
 
 @dataclass(frozen=True)

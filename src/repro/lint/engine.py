@@ -137,10 +137,10 @@ def expand_selection(
     ``REP1`` selects the whole ``REP1xx`` family; ``REP001`` selects just
     that rule.  One code path serves every rule family: ``universe``
     defaults to the AST-rule registry, but callers owning a larger id
-    space (the CLI unions in the whole-program ``REP2xx`` rules and the
-    ``ART*`` artifact checkers) pass it explicitly and get identical
-    prefix semantics.  A selector matching nothing raises ``ValueError`` —
-    a typo'd family in CI must fail loudly, not lint nothing.
+    space (the CLI unions in the ``ART*`` artifact checkers) pass it
+    explicitly and get identical prefix semantics.  A selector matching
+    nothing raises ``ValueError`` — a typo'd family in CI must fail loudly,
+    not lint nothing.
     """
     known = sorted(registered_rules() if universe is None else universe)
     expanded: list[str] = []
@@ -180,22 +180,6 @@ _SUPPRESSION_PATTERN = re.compile(
 #: to the suppression validator.
 _ENGINE_IDS = frozenset({"REP000", "REP006"})
 
-#: Ids of the Layer 4 whole-program rules (:mod:`repro.lint.purity`).
-#: They are not per-file registry rules — the program pass applies its own
-#: suppressions — but their disable comments live in ordinary source lines,
-#: so the per-file suppression validator must recognize them instead of
-#: reporting REP006.
-PROGRAM_RULE_IDS = frozenset(
-    {"REP200", "REP201", "REP202", "REP203", "REP204", "REP205", "REP206"}
-)
-
-#: Ids of the Layer 5 whole-program rules (:mod:`repro.lint.resources`),
-#: recognized by the suppression validator for the same reason as the
-#: Layer 4 ids above.
-RESOURCE_RULE_IDS = frozenset(
-    {"REP300", "REP301", "REP302", "REP303", "REP304", "REP305"}
-)
-
 
 def parse_suppressions(source: str) -> tuple[dict[int, set[str]], list[Diagnostic]]:
     """Per-line suppressed rule ids, plus diagnostics for unknown ids.
@@ -204,12 +188,7 @@ def parse_suppressions(source: str) -> tuple[dict[int, set[str]], list[Diagnosti
     id in a disable comment is itself a finding — a typo'd suppression
     that silently suppresses nothing (or the wrong thing) must surface.
     """
-    known = (
-        set(registered_rules())
-        | _ENGINE_IDS
-        | PROGRAM_RULE_IDS
-        | RESOURCE_RULE_IDS
-    )
+    known = set(registered_rules()) | _ENGINE_IDS
     suppressions: dict[int, set[str]] = {}
     malformed: list[tuple[int, str]] = []
     for line_number, line in enumerate(source.splitlines(), start=1):
@@ -282,16 +261,6 @@ def lint_source(
                 column=exc.offset or 0,
             )
         ]
-    return _lint_parsed(source, tree, path, select)
-
-
-def _lint_parsed(
-    source: str,
-    tree: ast.Module,
-    path: str,
-    select: Sequence[str] | None,
-) -> list[Diagnostic]:
-    """Rule dispatch over an already-parsed module."""
     context = LintContext(path=path, tree=tree, source=source)
     findings: list[Diagnostic] = []
     for rule in _instantiate(select):
@@ -304,52 +273,13 @@ def _lint_parsed(
     return findings
 
 
-#: Shared parse cache: resolved path -> ((mtime_ns, size), source, tree).
-#: Layers 2–5 all need each linted file's AST; with the cache a file is
-#: read and parsed exactly once per process no matter how many passes run
-#: (per-file rules, the call-graph indexer, the artifact checkers).  A
-#: ``None`` tree records a syntax error so broken files are not re-parsed
-#: either.
-_PARSE_CACHE: dict[Path, tuple[tuple[int, int], str, ast.Module | None]] = {}
-
-
-def parse_cached(path: str | Path) -> tuple[str, ast.Module | None]:
-    """Read + parse a file once, keyed on ``(mtime_ns, size)``.
-
-    Returns ``(source, tree)``; ``tree`` is ``None`` when the file does
-    not parse (callers fall back to :func:`lint_source` for the REP000
-    diagnostic).  Hits and fresh parses are counted on the ambient
-    metrics registry (``lint.parse.hit`` / ``lint.parse.fresh``) so the
-    lint CLI's trace can assert the sharing actually happens.
-    """
-    from ..obs import metrics
-
-    file_path = Path(path).resolve()
-    stat = file_path.stat()
-    fingerprint = (stat.st_mtime_ns, stat.st_size)
-    entry = _PARSE_CACHE.get(file_path)
-    if entry is not None and entry[0] == fingerprint:
-        metrics().inc("lint.parse.hit")
-        return entry[1], entry[2]
-    metrics().inc("lint.parse.fresh")
-    source = file_path.read_text(encoding="utf-8")
-    try:
-        tree: ast.Module | None = ast.parse(source, filename=str(file_path))
-    except SyntaxError:
-        tree = None
-    _PARSE_CACHE[file_path] = (fingerprint, source, tree)
-    return source, tree
-
-
 def lint_file(
     path: str | Path, select: Sequence[str] | None = None
 ) -> list[Diagnostic]:
-    """Run the rules over one file on disk (AST shared via the cache)."""
+    """Run the rules over one file on disk."""
     file_path = Path(path)
-    source, tree = parse_cached(file_path)
-    if tree is None:  # reproduce the REP000 diagnostic with positions
-        return lint_source(source, path=str(file_path), select=select)
-    return _lint_parsed(source, tree, str(file_path), select)
+    source = file_path.read_text(encoding="utf-8")
+    return lint_source(source, path=str(file_path), select=select)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:

@@ -57,13 +57,11 @@ _SARIF_LEVELS = {"error": "error", "warning": "warning", "info": "note"}
 def _rule_metadata() -> dict[str, dict[str, str]]:
     """``{rule id: {title, hint}}`` across every layer's rule table.
 
-    Imported late so the reporter does not force the analysis modules
-    (and their transitive program-index machinery) at import time.
+    Imported late so the reporter does not force the artifact checkers at
+    import time.
     """
     from .artifacts import ARTIFACT_RULES
     from .engine import registered_rules
-    from .purity import PROGRAM_RULES
-    from .resources import RESOURCE_RULES
 
     table: dict[str, dict[str, str]] = {
         "REP000": {"title": "file does not parse", "hint": ""},
@@ -71,8 +69,6 @@ def _rule_metadata() -> dict[str, dict[str, str]]:
     }
     for rule_id, rule_class in registered_rules().items():
         table[rule_id] = {"title": rule_class.title, "hint": rule_class.hint}
-    for rule_id, meta in {**PROGRAM_RULES, **RESOURCE_RULES}.items():
-        table[rule_id] = {"title": meta["title"], "hint": meta["hint"]}
     for rule_id, title in ARTIFACT_RULES.items():
         table[rule_id] = {"title": title, "hint": ""}
     return table

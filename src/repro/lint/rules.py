@@ -1,11 +1,14 @@
-"""Repo-specific codebase rules (``REP001``–``REP005``, ``REP008``).
+"""Repo-specific codebase rules (``REP001``–``REP005``, ``REP008``,
+``REP302``, ``REP303``).
 
 Each rule targets a defect class that has historically invalidated
 anonymization reproductions: hidden non-determinism, tolerance-free float
 comparison inside comparators, Python's mutable-default trap, persisted
 set ordering, algorithm classes that silently miss the
-:class:`~repro.anonymize.algorithms.base.Anonymizer` contract, and per-row
-generalization loops that bypass the columnar measurement plane.
+:class:`~repro.anonymize.algorithms.base.Anonymizer` contract, per-row
+generalization loops that bypass the columnar measurement plane, and
+durable writes that a crash can tear (non-atomic writes, temp files
+outside the replace target's filesystem).
 
 The rules are registered with :func:`repro.lint.engine.register`; run them
 through :func:`repro.lint.engine.lint_paths` or ``repro lint``.
@@ -70,9 +73,18 @@ def _call_args_seeded(node: ast.Call) -> bool:
 
 
 class _AliasTracker(ast.NodeVisitor):
-    """Collects module aliases for ``random`` and ``numpy`` in one file."""
+    """Collects the import aliases of one file.
+
+    ``imports`` maps every absolute import binding to its dotted target
+    (``import numpy as np`` binds ``np -> numpy``, ``from os import
+    replace`` binds ``replace -> os.replace``); ``modules`` holds the names
+    bound by plain ``import`` statements.  The ``random``/``numpy`` sets
+    serve REP001.
+    """
 
     def __init__(self) -> None:
+        self.imports: dict[str, str] = {}
+        self.modules: set[str] = set()
         self.random_aliases: set[str] = set()
         self.numpy_aliases: set[str] = set()
         self.numpy_random_aliases: set[str] = set()
@@ -80,9 +92,12 @@ class _AliasTracker(ast.NodeVisitor):
         self.from_numpy_random: set[str] = set()
 
     def visit_Import(self, node: ast.Import) -> None:
-        """Track ``import random`` / ``import numpy [as np]`` aliases."""
+        """Track ``import x [as y]`` bindings (``random``/``numpy`` too)."""
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
+            # `import a.b` binds `a`; `import a.b as x` binds the module.
+            self.imports[bound] = alias.name if alias.asname else bound
+            self.modules.add(bound)
             if alias.name == "random":
                 self.random_aliases.add(bound)
             elif alias.name == "numpy":
@@ -97,9 +112,11 @@ class _AliasTracker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        """Track ``from random/numpy.random import ...`` bindings."""
+        """Track ``from x import y`` bindings (``random``/``numpy`` too)."""
         for alias in node.names:
             bound = alias.asname or alias.name
+            if node.module and not node.level:
+                self.imports[bound] = f"{node.module}.{alias.name}"
             if node.module == "random":
                 self.from_random.add(bound)
             elif node.module == "numpy.random":
@@ -619,3 +636,144 @@ class RowwiseGeneralizationRule(Rule):
                         "hierarchy.generalize called once per row in a "
                         "comprehension over dataset rows",
                     )
+
+
+def _dotted_name(node: ast.expr, imports: dict[str, str]) -> str | None:
+    """Import-resolved dotted text of a simple name/attribute chain."""
+    if isinstance(node, ast.Name):
+        return imports.get(node.id, node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted_name(node.value, imports)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+#: Open functions taking the mode as their second positional argument.
+_OPEN_FUNCTIONS = frozenset({"open", "io.open", "os.fdopen"})
+
+
+def _open_mode(call: ast.Call, aliases: _AliasTracker) -> str | None:
+    """The constant mode string of an ``open``-family call, if any.
+
+    ``open``, ``io.open``, ``os.fdopen`` and module-level ``*.open``
+    functions (``gzip.open``) take the mode second; the ``.open`` method of
+    any other receiver (``Path.open``) takes it first.
+    """
+    func = call.func
+    dotted = _dotted_name(func, aliases.imports) or ""
+    receiver = func.value if isinstance(func, ast.Attribute) else None
+    if dotted in _OPEN_FUNCTIONS or (
+        dotted.endswith(".open")
+        and (receiver is None or getattr(receiver, "id", None) in aliases.modules)
+    ):
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0
+    else:
+        return None
+    mode = call.args[position] if len(call.args) > position else None
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return mode.value
+    return None
+
+
+def _is_durable_write_mode(mode: str) -> bool:
+    return ("w" in mode or "x" in mode) and "a" not in mode and "r" not in mode
+
+
+@register
+class NonAtomicWriteRule(Rule):
+    """``REP302`` — non-atomic durable write.
+
+    A write-mode ``open`` (``open(p, "w")``, ``p.open("w")``) or
+    ``write_text``/``write_bytes`` truncates the target before writing, so
+    a crash mid-write leaves a torn cache entry, manifest or release.
+    Durable writes go through :mod:`repro.utility.atomic` (tmp file in the
+    target's directory + ``os.replace``), the one module exempt here.
+    """
+
+    id = "REP302"
+    title = "non-atomic durable write"
+    severity = Severity.ERROR
+    hint = (
+        "write through repro.utility.atomic (tmp in the target's "
+        "directory + os.replace)"
+    )
+    exempt_suffixes = ("repro/utility/atomic.py",)
+
+    def check(self, context: LintContext) -> Iterator[Diagnostic]:
+        """Flag write-mode opens and ``write_text``/``write_bytes`` calls."""
+        aliases = _AliasTracker()
+        aliases.visit(context.tree)
+        for node in ast.walk(context.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in {
+                "write_text",
+                "write_bytes",
+            }:
+                yield self.diagnostic(
+                    context,
+                    node,
+                    f"non-atomic durable write: .{func.attr}(...) replaces "
+                    "the target in place — a crash mid-write tears the file",
+                )
+                continue
+            mode = _open_mode(node, aliases)
+            if mode is not None and _is_durable_write_mode(mode):
+                yield self.diagnostic(
+                    context,
+                    node,
+                    f"non-atomic durable write: open mode {mode!r} truncates "
+                    "the target before writing — a crash mid-write tears "
+                    "the file",
+                )
+
+
+@register
+class TempFilePlacementRule(Rule):
+    """``REP303`` — temp file created outside the replace target's directory.
+
+    ``os.replace`` is atomic only within one filesystem.  In a module that
+    replaces files, a ``tempfile.mkstemp``/``NamedTemporaryFile``/
+    ``mkdtemp`` without ``dir=`` lands in the default temp directory,
+    which may sit on another mount, where the "atomic" replace silently
+    degrades to a copy.
+    """
+
+    id = "REP303"
+    title = "temp file created outside the replace target's directory"
+    severity = Severity.ERROR
+    hint = "create the tmp with dir=<target's directory>"
+    exempt_suffixes = ("repro/utility/atomic.py",)
+
+    _FACTORIES = frozenset(
+        {"tempfile.mkstemp", "tempfile.NamedTemporaryFile", "tempfile.mkdtemp"}
+    )
+
+    def check(self, context: LintContext) -> Iterator[Diagnostic]:
+        """Flag ``dir=``-less temp files in modules that ``os.replace``."""
+        aliases = _AliasTracker()
+        aliases.visit(context.tree)
+        calls = [
+            (node, _dotted_name(node.func, aliases.imports))
+            for node in ast.walk(context.tree)
+            if isinstance(node, ast.Call)
+        ]
+        if not any(dotted in {"os.replace", "os.rename"} for _, dotted in calls):
+            return
+        for node, dotted in calls:
+            if dotted in self._FACTORIES and not any(
+                keyword.arg == "dir" for keyword in node.keywords
+            ):
+                yield self.diagnostic(
+                    context,
+                    node,
+                    "temp file created without dir= in a module that "
+                    "os.replace()s: the default temp dir may sit on "
+                    "another filesystem, where replace is not atomic",
+                )

@@ -75,7 +75,6 @@ from .task import (
     canonical_json,
     derive_seed,
     register_op,
-    registered_ops,
     resolve_op,
 )
 
@@ -119,7 +118,6 @@ __all__ = [
     "read_events",
     "read_manifest",
     "register_op",
-    "registered_ops",
     "resolve_op",
     "run_release_grid",
     "run_study",

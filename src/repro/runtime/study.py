@@ -249,7 +249,9 @@ def _materialize_dataset(
             builder = DATASET_PROVIDERS[provider]
         except KeyError:
             raise StudyError(f"unknown dataset provider {provider!r}") from None
-        _DATASET_MEMO[key] = builder(**dict(params))  # lint: disable=REP201 -- idempotent per-process memo of a deterministic provider; every worker converges to the identical value
+        # Idempotent per-process memo of a deterministic provider: every
+        # worker converges to the identical value.
+        _DATASET_MEMO[key] = builder(**dict(params))
     return _DATASET_MEMO[key]
 
 

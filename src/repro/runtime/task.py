@@ -120,16 +120,6 @@ def resolve_op(name: str) -> Callable[[Mapping[str, Any], Mapping[str, Any], int
         raise TaskError(f"unknown operation {name!r}") from None
 
 
-def registered_ops() -> dict[str, bool]:
-    """``name -> inline_only`` for every registered operation, sorted.
-
-    The dynamic counterpart of the static op discovery in
-    :mod:`repro.lint.callgraph`; the two are compared in tests so the
-    certifier can never silently miss an operation.
-    """
-    return {name: inline for name, (_, inline) in sorted(_OPERATIONS.items())}
-
-
 def op_is_inline_only(name: str) -> bool:
     """Whether the named operation must run in the coordinating process."""
     try:

@@ -1,7 +1,7 @@
 """The sanctioned atomic-write helper for every durable artifact.
 
 A durable write that matters (cache entries, manifests, releases,
-hierarchy specs, traces, certificates) must never be observable half
+hierarchy specs, traces) must never be observable half
 written: a reader that races the writer — or a process killed mid-write —
 must see either the complete old bytes or the complete new bytes.  The
 one portable way to get that on POSIX is to write a temporary file *in
@@ -10,8 +10,8 @@ the destination's directory* and ``os.replace`` it over the target:
 ``/tmp`` would silently degrade to a copy on machines where the target
 lives on another mount.
 
-Lint Layer 5 enforces this discipline: rule REP302 flags any bare
-write-mode ``open`` outside this module, and REP303 flags hand-rolled
+The ``repro lint`` codebase rules enforce this discipline: REP302 flags
+any bare write-mode ``open`` outside this module, and REP303 flags hand-rolled
 temp files that are not created next to their target.  Everything in the
 repo that persists state goes through :func:`atomic_writer` (or the
 string/bytes conveniences built on it) so the discipline lives in exactly

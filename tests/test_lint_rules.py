@@ -1,5 +1,5 @@
-"""Tests for Layer 2 of repro.lint: the AST rules (REP001-REP005), the
-engine, the reporters and the ``repro lint`` CLI."""
+"""Tests for Layer 2 of repro.lint: the AST rules (REP001-REP005, REP008,
+REP302, REP303), the engine, the reporters and the ``repro lint`` CLI."""
 
 import json
 from pathlib import Path
@@ -20,6 +20,7 @@ from repro.lint.engine import (
     LintContext,
     Rule,
     RuleVisitor,
+    expand_selection,
     iter_python_files,
     lint_file,
     lint_paths,
@@ -27,7 +28,13 @@ from repro.lint.engine import (
     register,
     registered_rules,
 )
-from repro.lint.report import render, render_json, render_text, summarize
+from repro.lint.report import (
+    render,
+    render_json,
+    render_sarif,
+    render_text,
+    summarize,
+)
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -301,6 +308,135 @@ class TestRep008RowwiseGeneralization:
         assert lint_source(source, path=path) == []
 
 
+def writer(body, imports=""):
+    """A module whose ``f(p, text)`` runs ``body`` (one statement)."""
+    return f"{imports}\n\ndef f(p, text):\n    {body}\n"
+
+
+class TestRep302NonAtomicWrite:
+    def test_bare_write_open_fires(self):
+        source = writer('with open(p, "w") as handle:\n        handle.write(text)')
+        findings = lint_source(source, path=PLAIN)
+        assert rule_ids(findings) == ["REP302"]
+        assert findings[0].line == 4
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'p.open("w")',
+            'p.open(mode="w")',
+            'p.open("w", encoding="utf-8")',
+            'Path(p).open("wb")',
+            'self.path.open("x")',
+        ],
+    )
+    def test_path_open_in_write_mode_fires(self, call):
+        # A `.open` method takes the mode first, unlike the builtin.
+        source = writer(f"handle = {call}", imports="from pathlib import Path")
+        assert rule_ids(lint_source(source, path=PLAIN)) == ["REP302"]
+
+    @pytest.mark.parametrize(
+        "call, imports",
+        [
+            pytest.param('io.open(p, "w")', "import io", id="io.open"),
+            pytest.param('os.fdopen(3, "wb")', "import os", id="os.fdopen"),
+            pytest.param('gzip.open(p, "wt")', "import gzip", id="gzip.open"),
+            pytest.param(
+                'zipped.open(p, "wt")', "import gzip as zipped", id="module-alias"
+            ),
+            pytest.param(
+                'gzopen(p, mode="wb")',
+                "from gzip import open as gzopen",
+                id="from-import",
+            ),
+        ],
+    )
+    def test_module_level_open_reads_the_second_argument(self, call, imports):
+        source = writer(f"handle = {call}", imports=imports)
+        assert rule_ids(lint_source(source, path=PLAIN)) == ["REP302"]
+
+    @pytest.mark.parametrize("method", ["write_text", "write_bytes"])
+    def test_write_text_fires(self, method):
+        source = writer(f"Path(p).{method}(text)", imports="from pathlib import Path")
+        assert rule_ids(lint_source(source, path=PLAIN)) == ["REP302"]
+
+    @pytest.mark.parametrize("call", ['open(p, "a")', 'p.open("a")'])
+    def test_append_mode_is_exempt(self, call):
+        assert lint_source(writer(f"handle = {call}"), path=PLAIN) == []
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "open(p)",
+            'open(p, "rb")',
+            'open(p, "r+")',
+            "p.open()",
+            'p.open("rb")',
+            "os.open(p, os.O_RDONLY)",
+            "p.open(text)",
+        ],
+    )
+    def test_read_mode_is_exempt(self, call):
+        source = writer(f"handle = {call}", imports="import os")
+        assert lint_source(source, path=PLAIN) == []
+
+    def test_sanctioned_module_is_exempt(self):
+        source = (
+            "import os\n\n"
+            "def write(path, text):\n"
+            '    with os.fdopen(os.open(path, 0), "w") as handle:\n'
+            "        handle.write(text)\n"
+        )
+        assert lint_source(source, path=PLAIN) != []
+        path = "src/repro/utility/atomic.py"
+        assert lint_source(source, path=path) == []
+
+
+class TestRep303TempFilePlacement:
+    SOURCE = (
+        "import os\n"
+        "import tempfile\n\n"
+        "def f(target, data):\n"
+        "    fd, tmp = tempfile.mkstemp({args})\n"
+        "    try:\n"
+        "        os.write(fd, data)\n"
+        "    finally:\n"
+        "        os.close(fd)\n"
+        "    os.replace(tmp, target)\n"
+    )
+
+    def test_mkstemp_outside_target_dir_fires(self):
+        findings = lint_source(self.SOURCE.format(args=""), path=PLAIN)
+        assert rule_ids(findings) == ["REP303"]
+        assert "dir=" in findings[0].message
+        assert findings[0].line == 5
+
+    def test_guarded_same_dir_pattern_is_clean(self):
+        source = self.SOURCE.format(args="dir=os.path.dirname(target)")
+        assert lint_source(source, path=PLAIN) == []
+
+    def test_aliased_imports_are_resolved(self):
+        source = (
+            "from os import replace\n"
+            "from tempfile import NamedTemporaryFile as ntf\n\n"
+            "def f(target):\n"
+            "    handle = ntf(delete=False)\n"
+            "    replace(handle.name, target)\n"
+        )
+        assert rule_ids(lint_source(source, path=PLAIN)) == ["REP303"]
+
+    def test_module_without_replace_is_clean(self):
+        source = "import tempfile\n\nfd, tmp = tempfile.mkstemp()\n"
+        assert lint_source(source, path=PLAIN) == []
+
+    def test_sanctioned_module_is_exempt(self):
+        source = self.SOURCE.format(args="")
+        assert lint_source(source, path="src/repro/utility/atomic.py") == []
+
+    def test_rep3_prefix_selects_both_atomic_write_rules(self):
+        assert expand_selection(["REP3"]) == ["REP302", "REP303"]
+
+
 class TestEngine:
     def test_syntax_error_becomes_rep000(self):
         findings = lint_source("def broken(:\n", path=PLAIN)
@@ -445,6 +581,39 @@ class TestDiagnosticsAndReport:
         counts = summarize([Diagnostic("X", "m", Severity.INFO)])
         assert counts == {"error": 0, "warning": 0, "info": 1}
 
+    def test_sarif_format(self, tmp_path, capsys):
+        (tmp_path / "mod.py").write_text(
+            "def f(p, text):\n    p.write_text(text)\n", encoding="utf-8"
+        )
+        main(["lint", str(tmp_path), "--format", "sarif"])
+        document = json.loads(capsys.readouterr().out)
+        assert document["version"] == "2.1.0"
+        run = document["runs"][0]
+        assert run["tool"]["driver"]["name"] == "repro-lint"
+        (rule,) = run["tool"]["driver"]["rules"]
+        assert rule["id"] == "REP302"
+        assert rule["shortDescription"]["text"] == "non-atomic durable write"
+        result = run["results"][0]
+        assert result["level"] == "error"
+        location = result["locations"][0]["physicalLocation"]
+        assert location["region"]["startLine"] == 2
+
+    def test_sarif_info_maps_to_note(self):
+        log = json.loads(
+            render_sarif(
+                [
+                    Diagnostic(
+                        rule="REP000",
+                        message="m",
+                        severity=Severity.INFO,
+                        path="x.py",
+                        line=1,
+                    )
+                ]
+            )
+        )
+        assert log["runs"][0]["results"][0]["level"] == "note"
+
 
 class TestLintCli:
     def test_violations_exit_1(self, tmp_path, capsys):
@@ -496,6 +665,41 @@ class TestLintCli:
         assert main(["lint", str(tmp_path), "--select", "NOPE"]) == 2
         assert "NOPE" in capsys.readouterr().out
 
+    def test_retired_rule_family_exits_2(self, capsys):
+        # A stale CI selector for a removed family must fail loudly.
+        assert main(["lint", str(REPO_SRC), "--select", "REP2"]) == 2
+        assert "unknown rule id" in capsys.readouterr().out
+
+    def test_default_strict_run_flags_non_atomic_writes(self, tmp_path, capsys):
+        (tmp_path / "store.py").write_text(
+            "def save(path, text):\n    path.write_text(text)\n",
+            encoding="utf-8",
+        )
+        assert main(["lint", str(tmp_path), "--strict"]) == 1
+        assert "REP302" in capsys.readouterr().out
+
+    def test_select_narrows_findings(self, tmp_path, capsys):
+        (tmp_path / "mod.py").write_text(
+            "def f(path, text, acc=[]):\n"
+            "    handle = open(path, 'w')\n"
+            "    handle.write(text)\n",
+            encoding="utf-8",
+        )
+        assert main(["lint", str(tmp_path), "--select", "REP302"]) == 1
+        out = capsys.readouterr().out
+        assert "REP302" in out and "REP003" not in out
+
+    def test_baseline_interplay(self, tmp_path, capsys):
+        path = tmp_path / "mod.py"
+        path.write_text("def f(p, text):\n    p.write_text(text)\n")
+        baseline = tmp_path / "baseline.json"
+        command = ["lint", str(path), "--select", "REP3", "--baseline", str(baseline)]
+        assert main([*command, "--update-baseline"]) == 0
+        capsys.readouterr()
+        # With the finding baselined, the same invocation is clean.
+        assert main(command) == 0
+        assert "1 finding(s) matched" in capsys.readouterr().out
+
     def test_nonexistent_path_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir"
         assert main(["lint", str(missing)]) == 2
@@ -509,11 +713,24 @@ class TestLintCli:
         assert main(["lint", str(REPO_SRC), "--strict"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
+    def test_repo_src_is_clean_under_rep3_strict(self, capsys):
+        assert main(["lint", str(REPO_SRC), "--select", "REP3", "--strict"]) == 0
+
+    def test_repo_src_has_zero_rep3_waivers(self):
+        waived = [
+            path
+            for path in REPO_SRC.rglob("*.py")
+            if "disable=REP30" in path.read_text(encoding="utf-8")
+        ]
+        assert waived == []
+
 
 class TestApiSurface:
     def test_summarize_rules_covers_every_rep_rule(self):
         summary = api.summarize_rules()
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005"):
+        for rule_id in (
+            "REP001", "REP002", "REP003", "REP004", "REP005", "REP302", "REP303",
+        ):
             assert summary[rule_id]["title"]
             assert summary[rule_id]["severity"] in {"error", "warning", "info"}
 
