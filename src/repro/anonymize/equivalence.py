@@ -25,6 +25,19 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable, Sequence
 
 
+def _kernel_histogram_column(values: Sequence[Any]) -> bool:
+    """Whether ``values`` takes the kernel histogram path.
+
+    Single-type ``str``, ``int``/``bool`` and NaN-free ``float`` columns
+    do; mixed columns (``7`` with ``7.0``), NaN and other objects keep the
+    row loop, whose keys are each class's own first objects.
+    """
+    kinds = set(map(type, values))
+    if kinds == {str} or (kinds and kinds <= {int, bool}):
+        return True
+    return kinds == {float} and not any(value != value for value in values)
+
+
 class EquivalenceClasses:
     """Partition of row indices by generalized QI tuple.
 
@@ -189,23 +202,24 @@ class EquivalenceClasses:
     def _kernel_histograms(
         self, values: Sequence[Any]
     ) -> list[dict[Any, int]] | None:
-        """Vectorized histogram pass, when the kernel backend offers one.
+        """Vectorized histogram pass for plain columns under numpy.
 
         Interns the column once, then groups ``(class, code)`` pairs in a
         single kernel pass.  Pairs come back in first-occurrence-within-
         class order — the same dict insertion order the row loop above
         produces, which order-sensitive float consumers (entropy
         l-diversity iterates ``histogram.values()``) rely on.  Returns
-        ``None`` when the backend declines (pure-python backend, or a
-        column outside the vectorizable dtypes).
+        ``None`` (the row loop runs) on the pure backend and for columns
+        :func:`_kernel_histogram_column` rejects.  A key here is the
+        column-wide first object of its code, where the row loop keeps each
+        class's own first object.
         """
         from ..kernels import active as active_kernels
 
         kernels = active_kernels()
-        interned = kernels.intern(tuple(values) if not isinstance(values, tuple) else values)
-        if interned is None:
+        if not (kernels.is_numpy and _kernel_histogram_column(values)):
             return None
-        codes, decode = interned
+        codes, decode = kernels.intern(values)
         class_of = kernels.asarray(self._class_of)
         grouped = kernels.grouped_value_counts(
             class_of, len(self._classes), kernels.from_code_buffer(codes)

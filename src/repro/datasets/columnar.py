@@ -23,7 +23,6 @@ these codes live in :mod:`repro.hierarchy.codes`.
 
 from __future__ import annotations
 
-from array import array
 from typing import TYPE_CHECKING, Any
 
 from ..kernels import active as active_kernels
@@ -35,11 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 class ColumnCodes:
     """One column interned to dense integer codes.
 
-    Interning takes the kernel layer's vectorized fast path when the
-    active backend offers one (homogeneous int/bool/string columns under
-    numpy); the dict loop below is the always-available fallback and the
-    executable specification — both assign codes by first occurrence and
-    store the column's exact objects in ``decode``.
+    Interning is the kernel layer's ``intern`` (one dict pass shared by
+    both backends): codes are assigned by first occurrence, and ``decode``
+    stores the column's exact objects.  Interning is by equality, so
+    ``7``/``7.0``, ``True``/``1`` and ``0.0``/``-0.0`` share one code.
 
     Attributes
     ----------
@@ -55,19 +53,7 @@ class ColumnCodes:
     __slots__ = ("name", "codes", "decode", "level_tables")
 
     def __init__(self, name: str, values: tuple[Any, ...]):
-        interned = active_kernels().intern(values)
-        if interned is not None:
-            codes, decode = interned
-        else:
-            lookup: dict[Any, int] = {}
-            codes = array("q", bytes(8 * len(values)))
-            for row_index, value in enumerate(values):
-                code = lookup.get(value)
-                if code is None:
-                    code = len(lookup)
-                    lookup[value] = code
-                codes[row_index] = code
-            decode = tuple(lookup)
+        codes, decode = active_kernels().intern(values)
         self.name = name
         self.codes = codes
         self.decode: tuple[Any, ...] = decode

@@ -39,6 +39,30 @@ def _fingerprint_token(value: Any) -> bytes:
     return f"{type(value).__name__}:{value!r}\x1f".encode("utf-8")
 
 
+#: Types whose equal values always share one token: a column of these alone
+#: memoizes tokens by value.  (``str`` never equals ``int``; ``bool`` and
+#: ``float`` are left out because ``True == 1`` and ``7 == 7.0``.)
+_VALUE_KEYED_TYPES = frozenset({str, int})
+
+
+def _column_tokens(cells: Sequence[Any]) -> bytes:
+    """The concatenated fingerprint tokens of one column's cells.
+
+    Builds each distinct cell's token once.  Columns of ``str``/``int``
+    cells memoize by value; any other column memoizes by ``id``, which is
+    exact for every object (``7``/``7.0``, ``±0.0``, NaN, sets) because the
+    table keeps each cell alive, so no id is reused during the pass.
+    """
+    keys: Sequence[Any] = (
+        cells
+        if set(map(type, cells)) <= _VALUE_KEYED_TYPES
+        else list(map(id, cells))
+    )
+    distinct = dict(zip(keys, cells))
+    tokens = {key: _fingerprint_token(cell) for key, cell in distinct.items()}
+    return b"".join(map(tokens.__getitem__, keys))
+
+
 class DatasetError(ValueError):
     """Raised for malformed rows or invalid dataset operations."""
 
@@ -133,7 +157,9 @@ class Dataset:
         are index-aligned with rows (Definition 1), so reordering rows is a
         semantically different table.  The digest is independent of the
         process (no ``PYTHONHASHSEED`` dependence) and is the dataset
-        component of the runtime's content-addressed cache keys.
+        component of the runtime's content-addressed cache keys.  The
+        hashed stream is one token per cell, but each column builds the
+        token of each distinct cell only once (:func:`_column_tokens`).
         """
         hasher = hashlib.sha256()
         hasher.update(f"rows:{len(self._rows)}\x1e".encode("utf-8"))
@@ -147,8 +173,10 @@ class Dataset:
                 f"col:{attribute.name}|{attribute.kind.value}|"
                 f"{attribute.role.value}\x1e".encode("utf-8")
             )
-            for row in self._rows:
-                hasher.update(_fingerprint_token(row[position]))
+            cells = self._column_cache.get(attribute.name)
+            if cells is None:
+                cells = [row[position] for row in self._rows]
+            hasher.update(_column_tokens(cells))
         return hasher.hexdigest()
 
     # -- column access ------------------------------------------------------

@@ -11,8 +11,9 @@ code arrays:
   representative rows, fresh or folded through a coarsening map;
 * ``grouped_value_counts`` — per-class value histograms (the raw material
   of l-diversity / t-closeness) from one grouping pass;
-* ``intern`` — vectorized first-occurrence code interning (numpy only;
-  the pure backend returns ``None`` and callers keep the dict loop).
+* ``intern`` — first-occurrence code interning by equality; both
+  backends share one dict pass (:func:`intern_values`), which beats a
+  vectorized ``np.unique`` on every column shape measured.
 
 **Canonical labels.**  Both backends number group labels by the *sorted
 rank* of the packed value (what ``np.unique(return_inverse=True)``
@@ -190,15 +191,9 @@ class PythonKernels:
 
     # -- interning -----------------------------------------------------------
 
-    def intern(
-        self, values: Sequence[Any]
-    ) -> tuple["array[int]", tuple[Any, ...]] | None:
-        """Vectorized first-occurrence interning, or ``None`` to decline.
-
-        The pure backend always declines: the caller's dict loop *is* the
-        pure-python implementation.
-        """
-        return None
+    def intern(self, values: Sequence[Any]) -> tuple["array[int]", tuple[Any, ...]]:
+        """First-occurrence interning; see :func:`intern_values`."""
+        return intern_values(values)
 
 
 class NumpyKernels:
@@ -368,58 +363,25 @@ class NumpyKernels:
 
     # -- interning -----------------------------------------------------------
 
-    def intern(
-        self, values: Sequence[Any]
-    ) -> tuple["array[int]", tuple[Any, ...]] | None:
-        """First-occurrence interning via a stable ``np.unique``.
+    def intern(self, values: Sequence[Any]) -> tuple["array[int]", tuple[Any, ...]]:
+        """First-occurrence interning; see :func:`intern_values`."""
+        return intern_values(values)
 
-        Only homogeneous scalar columns take the fast path: pure-``str``,
-        pure-``int``/``bool``, and NaN-free pure-``float`` columns (NaN
-        equality differs between sort-based and hash-based grouping).
-        Anything else — object columns, mixed types (which ``np.asarray``
-        would silently coerce, merging values the dict loop keeps
-        distinct), ints beyond int64 — returns ``None`` and the caller's
-        dict loop runs instead.  Codes and decode tables are identical to
-        the dict loop's: codes numbered by first occurrence in row order,
-        decode holding the *original* column objects.
-        """
-        np = self._np
-        if not len(values):
-            return array("q"), ()
-        kinds = {type(value) for value in values}
-        if kinds == {str}:
-            # numpy's fixed-width unicode dtype pads with (and therefore
-            # strips trailing) NULs, which would merge 'a' with 'a\x00';
-            # such columns fall back to the dict loop.
-            if any("\x00" in value for value in values):
-                return None
-            dtype = None  # numpy infers <U{max_len}
-        elif kinds <= {int, bool}:
-            dtype = np.int64
-        elif kinds == {float}:
-            dtype = np.float64
-        else:
-            return None
-        try:
-            arr = np.asarray(values, dtype=dtype)
-        except (ValueError, TypeError, OverflowError):  # huge ints, ragged
-            return None
-        if arr.ndim != 1 or len(arr) != len(values):
-            return None
-        if arr.dtype.kind == "f" and np.isnan(arr).any():
-            return None
-        _, first_idx, inverse = np.unique(
-            arr, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first_idx, kind="stable")
-        rank = np.empty(order.size, dtype=np.int64)
-        rank[order] = np.arange(order.size, dtype=np.int64)
-        codes = array("q", bytes(8 * len(values)))
-        codes_np = np.frombuffer(codes, dtype=np.int64)
-        with _writable(codes_np):
-            codes_np[:] = rank[inverse]
-        decode = tuple(values[int(position)] for position in first_idx[order])
-        return codes, decode
+
+def intern_values(values: Sequence[Any]) -> tuple["array[int]", tuple[Any, ...]]:
+    """Intern a column by equality: ``(codes, decode)``.
+
+    Codes are numbered by first occurrence in row order; ``decode`` holds
+    the column's own objects, the first of each set of equal values, so
+    ``decode[codes[i]] == values[i]``.  One dict pass serves both backends:
+    it is faster than a vectorized ``np.unique`` on every column shape
+    measured, and it groups exactly as a hash lookup does (NaN by identity,
+    mixed types without coercion, ints of any size).
+    """
+    lookup: dict[Any, int] = {}
+    intern_one = lookup.setdefault
+    codes = array("q", [intern_one(value, len(lookup)) for value in values])
+    return codes, tuple(lookup)
 
 
 _INT64_SPAN = 1 << 63  # keys below a bound b fit int64 iff b <= 2**63
@@ -443,16 +405,3 @@ def pack_columns(kernels: Any, columns: Sequence[tuple[Any, int]]) -> Any:
         bound *= radix
     return combined
 
-
-class _writable:
-    """Temporarily lift the write guard on a frombuffer view (local use)."""
-
-    def __init__(self, arr: Any) -> None:
-        self._arr = arr
-
-    def __enter__(self) -> Any:
-        self._arr.flags.writeable = True
-        return self._arr
-
-    def __exit__(self, *exc: Any) -> None:
-        self._arr.flags.writeable = False

@@ -26,6 +26,7 @@ bit-compatible with ``repro study --seed`` runs.
 
 from __future__ import annotations
 
+import inspect
 from collections import OrderedDict
 from typing import Any, Mapping
 
@@ -47,6 +48,11 @@ from ..runtime.task import CacheKey, canonical_json, derive_seed, resolve_op
 
 class ServeRequestError(ValueError):
     """Raised for malformed request payloads (a client error, HTTP 400)."""
+
+
+#: Most ``rows`` a request's dataset may name: the 1M-row scale tier.  Each
+#: distinct dataset a request names stays resident for the process's life.
+MAX_DATASET_ROWS = 1_000_000
 
 
 class _ResidentLRU:
@@ -81,6 +87,36 @@ def _canonical_items(params: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
     return tuple(sorted(params.items()))
 
 
+def _checked_dataset_params(
+    provider: str, params: Mapping[str, Any]
+) -> dict[str, Any]:
+    """A request's dataset params, rejected unless the provider can build
+    them: known names only, each a plain ``int`` (the providers take only
+    ``rows`` and ``seed``; ``bool`` is refused), and ``rows`` within
+    ``1..MAX_DATASET_ROWS``.
+    """
+    known = inspect.signature(DATASET_PROVIDERS[provider]).parameters
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ServeRequestError(
+            f"unknown dataset params {unknown} for provider {provider!r}; "
+            f"choose from {sorted(known)}"
+        )
+    for name, value in params.items():
+        if type(value) is not int:
+            raise ServeRequestError(
+                f"dataset.params.{name} must be an integer, "
+                f"got {type(value).__name__}"
+            )
+    rows = params.get("rows", 1)
+    if not 1 <= rows <= MAX_DATASET_ROWS:
+        raise ServeRequestError(
+            f"dataset.params.rows must be from 1 to {MAX_DATASET_ROWS}, "
+            f"got {rows}"
+        )
+    return dict(params)
+
+
 def _spec_payload(spec: Mapping[str, Any] | None, field: str) -> dict[str, Any]:
     if spec is None:
         raise ServeRequestError(f"request requires a {field!r} object")
@@ -99,7 +135,7 @@ class ServeState:
     ----------
     default_dataset:
         The workload requests fall back to when they name no dataset;
-        materialized (rows + hierarchies + columnar view) at startup.
+        materialized (rows + hierarchies) and fingerprinted at startup.
     cache:
         Content-addressed store shared with the study runtime; ``None``
         disables durable memoization (memory-only).
@@ -124,9 +160,9 @@ class ServeState:
         self._releases = _ResidentLRU(max_resident)
         self._derived = _ResidentLRU(max_resident)
         self._fingerprints: dict[DatasetSpec, str] = {}
-        # Materialize the default workload now: startup pays the build cost
-        # once, requests find the table (and its interned columnar view)
-        # resident.
+        # Materialize and fingerprint the default workload now: startup pays
+        # the build cost once, requests find the table resident.  Its
+        # columnar view is interned by the first release that needs it.
         dataset, _ = default_dataset.materialize()
         self._fingerprints[default_dataset] = dataset.fingerprint()
 
@@ -143,8 +179,9 @@ class ServeState:
                 f"unknown dataset provider {provider!r}; "
                 f"choose from {sorted(DATASET_PROVIDERS)}"
             )
+        params = _checked_dataset_params(provider, spec.get("params", {}))
         try:
-            return DatasetSpec.of(provider, **dict(spec.get("params", {})))
+            return DatasetSpec.of(provider, **params)
         except StudyError as exc:
             raise ServeRequestError(str(exc)) from None
 

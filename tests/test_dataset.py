@@ -1,10 +1,22 @@
 """Tests for repro.datasets.dataset."""
 
+import hashlib
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.datasets.dataset import Dataset, DatasetError, dataset_from_records
+from repro.datasets import adult_dataset, adult_hierarchies
+from repro.datasets.dataset import (
+    Dataset,
+    DatasetError,
+    _fingerprint_token,
+    dataset_from_records,
+)
+from repro.hierarchy.base import Interval
+from repro.hierarchy.numeric import Span
+from repro.runtime.study import ALGORITHM_FACTORIES
 from repro.datasets.schema import (
     AttributeKind,
     Schema,
@@ -158,6 +170,109 @@ class TestPickling:
         assert clone == data
         assert clone.column("age") is clone.column("age")
         assert clone.columns().column("age").decode == (28, 41, 31)
+
+
+def reference_fingerprint(dataset):
+    """The per-cell fingerprint loop: one token and one update per cell."""
+    hasher = hashlib.sha256()
+    hasher.update(f"rows:{len(dataset)}\x1e".encode("utf-8"))
+    attributes = dataset.schema.attributes
+    for position in sorted(range(len(attributes)), key=lambda i: attributes[i].name):
+        attribute = attributes[position]
+        hasher.update(
+            f"col:{attribute.name}|{attribute.kind.value}|"
+            f"{attribute.role.value}\x1e".encode("utf-8")
+        )
+        for row in dataset.rows:
+            hasher.update(_fingerprint_token(row[position]))
+    return hasher.hexdigest()
+
+
+#: Shared string objects: the same object in many cells.
+SHARED_STRINGS = ("13053", "flu", "", "a\x00")
+
+set_elements = st.one_of(
+    st.integers(-3, 3), st.booleans(), st.text(max_size=2), st.just(7.0)
+)
+plain_cells = st.one_of(
+    st.sampled_from(SHARED_STRINGS),
+    st.text(max_size=4),
+    # Freshly built equal strings: equal values, distinct objects.
+    st.text(max_size=3).map(lambda text: "".join(list(text + "x"))),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+#: Scalars that compare equal across types: ``True == 1``, ``7 == 7.0``,
+#: ``0.0 == -0.0``; NaN equals nothing.
+scalar_cells = st.one_of(
+    st.integers(-2, 8),
+    st.booleans(),
+    st.sampled_from([7, 7.0, 0.0, -0.0, 1, True, float("nan")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(float, st.just("nan")),
+)
+mixed_cells = st.one_of(
+    plain_cells,
+    scalar_cells,
+    st.sets(set_elements, max_size=3),
+    st.frozensets(set_elements, max_size=3),
+    st.builds(Interval, st.integers(-5, 5), st.integers(6, 9)),
+    st.builds(Span, st.integers(-5, 5), st.floats(5, 9)),
+    st.none(),
+)
+
+
+@st.composite
+def fingerprint_tables(draw):
+    """Small tables whose columns are plain (``str``/``int``), scalars
+    that are equal across types, or anything."""
+    rows = draw(st.integers(min_value=0, max_value=12))
+    width = draw(st.integers(min_value=1, max_value=3))
+    columns = [
+        draw(
+            st.lists(
+                draw(st.sampled_from([plain_cells, scalar_cells, mixed_cells])),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        for _ in range(width)
+    ]
+    schema = Schema.of(
+        *(quasi_identifier(f"c{index}", AttributeKind.STRING) for index in range(width))
+    )
+    return Dataset(schema, list(zip(*columns)) if rows else [])
+
+
+class TestFingerprint:
+    @given(fingerprint_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cell_reference(self, table):
+        assert table.fingerprint() == reference_fingerprint(table)
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone.fingerprint() == reference_fingerprint(table)
+
+    def test_distinguishes_equal_values_of_other_types(self, schema):
+        def table(age):
+            return Dataset(schema, [("13053", 7, "flu"), ("13053", age, "flu")])
+
+        tables = [table(age) for age in (7, 7.0, True, 0.0, -0.0, "7")]
+        for each in tables:
+            assert each.fingerprint() == reference_fingerprint(each)
+        assert len({each.fingerprint() for each in tables}) == 6
+
+    def test_memoized_column_gives_the_same_digest(self, data):
+        before = data.fingerprint()
+        data.column("age")
+        assert data.fingerprint() == before == reference_fingerprint(data)
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_FACTORIES))
+    def test_every_algorithm_release(self, name):
+        original = adult_dataset(200, seed=3)
+        release = ALGORITHM_FACTORIES[name](k=3).anonymize(
+            original, adult_hierarchies()
+        )
+        for table in (release.released, pickle.loads(pickle.dumps(release.released))):
+            assert table.fingerprint() == reference_fingerprint(table)
 
 
 class TestRendering:

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.anonymize.equivalence import EquivalenceClasses
+from repro.kernels import HAVE_NUMPY, force_backend
+
+BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
 
 @pytest.fixture
@@ -79,4 +82,41 @@ class TestVectors:
         classes = EquivalenceClasses(keys)
         assert classes.sensitive_value_counts(marital) == [
             2, 2, 1, 2, 2, 1, 2, 1, 2, 1
+        ]
+
+
+def typed_histograms(histograms):
+    """Each histogram as ``(type, repr, count)`` triples: the exact keys."""
+    return [
+        [(type(key).__name__, repr(key), count) for key, count in histogram.items()]
+        for histogram in histograms
+    ]
+
+
+class TestValueCountKeys:
+    """Which object keys a histogram entry, per backend."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mixed_int_and_float_keep_each_class_first_object(
+        self, classes, backend
+    ):
+        with force_backend(backend):
+            histograms = classes.value_counts([7, 7.0, 7.0, 7.0, 7, 7.0])
+        assert typed_histograms(histograms) == [
+            [("int", "7", 3)],
+            [("float", "7.0", 2)],
+            [("float", "7.0", 1)],
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_int_and_bool_keys_per_backend(self, classes, backend):
+        # The numpy histogram kernel keys each value by its column-wide
+        # first object; the row loop by each class's own first object.
+        with force_backend(backend):
+            histograms = classes.value_counts([True, 1, 1, 1, True, 1])
+        first = ("bool", "True") if backend == "numpy" else ("int", "1")
+        assert typed_histograms(histograms) == [
+            [("bool", "True", 3)],
+            [(*first, 2)],
+            [(*first, 1)],
         ]

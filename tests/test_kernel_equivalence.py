@@ -12,8 +12,8 @@ hypothesis-generated and adversarially constructed inputs:
   ``pack_columns`` must fall back to densifying the running key,
 * empty columns,
 * codes far beyond int32,
-* mixed-type columns the vectorized intern must decline rather than
-  silently coerce.
+* mixed-type, NUL-string, huge-int and NaN columns, which both backends
+  intern through the one dict pass.
 
 The counter PRNG's scalar and vectorized paths are pinned here too, since
 the generators' byte-identity rests on them.
@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.columnar import ColumnCodes
 from repro.kernels import (
     HAVE_NUMPY,
     active,
@@ -413,20 +414,27 @@ class TestPackColumnsOracle:
                     )
 
 
+def column_codes_on_both_backends(values):
+    """``(codes, decode)`` of a :class:`ColumnCodes` built on each backend."""
+
+    def operation(_kernels):
+        column = ColumnCodes("c", values)
+        return list(column.codes), column.decode
+
+    return on_both_backends(operation)
+
+
 class TestInternEquivalence:
-    @requires_numpy
     @given(st.lists(st.text(max_size=5), max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_string_columns(self, values):
         self.assert_matches_reference(tuple(values))
 
-    @requires_numpy
     @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_int_columns(self, values):
         self.assert_matches_reference(tuple(values))
 
-    @requires_numpy
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=True), max_size=50)
     )
@@ -434,63 +442,35 @@ class TestInternEquivalence:
     def test_float_columns(self, values):
         self.assert_matches_reference(tuple(values))
 
-    @requires_numpy
     @given(st.lists(value_strategy, max_size=40))
     @settings(max_examples=60, deadline=None)
-    def test_never_wrong_only_declined(self, values):
-        """On any column: either decline (None) or match the dict loop."""
-        self.assert_matches_reference(tuple(values), allow_decline=True)
+    def test_mixed_columns(self, values):
+        self.assert_matches_reference(tuple(values))
 
-    @requires_numpy
-    def test_mixed_types_declined(self):
-        """int 1 and str "1" must not merge (np.asarray would stringify)."""
-        with force_backend("numpy"):
-            assert active().intern((1, "1", 2.5)) is None
-
-    @requires_numpy
-    def test_nul_strings_declined(self):
-        """Fixed-width unicode strips trailing NULs — 'a' would merge
-        with 'a\\x00'; such columns must take the dict loop."""
-        with force_backend("numpy"):
-            assert active().intern(("a", "a\x00")) is None
-
-    @requires_numpy
-    def test_huge_ints_declined(self):
-        """Beyond-int64 values cannot take the vectorized path."""
-        with force_backend("numpy"):
-            assert active().intern((2**70, 0)) is None
-
-    @requires_numpy
-    def test_nan_declined(self):
-        """NaN breaks hash-equality interning; the fast path must decline."""
-        with force_backend("numpy"):
-            assert active().intern((float("nan"), 1.0)) is None
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1, "1", 2.5),
+            ("a", "a\x00", "a"),
+            (2**70, 0, 2**70),
+            (float("nan"), 1.0, float("nan")),
+            (7, 7.0, True, 1, 0.0, -0.0),
+        ],
+        ids=["mixed-types", "nul-strings", "huge-ints", "nan", "equal-across-types"],
+    )
+    def test_column_codes_identical_on_both_backends(self, values):
+        self.assert_matches_reference(values)
 
     @staticmethod
-    def assert_matches_reference(values, allow_decline=False):
-        with force_backend("numpy"):
-            interned = active().intern(values)
-            if interned is None:
-                kinds = {type(value) for value in values}
-                nul_strings = kinds == {str} and any(
-                    "\x00" in value for value in values
-                )
-                if allow_decline or nul_strings:
-                    return
-                # Homogeneous columns must take the fast path; a decline
-                # would silently lose the scale-tier speedup.
-                assert kinds and kinds not in ({str}, {int}, {bool}, {float}), (
-                    f"fast path declined a homogeneous column of {kinds}"
-                )
-                return
-            codes, decode = interned
+    def assert_matches_reference(values):
         expected_codes, expected_decode = reference_intern(values)
-        assert list(codes) == expected_codes
-        assert decode == expected_decode
-        # Identity, not just equality: each decode entry must be the exact
-        # first-occurrence object of its group (what the dict loop keeps).
-        for actual, expected in zip(decode, expected_decode):
-            assert actual is expected
+        for codes, decode in column_codes_on_both_backends(values).values():
+            assert codes == expected_codes
+            # Identity, not just equality: each decode entry must be the
+            # exact first-occurrence object of its group.
+            assert len(decode) == len(expected_decode)
+            for actual, expected in zip(decode, expected_decode):
+                assert actual is expected
 
 
 class TestCounterPrng:
@@ -560,7 +540,8 @@ class TestBackendSelection:
         before = backend_name()
         with force_backend("python"):
             assert backend_name() == "python"
-            assert active().intern(("a", "b")) is None
+            codes, decode = active().intern(("a", "b", "a"))
+            assert (list(codes), decode) == ([0, 1, 0], ("a", "b"))
         assert backend_name() == before
 
     @requires_numpy

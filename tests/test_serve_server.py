@@ -25,6 +25,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.study import AlgorithmSpec, DatasetSpec
 from repro.serve import ServeServer, ServerThread, ServeState
 from repro.serve.query import render_cell
+from repro.serve.state import MAX_DATASET_ROWS, ServeRequestError
 
 ROWS = 80
 SEED = 42
@@ -207,6 +208,44 @@ class TestHttpContract:
         assert _request(server, "GET", "/nope")[0] == 404
         assert _request(server, "GET", "/anonymize")[0] == 405
         assert _request(server, "POST", "/health")[0] == 405
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"rows": "x"},
+            {"rows": -5},
+            {"rows": 0},
+            {"bogus": 1},
+            {"seed": "s"},
+            {"rows": 2.5},
+            {"rows": True},
+            {"seed": False},
+        ],
+        ids=[
+            "rows-str", "rows-negative", "rows-zero", "unknown-param",
+            "seed-str", "rows-float", "rows-bool", "seed-bool",
+        ],
+    )
+    def test_malformed_dataset_params_are_400(self, server, params):
+        status, body = _request(
+            server, "POST", "/anonymize",
+            {
+                "dataset": {"provider": "adult", "params": params},
+                "algorithm": CELL,
+            },
+        )
+        assert status == 400, body
+        assert "dataset.params" in body["error"] or "unknown dataset params" in body["error"]
+
+    def test_dataset_rows_ceiling(self, server):
+        def spec(rows):
+            return server.state.dataset_spec(
+                {"provider": "adult", "params": {"rows": rows}}
+            )
+
+        assert dict(spec(MAX_DATASET_ROWS).params) == {"rows": MAX_DATASET_ROWS}
+        with pytest.raises(ServeRequestError, match="rows must be from 1"):
+            spec(MAX_DATASET_ROWS + 1)
 
     def test_malformed_json_body_is_400(self, server):
         connection = http.client.HTTPConnection(
