@@ -10,19 +10,36 @@ kernel with pytest-benchmark, and prints the reproduced table/figure data
 from __future__ import annotations
 
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
 
 from repro.datasets import adult_dataset, adult_hierarchies
 from repro.datasets import paper_tables
-# Re-exported for the trajectory benchmarks: one percentile and one git
-# revision helper for the serve bench and the pytest benchmarks alike.
-from repro.serve.workload import git_rev, percentile  # noqa: F401
+# Re-exported for the trajectory benchmarks: the one percentile the e2e
+# harness and the pytest benchmarks share.
+from repro.serve.workload import percentile  # noqa: F401
+from repro.utility.atomic import atomic_write_text
 
 #: Schema id of benchmark trajectory files — must match
 #: ``repro.lint.artifacts.BENCH_SCHEMA`` (ART012 validates what we emit).
 BENCH_SCHEMA = "repro.bench/trajectory@1"
+
+
+def git_rev() -> str:
+    """Short git revision of the working tree, or ``"unknown"``."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except OSError:
+        return "unknown"
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else "unknown"
 
 
 def pytest_addoption(parser):
@@ -61,7 +78,9 @@ def record_trajectory(path, suite, cases, quick):
     Creates the file with the ``repro.bench/trajectory@1`` envelope if it
     does not exist; otherwise appends to its ``entries`` list so the file
     accumulates wall-time percentiles over the repo's history.  Written
-    sorted and indented so trajectory diffs stay reviewable.
+    atomically, so an interrupted run never truncates a committed
+    trajectory, and sorted and indented so trajectory diffs stay
+    reviewable.
     """
     target = Path(path)
     payload = {"schema": BENCH_SCHEMA, "suite": suite, "entries": []}
@@ -72,8 +91,8 @@ def record_trajectory(path, suite, cases, quick):
     payload["entries"].append(
         {"git_rev": git_rev(), "quick": bool(quick), "cases": cases}
     )
-    target.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    atomic_write_text(
+        target, json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     return target
 

@@ -12,7 +12,6 @@ Subcommands mirror the workflow of the examples:
   content-addressed study runtime (:mod:`repro.runtime`);
 * ``repro serve`` — long-lived anonymization service over HTTP
   (:mod:`repro.serve`);
-* ``repro bench`` — concurrent workload benchmarks (``bench serve``);
 * ``repro obs`` — summarize a run's trace/metrics artifacts
   (:mod:`repro.obs`);
 * ``repro lint`` — static analysis (codebase rules + artifact checks).
@@ -159,12 +158,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     serve_cli.configure_serve_parser(serve)
 
-    bench = commands.add_parser(
-        "bench",
-        help="concurrent workload benchmarks (suite: serve)",
-    )
-    serve_cli.configure_bench_parser(bench)
-
     obs = commands.add_parser(
         "obs",
         help="summarize a run directory's trace/metrics artifacts",
@@ -285,7 +278,6 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
     "attack": _cmd_attack,
     "serve": serve_cli.run_serve,
-    "bench": serve_cli.run_bench,
     "obs": obs_cli.run,
     "lint": lint_cli.run,
 }

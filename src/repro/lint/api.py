@@ -20,7 +20,6 @@ from typing import Any, Iterable, Mapping
 from ..hierarchy.base import Hierarchy
 from .artifacts import (
     ARTIFACT_RULES,
-    SERVE_BENCH_SCHEMA,
     check_bench_artifacts,
     check_cache_store,
     check_hierarchies,
@@ -32,7 +31,6 @@ from .artifacts import (
     check_profile,
     check_property_vectors,
     check_run_artifacts,
-    check_serve_bench_artifacts,
     check_unary_index,
 )
 from .diagnostics import (
@@ -58,7 +56,6 @@ from . import taint as _taint  # noqa: F401 — importing registers REP101-REP10
 __all__ = [
     "apply_baseline",
     "ARTIFACT_RULES",
-    "SERVE_BENCH_SCHEMA",
     "check_bench_artifacts",
     "check_cache_store",
     "check_hierarchies",
@@ -70,7 +67,6 @@ __all__ = [
     "check_profile",
     "check_property_vectors",
     "check_run_artifacts",
-    "check_serve_bench_artifacts",
     "check_shipped_artifacts",
     "check_unary_index",
     "Diagnostic",

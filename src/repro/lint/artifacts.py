@@ -23,9 +23,13 @@ Rule ids
 ``ART009``  runtime run-log contract (manifest + events)
 ``ART010``  content-addressed cache store integrity
 ``ART011``  observability artifact contract (trace + metrics files)
-``ART012``  benchmark trajectory contract (``BENCH_*.json`` files)
-``ART013``  serve benchmark contract (``BENCH_serve.json`` documents)
+``ART012``  benchmark trajectory contract (every ``BENCH_*.json`` file)
 ========  ====================================================
+
+Every ``BENCH_*.json`` file must be a ``repro.bench/trajectory@1``
+trajectory.  A file with any other schema tag — a leftover
+``repro.bench/serve@1`` document, say — is one ``ART012`` error naming
+the unexpected schema.
 """
 
 from __future__ import annotations
@@ -1152,123 +1156,6 @@ def check_bench_artifacts(path: str | Path, label: str | None = None) -> list[Di
     return out.findings
 
 
-#: Schema id of serve benchmark documents (``BENCH_serve.json``).
-SERVE_BENCH_SCHEMA = "repro.bench/serve@1"
-
-#: Per-endpoint latency percentile fields, in non-decreasing order.
-_SERVE_PERCENTILE_FIELDS = ("p50_ms", "p95_ms", "p99_ms")
-
-
-def check_serve_bench_artifacts(
-    path: str | Path, label: str | None = None
-) -> list[Diagnostic]:
-    """Validate a serve benchmark document (``ART013``).
-
-    ``BENCH_serve.json`` is the flat single-run record ``repro bench
-    serve`` writes: the ``repro.bench/serve@1`` schema, the concurrent
-    client count, run-level ``throughput_rps > 0``, the producing
-    ``git_rev``, and one latency block per exercised endpoint with
-    ``p50_ms <= p95_ms <= p99_ms``.  Unlike the ART012 trajectories it is
-    a snapshot, not an append-only history — every bench run replaces it.
-    """
-    out = DiagnosticCollector()
-    file_path = Path(path)
-    where = {"path": label or str(file_path)}
-    try:
-        with file_path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except FileNotFoundError:
-        out.error("ART013", f"{file_path} does not exist", **where)
-        return out.findings
-    except (json.JSONDecodeError, OSError) as exc:
-        out.error("ART013", f"{file_path} is not readable JSON: {exc}", **where)
-        return out.findings
-    if not isinstance(payload, dict):
-        out.error("ART013", "a serve benchmark document is a JSON object", **where)
-        return out.findings
-    if payload.get("schema") != SERVE_BENCH_SCHEMA:
-        out.error(
-            "ART013",
-            f"schema is {payload.get('schema')!r}, expected {SERVE_BENCH_SCHEMA!r}",
-            **where,
-        )
-        return out.findings
-    git_rev = payload.get("git_rev")
-    if not isinstance(git_rev, str) or not git_rev:
-        out.error("ART013", "git_rev must be a non-empty string", **where)
-    clients = payload.get("clients")
-    if isinstance(clients, bool) or not isinstance(clients, int) or clients < 1:
-        out.error(
-            "ART013",
-            f"clients must be a positive integer, got {clients!r}",
-            **where,
-        )
-    throughput = payload.get("throughput_rps")
-    if (
-        isinstance(throughput, bool)
-        or not isinstance(throughput, (int, float))
-        or throughput <= 0
-    ):
-        out.error(
-            "ART013",
-            f"throughput_rps must be a positive number, got {throughput!r}",
-            hint="a zero-throughput run recorded no completed requests",
-            **where,
-        )
-    endpoints = payload.get("endpoints")
-    if not isinstance(endpoints, dict) or not endpoints:
-        out.error(
-            "ART013",
-            "endpoints must be a non-empty object "
-            "(one latency block per exercised endpoint)",
-            hint="regenerate with `repro bench serve`",
-            **where,
-        )
-        return out.findings
-    for endpoint in sorted(endpoints):
-        block = endpoints[endpoint]
-        tag = f"endpoints[{endpoint}]"
-        if not isinstance(block, dict):
-            out.error("ART013", f"{tag} must be an object", **where)
-            continue
-        requests = block.get("requests")
-        if (
-            isinstance(requests, bool)
-            or not isinstance(requests, int)
-            or requests < 1
-        ):
-            out.error(
-                "ART013",
-                f"{tag}.requests must be a positive integer, got {requests!r}",
-                **where,
-            )
-        bad = False
-        for field_name in _SERVE_PERCENTILE_FIELDS:
-            value = block.get(field_name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                out.error(
-                    "ART013", f"{tag}.{field_name} must be a number", **where
-                )
-                bad = True
-            elif value < 0:
-                out.error(
-                    "ART013",
-                    f"{tag}.{field_name} must be non-negative, got {value}",
-                    **where,
-                )
-                bad = True
-        if not bad:
-            ordered = [block[name] for name in _SERVE_PERCENTILE_FIELDS]
-            if not (ordered[0] <= ordered[1] <= ordered[2]):
-                out.error(
-                    "ART013",
-                    f"{tag} percentiles must be non-decreasing "
-                    f"(p50 <= p95 <= p99), got {ordered}",
-                    **where,
-                )
-    return out.findings
-
-
 #: Artifact rule ids -> one-line descriptions, for ``--select`` validation
 #: (artifact rules live outside the AST-rule registry in :mod:`.engine`).
 ARTIFACT_RULES: dict[str, str] = {
@@ -1283,6 +1170,5 @@ ARTIFACT_RULES: dict[str, str] = {
     "ART009": "runtime run-log contract (manifest + events)",
     "ART010": "content-addressed cache store integrity",
     "ART011": "observability artifact contract (trace + metrics files)",
-    "ART012": "benchmark trajectory contract (BENCH_*.json files)",
-    "ART013": "serve benchmark contract (BENCH_serve.json documents)",
+    "ART012": "benchmark trajectory contract (every BENCH_*.json file)",
 }

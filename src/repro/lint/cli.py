@@ -14,7 +14,6 @@ thinks).
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import Sequence
 
@@ -83,8 +82,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "(manifest.json + events.jsonl, ART009; trace.json/metrics.json, "
         "ART011), a content-addressed cache store (objects/, ART010), an "
         "exported trace/metrics JSON file (ART011), or a BENCH_*.json "
-        "benchmark file (trajectory ART012, serve document ART013 — "
-        "routed by schema tag)",
+        "benchmark trajectory (ART012; any other schema is an ART012 "
+        "error)",
     )
     parser.add_argument(
         "--trace",
@@ -114,24 +113,6 @@ def _partition_selectors(
     code = [rule_id for rule_id in expanded if rule_id in registry]
     artifact = [rule_id for rule_id in expanded if rule_id in api.ARTIFACT_RULES]
     return (code or None), artifact
-
-
-def _check_bench_file(target: Path) -> list[Diagnostic]:
-    """Route one ``BENCH_*.json`` file to its checker by schema tag.
-
-    Serve benchmark documents (``repro.bench/serve@1``) validate under
-    ART013; everything else — including unreadable files — falls through
-    to the ART012 trajectory checker, which reports the failure.
-    """
-    try:
-        with target.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        schema = payload.get("schema") if isinstance(payload, dict) else None
-    except (json.JSONDecodeError, OSError):
-        schema = None
-    if schema == api.SERVE_BENCH_SCHEMA:
-        return api.check_serve_bench_artifacts(target)
-    return api.check_bench_artifacts(target)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -173,7 +154,7 @@ def run(args: argparse.Namespace) -> int:
             return 2
         if target.is_file():
             if target.name.startswith("BENCH_") and target.suffix == ".json":
-                findings.extend(_check_bench_file(target))
+                findings.extend(api.check_bench_artifacts(target))
             else:
                 findings.extend(api.check_obs_artifacts(target))
             continue

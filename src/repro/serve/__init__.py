@@ -1,4 +1,4 @@
-"""repro.serve — the resident anonymization service and its workload plane.
+"""repro.serve — the resident anonymization service.
 
 The batch runtime (:mod:`repro.runtime`) answers "run this study once";
 this package answers "keep the study's state resident and serve it".  One
@@ -6,9 +6,9 @@ this package answers "keep the study's state resident and serve it".  One
 and the content-addressed :class:`~repro.runtime.cache.ResultCache` in
 memory; one :class:`ServeServer` exposes them over a stdlib asyncio HTTP
 router (``anonymize`` / ``properties`` / ``compare`` / ``query``) with
-per-request :mod:`repro.obs` spans and graceful signal-driven shutdown;
-:mod:`repro.serve.workload` drives concurrent mixed workloads against it
-and records the ``BENCH_serve.json`` benchmark document.
+per-request :mod:`repro.obs` spans and graceful signal-driven shutdown.
+:mod:`repro.serve.workload` holds the deterministic request mix the
+repository benchmark (``benchmarks/e2e``) replays against it.
 
 Cache keys are bit-compatible with ``repro study``: point ``repro serve
 --cache-dir`` at a study's store and warm requests never recompute — and
@@ -20,16 +20,7 @@ See ``docs/serve.md`` for the architecture and endpoint reference.
 from .query import GROUPBY_AGGREGATES, QUERY_SHAPES, QueryError, run_query
 from .server import HttpRequest, ServeServer, ServerThread
 from .state import ServeRequestError, ServeState
-from .workload import (
-    SERVE_BENCH_SCHEMA,
-    WORKLOAD_CELLS,
-    WORKLOAD_ENDPOINTS,
-    anonymize_hit_rate,
-    build_plan,
-    run_workload,
-    summarize,
-    write_bench,
-)
+from .workload import WORKLOAD_CELLS, WORKLOAD_ENDPOINTS, build_plan
 
 __all__ = [
     "GROUPBY_AGGREGATES",
@@ -41,12 +32,7 @@ __all__ = [
     "ServerThread",
     "ServeRequestError",
     "ServeState",
-    "SERVE_BENCH_SCHEMA",
     "WORKLOAD_CELLS",
     "WORKLOAD_ENDPOINTS",
-    "anonymize_hit_rate",
     "build_plan",
-    "run_workload",
-    "summarize",
-    "write_bench",
 ]

@@ -1,17 +1,9 @@
-"""The ``repro serve`` and ``repro bench serve`` subcommands.
+"""The ``repro serve`` subcommand.
 
 ``repro serve`` boots the resident anonymization service and blocks until
-a signal (or ``POST /shutdown``) drains it; ``repro bench serve`` boots a
-private server on an ephemeral port, fires the concurrent mixed workload
-at it, and writes the ``BENCH_serve.json`` benchmark document (validated
-by lint rule ``ART013``).  Both share the study runtime's cache
-conventions — point either at a ``repro study`` cache directory and warm
-results are served without recomputation.
-
-``repro bench serve --expect-cached`` mirrors ``repro study
---expect-cached``: it exits with code 3 unless every ``anonymize``
-request was served from cache (memory or disk) — the CI warm-rerun
-assertion.
+a signal (or ``POST /shutdown``) drains it.  It shares the study
+runtime's cache conventions — point it at a ``repro study`` cache
+directory and warm results are served without recomputation.
 """
 
 from __future__ import annotations
@@ -21,20 +13,26 @@ import asyncio
 
 from ..obs import NULL_OBSERVATION, Observation
 from ..runtime.cache import ResultCache
-from ..runtime.cli import EXIT_NOT_CACHED
 from ..runtime.study import DATASET_PROVIDERS, DatasetSpec
-from .server import ServeServer, ServerThread
+from .server import ServeServer
 from .state import ServeState
-from .workload import (
-    WORKLOAD_ENDPOINTS,
-    anonymize_hit_rate,
-    run_workload,
-    summarize,
-    write_bench,
-)
 
 
-def _add_shared_arguments(parser: argparse.ArgumentParser) -> None:
+def configure_serve_parser(parser: argparse.ArgumentParser) -> None:
+    """Attach the ``repro serve`` arguments to a subcommand parser."""
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port",
+        type=int,
+        default=8200,
+        help="bind port; 0 binds an ephemeral port, printed on stdout",
+    )
+    parser.add_argument(
+        "--drain-timeout",
+        type=float,
+        default=5.0,
+        help="seconds shutdown waits for in-flight requests (default: 5)",
+    )
     parser.add_argument(
         "--dataset",
         choices=sorted(DATASET_PROVIDERS),
@@ -74,43 +72,21 @@ def _add_shared_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def configure_serve_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``repro serve`` arguments to a subcommand parser."""
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8200,
-        help="bind port; 0 binds an ephemeral port, printed on stdout",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=5.0,
-        help="seconds shutdown waits for in-flight requests (default: 5)",
-    )
-    _add_shared_arguments(parser)
-
-
-def _build_state(args: argparse.Namespace) -> ServeState:
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return ServeState(
+def run_serve(args: argparse.Namespace) -> int:
+    """Execute ``repro serve``: block until drained, then exit cleanly."""
+    state = ServeState(
         default_dataset=DatasetSpec.of(
             args.dataset, rows=args.rows, seed=args.seed
         ),
-        cache=cache,
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
         seed=args.seed,
         max_resident=args.max_resident,
     )
-
-
-def run_serve(args: argparse.Namespace) -> int:
-    """Execute ``repro serve``: block until drained, then exit cleanly."""
     observation = (
         Observation() if (args.trace or args.metrics) else NULL_OBSERVATION
     )
     server = ServeServer(
-        _build_state(args),
+        state,
         host=args.host,
         port=args.port,
         observation=observation,
@@ -119,104 +95,4 @@ def run_serve(args: argparse.Namespace) -> int:
         metrics_path=args.metrics,
     )
     asyncio.run(server.serve())
-    return 0
-
-
-def configure_bench_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``repro bench`` arguments to a subcommand parser."""
-    suites = parser.add_subparsers(dest="suite", required=True)
-    serve = suites.add_parser(
-        "serve",
-        help="concurrent mixed workload against a private resident server",
-    )
-    serve.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        help="concurrent workload clients (default: 4)",
-    )
-    serve.add_argument(
-        "--requests",
-        type=int,
-        default=len(WORKLOAD_ENDPOINTS),
-        help="requests per client; the first "
-        f"{len(WORKLOAD_ENDPOINTS)} cover every endpoint once "
-        f"(default: {len(WORKLOAD_ENDPOINTS)})",
-    )
-    serve.add_argument(
-        "--bench-json",
-        metavar="FILE",
-        default="BENCH_serve.json",
-        help="benchmark document destination (default: BENCH_serve.json)",
-    )
-    serve.add_argument(
-        "--quick",
-        action="store_true",
-        help="mark the document as a smoke run (recorded, not compared)",
-    )
-    serve.add_argument(
-        "--expect-cached",
-        action="store_true",
-        help="fail (exit 3) unless every anonymize request hit the cache",
-    )
-    _add_shared_arguments(serve)
-
-
-def run_bench(args: argparse.Namespace) -> int:
-    """Execute ``repro bench serve`` and return the process exit code."""
-    # Metrics are always live for a bench run — the cache-hit-rate
-    # assertion reads them; --trace/--metrics only control the exports.
-    observation = Observation()
-    server = ServeServer(
-        _build_state(args),
-        port=0,
-        observation=observation,
-        trace_path=args.trace,
-        metrics_path=args.metrics,
-    )
-    thread = ServerThread(server)
-    thread.start()
-    try:
-        raw = run_workload(
-            server.host,
-            server.port,
-            clients=args.clients,
-            requests=args.requests,
-            seed=args.seed,
-        )
-    finally:
-        thread.stop()
-    hit_rate = anonymize_hit_rate(observation.metrics.snapshot())
-    doc = summarize(raw, quick=args.quick, anonymize_cache_hit_rate=hit_rate)
-    path = write_bench(doc, args.bench_json)
-
-    print(
-        f"bench serve: {doc['clients']} client(s) x {args.requests} request(s) "
-        f"-> {doc['requests']} completed, {doc['errors']} error(s), "
-        f"{doc['throughput_rps']:.1f} req/s over {doc['duration_s']:.2f}s"
-    )
-    for endpoint, stats in doc["endpoints"].items():
-        print(
-            f"  {endpoint:<16} n={stats['requests']:<4} "
-            f"p50={stats['p50_ms']:.2f}ms p95={stats['p95_ms']:.2f}ms "
-            f"p99={stats['p99_ms']:.2f}ms"
-        )
-    if hit_rate is not None:
-        print(f"anonymize cache-hit rate: {hit_rate * 100.0:.1f}%")
-    print(f"bench: document -> {path}")
-
-    if args.trace:
-        print(f"trace: -> {args.trace}")
-    if args.metrics:
-        print(f"metrics: -> {args.metrics}")
-    if doc["errors"]:
-        print(f"bench serve: {doc['errors']} request(s) failed")
-        return 1
-    if args.expect_cached and (hit_rate is None or hit_rate < 1.0):
-        shown = "no anonymize traffic" if hit_rate is None else f"{hit_rate * 100.0:.1f}%"
-        print(
-            f"--expect-cached: anonymize cache-hit rate was {shown}; "
-            "the store was not warm"
-        )
-        return EXIT_NOT_CACHED
     return 0

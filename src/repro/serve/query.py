@@ -4,7 +4,7 @@ Query answering over an anonymized release is the classic utility measure
 for disclosure control (Rastogi–Suciu): the more a release is generalized,
 the fewer rows a selective predicate can still match, and the further an
 aggregate drifts from its raw-data value.  This module implements the six
-workload shapes of the concurrent benchmark plane — point lookup, range,
+query shapes of the serve request mix — point lookup, range,
 group-by aggregate, top-k, distinct-count and join — as one registered
 task operation (``serve.query``) over *released* tables only.
 

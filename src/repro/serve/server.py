@@ -532,7 +532,7 @@ class ServeServer:
 
 
 class ServerThread:
-    """Run a :class:`ServeServer` on a daemon thread (tests, bench driver).
+    """Run a :class:`ServeServer` on a daemon thread (tests, embedding).
 
     ``start()`` blocks until the port is bound and returns the base URL;
     ``stop()`` triggers graceful shutdown through the owning loop and

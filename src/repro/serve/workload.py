@@ -1,42 +1,22 @@
-"""Concurrent query-workload driver for the resident service.
+"""The serve request mix the e2e harness replays.
 
-``repro bench serve`` is the benchmark substrate every scaling PR measures
-against: it boots (or targets) one :class:`~repro.serve.server.ServeServer`
-and fires *N* concurrent clients over a mixed workload — ``anonymize``,
-``properties``, ``compare`` and all six ``query`` shapes — recording
-per-endpoint p50/p95/p99 latency and aggregate throughput into a
-``BENCH_serve.json`` document (schema ``repro.bench/serve@1``, validated
-by lint rule ``ART013``).
+``benchmarks/e2e/bench.py`` drives ``repro serve`` with this mix for its
+``serve-4k`` workload: ``anonymize``, ``properties``, ``compare`` and all
+six ``query`` shapes, phrased over the Adult release schema.
 
 Client plans are deterministic: client *i* of a run seeded ``s`` always
 issues the same request sequence (seeded via
-:func:`~repro.runtime.task.derive_seed`), so two benchmark runs against
-the same cache directory replay an identical workload — which is what
-makes the warm-rerun cache-hit assertion in CI meaningful.
-
-Each client keeps one ``http.client`` connection alive for its whole plan,
-so measured latency is request handling, not connection setup.  Latency is
-measured client-side around the full HTTP round trip; the server's own
-``serve.latency_ms.*`` histograms land in the merged obs metrics export.
+:func:`~repro.runtime.task.derive_seed`), so two passes against the same
+cache directory replay an identical workload — which is what makes the
+harness's warm-pass and pinned-digest checks meaningful.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
-import subprocess
-import threading
-import time
-from pathlib import Path
 from random import Random
-from typing import Any, Mapping
+from typing import Any
 
 from ..runtime.task import derive_seed
-from ..utility.atomic import atomic_write_text
-from .query import QUERY_SHAPES
-
-#: Schema tag of the flat single-run benchmark document (see ``ART013``).
-SERVE_BENCH_SCHEMA = "repro.bench/serve@1"
 
 #: Endpoints the mixed workload exercises, in plan-seeding order.
 WORKLOAD_ENDPOINTS = (
@@ -52,7 +32,7 @@ WORKLOAD_ENDPOINTS = (
 )
 
 #: Algorithm cells the workload rotates through (modest k values so a
-#: cold bench stays quick; the cache makes every later pass free).
+#: cold pass stays quick; the cache makes every later pass free).
 WORKLOAD_CELLS = (
     {"algorithm": "samarati", "params": {"k": 2}},
     {"algorithm": "mondrian", "params": {"k": 2}},
@@ -79,21 +59,6 @@ def percentile(values: list[float], q: float) -> float:
     low = int(rank)
     high = min(low + 1, len(ordered) - 1)
     return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
-
-
-def git_rev() -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except OSError:
-        return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
 
 
 def _request_payload(endpoint: str, rng: Random) -> tuple[str, dict[str, Any]]:
@@ -132,7 +97,7 @@ def build_plan(
 
     Returns ``requests`` triples of ``(endpoint, path, body)``.  The plan
     opens with one request per workload endpoint (so even the smallest
-    bench covers all six query shapes), then fills with a seeded mix.
+    plan covers all six query shapes), then fills with a seeded mix.
     """
     if requests < 1:
         raise ValueError(f"requests must be positive, got {requests}")
@@ -145,161 +110,3 @@ def build_plan(
         path, body = _request_payload(endpoint, rng)
         plan.append((endpoint, path, body))
     return plan
-
-
-class _Client(threading.Thread):
-    """One workload client: a keep-alive connection replaying its plan."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        plan: list[tuple[str, str, dict[str, Any]]],
-        timeout: float,
-    ):
-        super().__init__(daemon=True)
-        self._host = host
-        self._port = port
-        self._plan = plan
-        self._timeout = timeout
-        #: ``(endpoint, latency_ms, status)`` per completed request.
-        self.samples: list[tuple[str, float, int]] = []
-        self.errors: list[str] = []
-
-    def run(self) -> None:
-        connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=self._timeout
-        )
-        try:
-            for endpoint, path, body in self._plan:
-                payload = json.dumps(body).encode("utf-8")
-                started = time.monotonic()
-                try:
-                    connection.request(
-                        "POST",
-                        path,
-                        body=payload,
-                        headers={"Content-Type": "application/json"},
-                    )
-                    response = connection.getresponse()
-                    response.read()
-                    status = response.status
-                except (http.client.HTTPException, OSError) as exc:
-                    self.errors.append(f"{endpoint}: {type(exc).__name__}")
-                    connection.close()
-                    connection = http.client.HTTPConnection(
-                        self._host, self._port, timeout=self._timeout
-                    )
-                    continue
-                elapsed_ms = (time.monotonic() - started) * 1000.0
-                self.samples.append((endpoint, elapsed_ms, status))
-                if status >= 400:
-                    self.errors.append(f"{endpoint}: HTTP {status}")
-        finally:
-            connection.close()
-
-
-def run_workload(
-    host: str,
-    port: int,
-    clients: int = 4,
-    requests: int = len(WORKLOAD_ENDPOINTS),
-    seed: int = 42,
-    timeout: float = 120.0,
-) -> dict[str, Any]:
-    """Fire ``clients`` concurrent clients and aggregate their samples.
-
-    Returns the raw aggregation — per-endpoint latency samples, error
-    list, wall-clock duration — ready for :func:`summarize`.
-    """
-    if clients < 1:
-        raise ValueError(f"clients must be positive, got {clients}")
-    workers = [
-        _Client(host, port, build_plan(seed, index, requests), timeout)
-        for index in range(clients)
-    ]
-    started = time.monotonic()
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    duration_s = time.monotonic() - started
-    by_endpoint: dict[str, list[float]] = {}
-    errors: list[str] = []
-    completed = 0
-    for worker in workers:
-        errors.extend(worker.errors)
-        for endpoint, latency_ms, _status in worker.samples:
-            completed += 1
-            by_endpoint.setdefault(endpoint, []).append(latency_ms)
-    return {
-        "clients": clients,
-        "requests": completed,
-        "errors": errors,
-        "duration_s": duration_s,
-        "by_endpoint": by_endpoint,
-    }
-
-
-def summarize(
-    raw: Mapping[str, Any],
-    quick: bool = False,
-    anonymize_cache_hit_rate: float | None = None,
-) -> dict[str, Any]:
-    """Fold a :func:`run_workload` aggregation into the bench document.
-
-    The result is the flat ``repro.bench/serve@1`` payload ``ART013``
-    validates: one latency-percentile block per endpoint plus run-level
-    throughput, error count and git revision.
-    """
-    duration = float(raw["duration_s"])
-    endpoints = {
-        endpoint: {
-            "requests": len(samples),
-            "p50_ms": percentile(samples, 0.50),
-            "p95_ms": percentile(samples, 0.95),
-            "p99_ms": percentile(samples, 0.99),
-        }
-        for endpoint, samples in sorted(raw["by_endpoint"].items())
-        if samples
-    }
-    doc: dict[str, Any] = {
-        "schema": SERVE_BENCH_SCHEMA,
-        "suite": "serve",
-        "git_rev": git_rev(),
-        "quick": bool(quick),
-        "clients": int(raw["clients"]),
-        "requests": int(raw["requests"]),
-        "errors": len(raw["errors"]),
-        "duration_s": duration,
-        "throughput_rps": (raw["requests"] / duration) if duration > 0 else 0.0,
-        "endpoints": endpoints,
-    }
-    if anonymize_cache_hit_rate is not None:
-        doc["anonymize_cache_hit_rate"] = float(anonymize_cache_hit_rate)
-    return doc
-
-
-def write_bench(doc: Mapping[str, Any], path: str | Path) -> Path:
-    """Write a bench document to ``path`` (atomic, sorted, indented)."""
-    target = Path(path)
-    atomic_write_text(
-        target, json.dumps(dict(doc), indent=2, sort_keys=True) + "\n"
-    )
-    return target
-
-
-def anonymize_hit_rate(snapshot: Mapping[str, Any]) -> float | None:
-    """The anonymize cache-hit rate of one obs metrics snapshot.
-
-    Hits are serve-plane memory + disk cache hits; the denominator adds
-    cold computes.  ``None`` when the snapshot saw no anonymize traffic.
-    """
-    counters = snapshot.get("counters", {})
-    memory = counters.get("serve.release.memory_hit", 0)
-    disk = counters.get("serve.release.disk_hit", 0)
-    computed = counters.get("serve.release.computed", 0)
-    total = memory + disk + computed
-    if total == 0:
-        return None
-    return (memory + disk) / total

@@ -588,6 +588,31 @@ class TestBenchCli:
         assert main(["lint", "--no-code", "--runtime", str(broken)]) == 1
         assert "ART012" in capsys.readouterr().out
 
+    def test_stale_serve_document_is_one_art012_error(self, tmp_path, capsys):
+        # A leftover serve benchmark document is not a trajectory: it must
+        # fail with one finding naming its schema, not crash or pass.
+        from repro.cli import main
+
+        stale = tmp_path / "BENCH_serve.json"
+        stale.write_text(
+            json.dumps(
+                {
+                    "schema": "repro.bench/serve@1",
+                    "suite": "serve",
+                    "git_rev": "abc1234",
+                    "clients": 4,
+                    "throughput_rps": 36.0,
+                    "endpoints": {},
+                }
+            ),
+            encoding="utf-8",
+        )
+        argv = ["lint", "--no-code", "--strict", "--format", "json"]
+        assert main(argv + ["--runtime", str(stale)]) == 1
+        findings = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert [finding["rule"] for finding in findings] == ["ART012"]
+        assert "'repro.bench/serve@1'" in findings[0]["message"]
+
     def test_select_art012_filters_runtime_findings(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -1,32 +1,9 @@
-"""The workload driver and bench plane: plans, documents, ART013."""
-
-import argparse
-import json
+"""The serve request mix the e2e harness replays: plans and percentiles."""
 
 import pytest
 
-from repro.lint import api
-from repro.serve import (
-    SERVE_BENCH_SCHEMA,
-    WORKLOAD_ENDPOINTS,
-    anonymize_hit_rate,
-    build_plan,
-    summarize,
-    write_bench,
-)
-from repro.serve.cli import configure_bench_parser, run_bench
+from repro.serve import WORKLOAD_ENDPOINTS, build_plan
 from repro.serve.workload import percentile
-
-
-def _bench_args(**overrides):
-    parser = argparse.ArgumentParser()
-    configure_bench_parser(parser)
-    argv = ["serve", "--rows", "60", "--clients", "4"]
-    for flag, value in overrides.items():
-        argv.append(f"--{flag.replace('_', '-')}")
-        if value is not True:
-            argv.append(str(value))
-    return parser.parse_args(argv)
 
 
 class TestPlans:
@@ -67,178 +44,3 @@ class TestPercentile:
         assert percentile([0.0, 10.0], 0.5) == 5.0
         assert percentile([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
         assert percentile([4.0, 3.0, 1.0, 2.0], 0.0) == 1.0
-
-
-class TestSummarize:
-    def _raw(self):
-        return {
-            "clients": 4,
-            "requests": 8,
-            "errors": [],
-            "duration_s": 2.0,
-            "by_endpoint": {
-                "anonymize": [5.0, 7.0, 6.0, 8.0],
-                "query:point": [1.0, 2.0, 1.5, 1.2],
-            },
-        }
-
-    def test_document_shape_and_percentile_order(self):
-        doc = summarize(self._raw(), quick=True, anonymize_cache_hit_rate=1.0)
-        assert doc["schema"] == SERVE_BENCH_SCHEMA
-        assert doc["throughput_rps"] == pytest.approx(4.0)
-        assert doc["anonymize_cache_hit_rate"] == 1.0
-        for stats in doc["endpoints"].values():
-            assert stats["p50_ms"] <= stats["p95_ms"] <= stats["p99_ms"]
-
-    def test_document_passes_art013(self, tmp_path):
-        doc = summarize(self._raw())
-        path = write_bench(doc, tmp_path / "BENCH_serve.json")
-        assert api.check_serve_bench_artifacts(path) == []
-
-
-class TestArt013:
-    def _valid(self):
-        return {
-            "schema": SERVE_BENCH_SCHEMA,
-            "suite": "serve",
-            "git_rev": "abc1234",
-            "quick": False,
-            "clients": 4,
-            "requests": 36,
-            "errors": 0,
-            "duration_s": 1.0,
-            "throughput_rps": 36.0,
-            "endpoints": {
-                "anonymize": {
-                    "requests": 4, "p50_ms": 5.0, "p95_ms": 9.0, "p99_ms": 9.5
-                }
-            },
-        }
-
-    def _check(self, tmp_path, doc):
-        path = tmp_path / "BENCH_serve.json"
-        path.write_text(json.dumps(doc))
-        return api.check_serve_bench_artifacts(path)
-
-    def test_valid_document_is_clean(self, tmp_path):
-        assert self._check(tmp_path, self._valid()) == []
-
-    def test_missing_file_and_bad_json(self, tmp_path):
-        assert api.check_serve_bench_artifacts(tmp_path / "nope.json")
-        bad = tmp_path / "BENCH_serve.json"
-        bad.write_text("{broken")
-        assert api.check_serve_bench_artifacts(bad)
-
-    def test_wrong_schema_rejected(self, tmp_path):
-        doc = self._valid()
-        doc["schema"] = "repro.bench/trajectory@1"
-        findings = self._check(tmp_path, doc)
-        assert any("schema" in f.message for f in findings)
-
-    @pytest.mark.parametrize(
-        "field,value,fragment",
-        [
-            ("git_rev", "", "git_rev"),
-            ("clients", 0, "clients"),
-            ("throughput_rps", 0, "throughput_rps"),
-            ("endpoints", {}, "endpoints"),
-        ],
-    )
-    def test_run_level_violations(self, tmp_path, field, value, fragment):
-        doc = self._valid()
-        doc[field] = value
-        findings = self._check(tmp_path, doc)
-        assert any(fragment in f.message for f in findings)
-        assert all(f.rule == "ART013" for f in findings)
-
-    def test_percentile_inversion_rejected(self, tmp_path):
-        doc = self._valid()
-        doc["endpoints"]["anonymize"]["p95_ms"] = 99.0
-        doc["endpoints"]["anonymize"]["p99_ms"] = 9.0
-        findings = self._check(tmp_path, doc)
-        assert any("non-decreasing" in f.message for f in findings)
-
-    def test_lint_cli_routes_serve_documents_to_art013(self, tmp_path):
-        # The generic --runtime BENCH_*.json entry point must dispatch on
-        # the schema tag, not the filename.
-        from repro.lint.cli import _check_bench_file
-
-        doc = self._valid()
-        doc["throughput_rps"] = 0
-        path = tmp_path / "BENCH_custom.json"
-        path.write_text(json.dumps(doc))
-        findings = _check_bench_file(path)
-        assert findings and all(f.rule == "ART013" for f in findings)
-        trajectory = tmp_path / "BENCH_other.json"
-        trajectory.write_text(json.dumps({"schema": "repro.bench/trajectory@1"}))
-        findings = _check_bench_file(trajectory)
-        assert findings and all(f.rule == "ART012" for f in findings)
-
-
-class TestBenchCommand:
-    def test_cold_then_warm_expect_cached(self, tmp_path):
-        # One end-to-end pass of `repro bench serve`: the cold run computes
-        # and records a valid document; the warm rerun against the same
-        # cache dir serves anonymize purely from cache and passes
-        # --expect-cached; a cold cache under --expect-cached exits 3.
-        cache_dir = tmp_path / "cache"
-        bench = tmp_path / "BENCH_serve.json"
-        code = run_bench(_bench_args(cache_dir=cache_dir, bench_json=bench))
-        assert code == 0
-        doc = json.loads(bench.read_text())
-        assert doc["schema"] == SERVE_BENCH_SCHEMA
-        assert doc["clients"] == 4
-        assert set(doc["endpoints"]) == set(WORKLOAD_ENDPOINTS)
-        assert api.check_serve_bench_artifacts(bench) == []
-        assert doc["errors"] == 0
-        assert 0 < doc["anonymize_cache_hit_rate"] < 1.0
-
-        code = run_bench(
-            _bench_args(
-                cache_dir=cache_dir, bench_json=bench, expect_cached=True
-            )
-        )
-        assert code == 0
-        warm = json.loads(bench.read_text())
-        assert warm["anonymize_cache_hit_rate"] == 1.0
-
-        code = run_bench(
-            _bench_args(
-                cache_dir=tmp_path / "cold", bench_json=bench,
-                expect_cached=True,
-            )
-        )
-        assert code == 3
-
-    def test_bench_exports_obs_artifacts(self, tmp_path):
-        trace = tmp_path / "trace.json"
-        metrics = tmp_path / "metrics.json"
-        code = run_bench(
-            _bench_args(
-                no_cache=True,
-                bench_json=tmp_path / "BENCH_serve.json",
-                trace=trace,
-                metrics=metrics,
-            )
-        )
-        assert code == 0
-        assert api.check_obs_artifacts(trace) == []
-        assert api.check_obs_artifacts(metrics) == []
-        counters = json.loads(metrics.read_text())["counters"]
-        for endpoint in ("anonymize", "properties", "compare", "query"):
-            assert counters[f"serve.request.{endpoint}"] >= 4
-
-
-class TestHitRate:
-    def test_hit_rate_math(self):
-        snapshot = {
-            "counters": {
-                "serve.release.memory_hit": 6,
-                "serve.release.disk_hit": 2,
-                "serve.release.computed": 2,
-            }
-        }
-        assert anonymize_hit_rate(snapshot) == pytest.approx(0.8)
-
-    def test_no_traffic_is_none(self):
-        assert anonymize_hit_rate({"counters": {}}) is None
