@@ -23,13 +23,7 @@ import pytest
 from repro.obs import Observation
 from repro.runtime.cache import ResultCache
 from repro.runtime.study import AlgorithmSpec, DatasetSpec
-from repro.serve import (
-    WORKLOAD_ENDPOINTS,
-    ServeServer,
-    ServerThread,
-    ServeState,
-    build_plan,
-)
+from repro.serve import ServeServer, ServerThread, ServeState
 from repro.serve.query import render_cell
 from repro.serve.state import MAX_DATASET_ROWS, ServeRequestError
 
@@ -334,83 +328,6 @@ class TestConcurrency:
             assert counters["serve.release.memory_hit"] == 5
         finally:
             thread.stop()
-
-    def test_request_mix_cold_then_restarted_warm(self, tmp_path):
-        # Four keep-alive clients replay the e2e request mix: the cold
-        # server computes each of the plan's 3 distinct cells once, a
-        # restarted server on the same store recomputes nothing, and the
-        # flushed trace/metrics pass ART011.
-        from repro.lint import api
-
-        plans = [
-            build_plan(SEED, index, len(WORKLOAD_ENDPOINTS)) for index in range(4)
-        ]
-        cells = {
-            json.dumps(cell, sort_keys=True)
-            for plan in plans
-            for _, _, body in plan
-            for cell in [body.get("algorithm"), body.get("other"),
-                         *body.get("algorithms", ())]
-            if cell is not None
-        }
-        assert len(cells) == 3
-
-        def replay(instance):
-            failures = []
-
-            def client(plan):
-                connection = http.client.HTTPConnection(
-                    instance.host, instance.port, timeout=120
-                )
-                try:
-                    for endpoint, path, body in plan:
-                        connection.request(
-                            "POST", path, body=json.dumps(body).encode("utf-8"),
-                            headers={"Content-Type": "application/json"},
-                        )
-                        response = connection.getresponse()
-                        response.read()
-                        if not 200 <= response.status < 300:
-                            failures.append(f"{endpoint}: HTTP {response.status}")
-                except (http.client.HTTPException, OSError) as exc:
-                    failures.append(f"{type(exc).__name__}: {exc}")
-                finally:
-                    connection.close()
-
-            threads = [
-                threading.Thread(target=client, args=(plan,)) for plan in plans
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            return failures
-
-        cache_dir = tmp_path / "cache"
-        trace_path = tmp_path / "trace.json"
-        metrics_path = tmp_path / "metrics.json"
-        for warm in (False, True):
-            observation = Observation()
-            instance = _make_server(
-                cache_dir=cache_dir,
-                observation=observation,
-                trace_path=None if warm else trace_path,
-                metrics_path=None if warm else metrics_path,
-            )
-            thread = ServerThread(instance)
-            thread.start()
-            try:
-                assert replay(instance) == []
-                counters = observation.metrics.snapshot()["counters"]
-            finally:
-                thread.stop()
-            assert counters.get("serve.release.computed", 0) == (0 if warm else 3)
-
-        assert api.check_obs_artifacts(trace_path) == []
-        assert api.check_obs_artifacts(metrics_path) == []
-        counters = json.loads(metrics_path.read_text())["counters"]
-        for endpoint in ("anonymize", "properties", "compare", "query"):
-            assert counters[f"serve.request.{endpoint}"] >= 4
 
     def test_kill_and_restart_resumes_from_cache_with_pure_hits(self, tmp_path):
         cache_dir = tmp_path / "cache"
