@@ -54,16 +54,14 @@ def test_bench_composition_workload(benchmark, adult_1k, adult_h):
     joint, single_d, single_m = benchmark.pedantic(
         attack, rounds=1, iterations=1
     )
-    worst_single = max(single_d.values.max(), single_m.values.max())
+    worst_single = max(single_d.max(), single_m.max())
     emit("E9: composition of Datafly and Mondrian (N=300, k=5 each)", [
         f"max single-release risk: {worst_single:.3f}",
-        f"max joint risk:          {float(joint.values.max()):.3f}",
-        f"mean joint risk:         {float(joint.values.mean()):.3f} "
-        f"(vs {float(single_d.values.mean()):.3f} / "
-        f"{float(single_m.values.mean()):.3f} single)",
+        f"max joint risk:          {joint.max():.3f}",
+        f"mean joint risk:         {joint.mean():.3f} "
+        f"(vs {single_d.mean():.3f} / "
+        f"{single_m.mean():.3f} single)",
     ])
     # Joint risk dominates both single-release risks.
-    assert float(joint.values.max()) >= worst_single - 1e-12
-    assert float(joint.values.mean()) >= max(
-        float(single_d.values.mean()), float(single_m.values.mean())
-    ) - 1e-12
+    assert joint.max() >= worst_single - 1e-12
+    assert joint.mean() >= max(single_d.mean(), single_m.mean()) - 1e-12

@@ -11,10 +11,12 @@ actually about).
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 
-from ..kernels.array import xp as np
-
+from ..core.indices.binary import binary_count
+from ..core.indices.unary import gini_coefficient
 from ..core.vector import PropertyVector
 
 
@@ -51,36 +53,22 @@ class BiasSummary:
         )
 
 
-def gini_coefficient(values: "np.ndarray") -> float:
-    """Gini coefficient of non-negative values (0 = equal, → 1 = skewed).
-
-    Values are shifted to be non-negative first, since property vectors may
-    be oriented by negation.
-    """
-    array = np.sort(np.asarray(values, dtype=float))
-    shifted = array - array.min() if array.min() < 0 else array
-    total = shifted.sum()
-    if total == 0:
-        return 0.0
-    n = shifted.size
-    ranks = np.arange(1, n + 1)
-    return float((2 * (ranks * shifted).sum()) / (n * total) - (n + 1) / n)
-
-
 def bias_summary(vector: PropertyVector) -> BiasSummary:
     """Distributional bias summary of one property vector."""
     oriented = vector.oriented
-    minimum = float(oriented.min())
+    size = len(oriented)
+    minimum = min(oriented)
+    mean = math.fsum(oriented) / size
     return BiasSummary(
         property_name=vector.name,
-        size=len(vector),
+        size=size,
         minimum=minimum,
-        maximum=float(oriented.max()),
-        mean=float(oriented.mean()),
-        median=float(np.median(oriented)),
-        std=float(oriented.std()),
+        maximum=max(oriented),
+        mean=mean,
+        median=statistics.median(oriented),
+        std=math.sqrt(math.fsum((v - mean) * (v - mean) for v in oriented) / size),
         gini=gini_coefficient(oriented),
-        fraction_at_minimum=float(np.mean(oriented == minimum)),
+        fraction_at_minimum=oriented.count(minimum) / size,
     )
 
 
@@ -92,10 +80,7 @@ def benefit_counts(
     The per-individual view of Section 2: "different anonymizations can in
     fact be better for different individuals."
     """
-    from ..core.vector import check_comparable
-
-    check_comparable(first, second)
-    first_wins = int(np.count_nonzero(first.oriented > second.oriented))
-    second_wins = int(np.count_nonzero(second.oriented > first.oriented))
+    first_wins = binary_count(first, second)
+    second_wins = binary_count(second, first)
     ties = len(first) - first_wins - second_wins
     return first_wins, second_wins, ties

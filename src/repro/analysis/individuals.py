@@ -62,21 +62,13 @@ def individual_preferences(
     names = tuple(vectors)
     family = [vectors[name] for name in names]
     check_all_comparable(family)
-    rows = [vector.oriented for vector in family]
-    length = len(rows[0])
-    best = [
-        max(rows[row][column] for row in range(len(names)))
-        for column in range(length)
-    ]
-    winners = tuple(
-        tuple(
-            names[row]
-            for row in range(len(names))
-            if rows[row][column] == best[column]
+    winners = []
+    for column in zip(*(vector.oriented for vector in family)):
+        best = max(column)
+        winners.append(
+            tuple(name for name, value in zip(names, column) if value == best)
         )
-        for column in range(length)
-    )
-    return IndividualPreferences(candidates=names, winners=winners)
+    return IndividualPreferences(candidates=names, winners=tuple(winners))
 
 
 def preference_table(

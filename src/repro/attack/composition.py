@@ -81,4 +81,4 @@ def composition_k(
     """The effective k against the combined releases: the smallest joint
     match set over all individuals."""
     risks = composition_risks(releases, hierarchies=hierarchies)
-    return round(1.0 / float(risks.values.max()))
+    return round(1.0 / risks.max())

@@ -160,14 +160,14 @@ def linkage_report(
 ) -> LinkageReport:
     """Prosecutor / journalist / marketer risk summary."""
     risks = prosecutor_risks(anonymization, external, hierarchies)
-    values = risks.values
-    maximum = float(values.max())
+    maximum = risks.max()
+    mean = risks.mean()
     return LinkageReport(
         prosecutor_max=maximum,
-        prosecutor_mean=float(values.mean()),
+        prosecutor_mean=mean,
         journalist_risk=maximum,
-        marketer_risk=float(values.mean()),
-        records_at_max_risk=sum(1 for value in values if value == maximum),
+        marketer_risk=mean,
+        records_at_max_risk=risks.values.count(maximum),
     )
 
 

@@ -23,11 +23,9 @@ import enum
 import math
 from typing import Sequence
 
-from ..kernels.array import xp as np
-
 from .indices.binary import compare_hypervolume, coverage, spread
 from .indices.unary import GiniIndex, RankIndex
-from .vector import PropertyVector, PropertyVectorError, check_comparable
+from .vector import PropertyVector, PropertyVectorError, _isclose, check_comparable
 
 
 class Relation(enum.Enum):
@@ -49,36 +47,40 @@ class Relation(enum.Enum):
 
 # -- strict (dominance) comparisons: Table 4 ---------------------------------
 
+def _better_worse(first: PropertyVector, second: PropertyVector) -> tuple[bool, bool]:
+    """Whether ``first`` is strictly better in some tuple, and whether it is
+    strictly worse in some tuple; the scan stops once both are seen."""
+    check_comparable(first, second)
+    better = worse = False
+    # Raw values: negating both sides of a comparison just swaps its outcome.
+    for a, b in zip(first, second):
+        if a > b:
+            better = True
+        elif a < b:
+            worse = True
+        if better and worse:
+            break
+    return (better, worse) if first.higher_is_better else (worse, better)
+
+
 def weakly_dominates(first: PropertyVector, second: PropertyVector) -> bool:
     """⪰ — ``first`` is *not worse than* ``second`` in every tuple."""
-    check_comparable(first, second)
-    return bool(np.all(first.oriented >= second.oriented))
+    return not _better_worse(first, second)[1]
 
 
 def strongly_dominates(first: PropertyVector, second: PropertyVector) -> bool:
     """≻ — weakly dominates and is strictly better for at least one tuple."""
-    check_comparable(first, second)
-    oriented_first, oriented_second = first.oriented, second.oriented
-    return bool(
-        np.all(oriented_first >= oriented_second)
-        and np.any(oriented_first > oriented_second)
-    )
+    return dominance_relation(first, second) is Relation.BETTER
 
 
 def non_dominated(first: PropertyVector, second: PropertyVector) -> bool:
     """∥ — each vector is strictly better somewhere (incomparable)."""
-    check_comparable(first, second)
-    return bool(
-        np.any(first.oriented < second.oriented)
-        and np.any(first.oriented > second.oriented)
-    )
+    return dominance_relation(first, second) is Relation.INCOMPARABLE
 
 
 def dominance_relation(first: PropertyVector, second: PropertyVector) -> Relation:
     """Classify the dominance relationship of two property vectors."""
-    check_comparable(first, second)
-    any_better = bool(np.any(first.oriented > second.oriented))
-    any_worse = bool(np.any(first.oriented < second.oriented))
+    any_better, any_worse = _better_worse(first, second)
     if any_better and any_worse:
         return Relation.INCOMPARABLE
     if any_better:
@@ -172,8 +174,8 @@ class MinBetter(MetricComparator):
 
     def relation(self, first: PropertyVector, second: PropertyVector) -> Relation:
         check_comparable(first, second)
-        a = float(first.oriented.min())
-        b = float(second.oriented.min())
+        a = min(first.oriented)
+        b = min(second.oriented)
         if a > b:
             return Relation.BETTER
         if a < b:
@@ -226,7 +228,7 @@ class SpreadBetter(MetricComparator):
     def relation(self, first: PropertyVector, second: PropertyVector) -> Relation:
         forward = spread(first, second)
         backward = spread(second, first)
-        if np.isclose(forward, backward):
+        if _isclose(forward, backward):
             return Relation.EQUIVALENT
         if forward > backward:
             return Relation.BETTER
@@ -273,8 +275,8 @@ class LeastBiasedBetter(MetricComparator):
 
     def relation(self, first: PropertyVector, second: PropertyVector) -> Relation:
         check_comparable(first, second)
-        floor_first = float(first.oriented.min())
-        floor_second = float(second.oriented.min())
+        floor_first = min(first.oriented)
+        floor_second = min(second.oriented)
         if not math.isclose(
             floor_first, floor_second, rel_tol=1e-9, abs_tol=1e-12
         ):

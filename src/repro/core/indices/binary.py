@@ -16,9 +16,9 @@ unchanged to loss-like vectors.
 
 from __future__ import annotations
 
-from ...kernels.array import xp as np
+import math
 
-from ..vector import PropertyVector, PropertyVectorError, check_comparable
+from ..vector import PropertyVector, PropertyVectorError, _isclose, check_comparable
 
 
 def binary_count(first: PropertyVector, second: PropertyVector) -> int:
@@ -28,7 +28,7 @@ def binary_count(first: PropertyVector, second: PropertyVector) -> int:
     ``P_binary(t, s) = 7``.
     """
     check_comparable(first, second)
-    return int(np.count_nonzero(first.oriented > second.oriented))
+    return sum(1 for a, b in zip(first.oriented, second.oriented) if a > b)
 
 
 def coverage(
@@ -39,12 +39,11 @@ def coverage(
     The paper counts ties for both vectors (``d_i^1 >= d_i^2``); pass
     ``strict=True`` for the tie-free ablation variant (``>`` only).
     """
-    check_comparable(first, second)
     if strict:
-        better = first.oriented > second.oriented
+        wins = binary_count(first, second)
     else:
-        better = first.oriented >= second.oriented
-    return float(np.count_nonzero(better)) / len(first)
+        wins = len(first) - binary_count(second, first)
+    return wins / len(first)
 
 
 def spread(first: PropertyVector, second: PropertyVector) -> float:
@@ -54,7 +53,8 @@ def spread(first: PropertyVector, second: PropertyVector) -> float:
     weakly dominates ``first``.
     """
     check_comparable(first, second)
-    return float(np.maximum(first.oriented - second.oriented, 0.0).sum())
+    pairs = zip(first.oriented, second.oriented)
+    return math.fsum(a - b for a, b in pairs if a > b)
 
 
 def epsilon_indicator(first: PropertyVector, second: PropertyVector) -> float:
@@ -68,17 +68,17 @@ def epsilon_indicator(first: PropertyVector, second: PropertyVector) -> float:
     to the strict yes/no of Table 4.
     """
     check_comparable(first, second)
-    return float((second.oriented - first.oriented).max())
+    return max(b - a for a, b in zip(first.oriented, second.oriented))
 
 
-def _shifted(vector: PropertyVector, reference: float) -> np.ndarray:
-    values = vector.oriented - reference
-    if np.any(values < 0):
+def _shifted(vector: PropertyVector, reference: float) -> list[float]:
+    oriented = vector.oriented
+    if min(oriented) < reference:
         raise PropertyVectorError(
             f"hypervolume requires oriented values >= reference ({reference}); "
-            f"lowest seen was {float(vector.oriented.min())}"
+            f"lowest seen was {min(oriented)}"
         )
-    return values
+    return [v - reference for v in oriented]
 
 def log_dominated_hypervolume(
     vector: PropertyVector, reference: float = 0.0
@@ -90,9 +90,9 @@ def log_dominated_hypervolume(
     component sits at the reference (degenerate, zero-volume region).
     """
     values = _shifted(vector, reference)
-    if np.any(values == 0):
+    if 0 in values:
         return float("-inf")
-    return float(np.log(values).sum())
+    return math.fsum(map(math.log, values))
 
 
 def hypervolume(
@@ -107,8 +107,9 @@ def hypervolume(
     """
     check_comparable(first, second)
     own = _shifted(first, reference)
-    shared = np.minimum(own, _shifted(second, reference))
-    return float(np.prod(own) - np.prod(shared))
+    shared = [min(a, b) for a, b in zip(own, _shifted(second, reference))]
+    # Multiplying in sorted order keeps the rounding independent of row order.
+    return math.prod(sorted(own)) - math.prod(sorted(shared))
 
 
 def compare_hypervolume(
@@ -124,6 +125,6 @@ def compare_hypervolume(
     check_comparable(first, second)
     log_first = log_dominated_hypervolume(first, reference)
     log_second = log_dominated_hypervolume(second, reference)
-    if np.isclose(log_first, log_second, rtol=1e-12, atol=1e-12):
+    if _isclose(log_first, log_second, rtol=1e-12, atol=1e-12):
         return 0
     return 1 if log_first > log_second else -1

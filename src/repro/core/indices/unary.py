@@ -10,10 +10,15 @@ dominance — see :mod:`repro.core.theory` for the executable demonstration.
 from __future__ import annotations
 
 import abc
+import math
+from typing import Sequence
 
-from ...kernels.array import xp as np
-
-from ..vector import PropertyVector, PropertyVectorError, check_comparable
+from ..vector import (
+    PropertyVector,
+    PropertyVectorError,
+    check_comparable,
+    sorted_quantile,
+)
 
 
 class UnaryIndex(abc.ABC):
@@ -56,7 +61,7 @@ class MinimumIndex(UnaryIndex):
     larger_is_better = True
 
     def value(self, vector: PropertyVector) -> float:
-        return float(vector.oriented.min())
+        return min(vector.oriented)
 
 
 class MeanIndex(UnaryIndex):
@@ -67,7 +72,7 @@ class MeanIndex(UnaryIndex):
     larger_is_better = True
 
     def value(self, vector: PropertyVector) -> float:
-        return float(vector.oriented.mean())
+        return math.fsum(vector.oriented) / len(vector)
 
 
 class MaximumIndex(UnaryIndex):
@@ -77,7 +82,7 @@ class MaximumIndex(UnaryIndex):
     larger_is_better = True
 
     def value(self, vector: PropertyVector) -> float:
-        return float(vector.oriented.max())
+        return max(vector.oriented)
 
 
 class QuantileIndex(UnaryIndex):
@@ -96,7 +101,7 @@ class QuantileIndex(UnaryIndex):
     larger_is_better = True
 
     def value(self, vector: PropertyVector) -> float:
-        return float(np.quantile(vector.oriented, self.q))
+        return sorted_quantile(sorted(vector.oriented), self.q)
 
 
 class GiniIndex(UnaryIndex):
@@ -112,16 +117,24 @@ class GiniIndex(UnaryIndex):
     larger_is_better = False
 
     def value(self, vector: PropertyVector) -> float:
-        oriented = np.sort(vector.oriented)
-        shifted = oriented - oriented.min() if oriented.min() < 0 else oriented
-        total = shifted.sum()
-        if total == 0:
-            return 0.0
-        n = shifted.size
-        ranks = np.arange(1, n + 1)
-        return float(
-            (2 * (ranks * shifted).sum()) / (n * total) - (n + 1) / n
-        )
+        return gini_coefficient(vector.oriented)
+
+
+def gini_coefficient(values: Sequence[float]) -> float:
+    """Gini coefficient of ``values`` (0 = equal, → 1 = skewed).
+
+    Values are shifted to be non-negative first, since property vectors may
+    be oriented by negation.
+    """
+    ordered = sorted(values)
+    low = ordered[0]
+    shifted = [v - low for v in ordered] if low < 0 else ordered
+    total = math.fsum(shifted)
+    if total == 0:
+        return 0.0
+    n = len(shifted)
+    weighted = math.fsum(rank * v for rank, v in enumerate(shifted, 1))
+    return 2 * weighted / (n * total) - (n + 1) / n
 
 
 class RankIndex(UnaryIndex):
@@ -137,8 +150,8 @@ class RankIndex(UnaryIndex):
         scalar broadcast to every tuple (e.g. ``N`` for the class-size
         property, where the single all-N class is ideal).
     order:
-        Norm order (2 = Euclidean, matching the figure's circular arcs;
-        1 and ``np.inf`` also supported).
+        Norm order: 2 (Euclidean, matching the figure's circular arcs), 1
+        or ``math.inf``.
     epsilon:
         Equivalence tolerance on the rank.
     """
@@ -153,22 +166,30 @@ class RankIndex(UnaryIndex):
     ):
         if epsilon < 0:
             raise PropertyVectorError(f"epsilon must be non-negative, got {epsilon}")
+        if order not in (1, 2, math.inf):
+            raise PropertyVectorError(
+                f"norm order must be 1, 2 or math.inf, got {order!r}"
+            )
         self._ideal = ideal
         self.order = order
         self.epsilon = epsilon
         self.name = f"rank[order={order}]"
 
-    def _ideal_array(self, vector: PropertyVector) -> np.ndarray:
+    def _differences(self, vector: PropertyVector) -> list[float]:
         if isinstance(self._ideal, PropertyVector):
             check_comparable(vector, self._ideal)
-            return self._ideal.oriented
+            return [a - b for a, b in zip(vector.oriented, self._ideal.oriented)]
         scalar = float(self._ideal)
         oriented_scalar = scalar if vector.higher_is_better else -scalar
-        return np.full(len(vector), oriented_scalar)
+        return [a - oriented_scalar for a in vector.oriented]
 
     def value(self, vector: PropertyVector) -> float:
-        difference = vector.oriented - self._ideal_array(vector)
-        return float(np.linalg.norm(difference, ord=self.order))
+        magnitudes = [abs(d) for d in self._differences(vector)]
+        if self.order == 1:
+            return math.fsum(magnitudes)
+        if self.order == 2:
+            return math.sqrt(math.fsum(d * d for d in magnitudes))
+        return max(magnitudes)
 
     def equivalent(self, first: PropertyVector, second: PropertyVector) -> bool:
         """Whether the two vectors are equi-ranked within the tolerance —

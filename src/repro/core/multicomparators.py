@@ -13,11 +13,9 @@ from __future__ import annotations
 import abc
 from typing import Sequence
 
-from ..kernels.array import xp as np
-
 from .comparators import Relation
 from .indices.multi import BinaryIndex, goal, lexicographic, weighted
-from .vector import PropertyVector
+from .vector import PropertyVector, _isclose
 
 PropertySet = Sequence[PropertyVector]
 
@@ -58,7 +56,7 @@ class WeightedBetter(SetComparator):
     def relation(self, first: PropertySet, second: PropertySet) -> Relation:
         forward = weighted(first, second, self.weights, self.index)
         backward = weighted(second, first, self.weights, self.index)
-        if np.isclose(forward, backward):
+        if _isclose(forward, backward):
             return Relation.EQUIVALENT
         return Relation.BETTER if forward > backward else Relation.WORSE
 
@@ -102,6 +100,6 @@ class GoalBetter(SetComparator):
     def relation(self, first: PropertySet, second: PropertySet) -> Relation:
         forward = goal(first, second, self.goals, self.index)
         backward = goal(second, first, self.goals, self.index)
-        if np.isclose(forward, backward):
+        if _isclose(forward, backward):
             return Relation.EQUIVALENT
         return Relation.BETTER if forward < backward else Relation.WORSE

@@ -40,7 +40,8 @@ def projection_indices(size: int) -> list[UnaryIndexFn]:
 
     def make(position: int) -> UnaryIndexFn:
         def project(vector: PropertyVector) -> float:
-            return float(vector.oriented[position])
+            value = vector[position]
+            return value if vector.higher_is_better else -value
 
         project.__name__ = f"projection_{position}"
         return project

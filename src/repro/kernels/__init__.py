@@ -20,12 +20,9 @@ Selection happens once at import: numpy when importable, overridable with
 ``REPRO_KERNELS=python`` (force the fallback) or ``REPRO_KERNELS=numpy``
 (fail fast when numpy is missing).
 
-:mod:`repro.kernels.array` additionally exposes ``xp`` — numpy itself when
-installed, else a pure-python 1-D float array shim with the small numpy
-subset the property-vector/comparator stack uses.  :mod:`repro.kernels.prng`
-holds the counter-based RNG whose scalar and vectorized twins produce
-identical streams, which is what keeps the synthetic data generators
-byte-identical with and without numpy.
+:mod:`repro.kernels.prng` holds the counter-based RNG whose scalar and
+vectorized twins produce identical streams, which is what keeps the
+synthetic data generators byte-identical with and without numpy.
 """
 
 from __future__ import annotations

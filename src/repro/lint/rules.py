@@ -283,7 +283,7 @@ class FloatEqualityRule(Rule):
     id = "REP002"
     title = "float == / != in comparator code; use a tolerance"
     severity = Severity.ERROR
-    hint = "compare with math.isclose() / numpy.isclose() and a tolerance"
+    hint = "compare with math.isclose() / repro.core.vector._isclose() and a tolerance"
     require_parts = ("core", "moo")
 
     def check(self, context: LintContext) -> Iterator[Diagnostic]:

@@ -17,6 +17,7 @@ need.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 from typing import Any, Callable, Mapping, Sequence
 
@@ -231,9 +232,13 @@ class StudySpec:
 
 # -- worker-side materialization ---------------------------------------------
 
-_DATASET_MEMO: dict[tuple[str, tuple[tuple[str, Any], ...]], tuple[Dataset, dict[str, Hierarchy]]] = {}
+#: Most distinct dataset specs one process keeps resident.  Studies and
+#: benchmark workloads use one; a server sent a new ``seed`` per request
+#: evicts the least recently used table instead of keeping every one.
+DATASET_MEMO_SIZE = 4
 
 
+@functools.lru_cache(maxsize=DATASET_MEMO_SIZE)
 def _materialize_dataset(
     provider: str, params: tuple[tuple[str, Any], ...]
 ) -> tuple[Dataset, dict[str, Hierarchy]]:
@@ -241,18 +246,13 @@ def _materialize_dataset(
 
     Workers regenerate the workload from its spec instead of receiving a
     pickled copy per task; providers are deterministic, so every process
-    sees the identical table.
+    sees the identical table, and a rebuilt spec equals the evicted one.
     """
-    key = (provider, params)
-    if key not in _DATASET_MEMO:
-        try:
-            builder = DATASET_PROVIDERS[provider]
-        except KeyError:
-            raise StudyError(f"unknown dataset provider {provider!r}") from None
-        # Idempotent per-process memo of a deterministic provider: every
-        # worker converges to the identical value.
-        _DATASET_MEMO[key] = builder(**dict(params))
-    return _DATASET_MEMO[key]
+    try:
+        builder = DATASET_PROVIDERS[provider]
+    except KeyError:
+        raise StudyError(f"unknown dataset provider {provider!r}") from None
+    return builder(**dict(params))
 
 
 def _dataset_from_payload(payload: Mapping[str, Any]) -> tuple[Dataset, dict[str, Hierarchy]]:

@@ -29,7 +29,9 @@ from typing import Any, Callable, Iterator, Mapping
 #: without numpy) and stochastic algorithms moved to ``random.Random`` —
 #: datasets and seeded algorithm outputs changed, so epoch-2 cache
 #: entries must not satisfy epoch-3 lookups.
-CODE_EPOCH = "3"
+#: "4": property vectors store an ``array('d')`` instead of a numpy array,
+#: so cached vectors changed pickle layout.
+CODE_EPOCH = "4"
 
 
 class TaskError(ValueError):

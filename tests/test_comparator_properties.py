@@ -15,14 +15,13 @@ property vectors:
 The same contracts are checked for the set-level P_WTD / P_LEX / P_GOAL
 comparators of Sections 5.5–5.7 on paired Υ sets.
 
-Margins are kept well above the ``np.isclose`` tolerances the spread /
+Margins are kept well above the ``isclose`` tolerances the spread /
 weighted / goal comparators use for their equivalence bands, so "material
 dominance" can never land inside a tie band.
 """
 
 from __future__ import annotations
 
-from repro.kernels.array import xp as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -152,7 +151,9 @@ def test_material_dominance_wins(pair):
 def test_weak_dominance_never_loses(pair):
     """A weakly dominating vector may tie, but must never be WORSE."""
     first, second = pair
-    merged = PropertyVector(np.maximum(first.oriented, second.oriented))
+    merged = PropertyVector(
+        [max(a, b) for a, b in zip(first.oriented, second.oriented)]
+    )
     assert weakly_dominates(merged, second)
     for comparator in comparators():
         assert comparator.relation(merged, second) is not Relation.WORSE, (

@@ -124,7 +124,7 @@ class TestSpread:
         a, b = pair
         # spread(a,b) - spread(b,a) == sum(a) - sum(b) (telescoping max).
         assert spread(a, b) - spread(b, a) == pytest.approx(
-            float(a.oriented.sum() - b.oriented.sum()), rel=1e-9, abs=1e-6
+            math.fsum(a.oriented) - math.fsum(b.oriented), rel=1e-9, abs=1e-6
         )
 
 

@@ -1,5 +1,7 @@
 """Tests for unary quality indices (Sections 3 and 5.1 of the paper)."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -92,6 +94,15 @@ class TestRankIndex:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(PropertyVectorError):
             RankIndex(ideal=0.0, epsilon=-1)
+
+    def test_max_norm(self):
+        index = RankIndex(ideal=0.0, order=math.inf)
+        assert index(PropertyVector([3, -4])) == 4.0
+
+    @pytest.mark.parametrize("order", [3, 0, -1, 0.5, -math.inf])
+    def test_unsupported_order_rejected_at_construction(self, order):
+        with pytest.raises(PropertyVectorError, match="norm order"):
+            RankIndex(5.0, order=order)
 
     def test_lower_is_better_vector(self):
         # For a loss vector, the ideal scalar refers to the raw scale.

@@ -11,12 +11,14 @@ from repro.lint.api import check_cache_store, check_run_artifacts
 from repro.lint.diagnostics import Severity
 from repro.runtime.cache import ResultCache
 from repro.runtime.study import (
+    DATASET_MEMO_SIZE,
     AlgorithmSpec,
     DatasetSpec,
     StudyError,
     StudySpec,
     build_study,
     run_release_grid,
+    _materialize_dataset,
     run_study,
 )
 
@@ -131,6 +133,24 @@ class TestDatasetFingerprint:
         target = rows[0][0]
         rows[0][0] = str(target) if not isinstance(target, str) else int(target)
         assert data.replace_rows(rows).fingerprint() != data.fingerprint()
+
+
+class TestDatasetMemo:
+    def test_resident_datasets_are_bounded(self):
+        specs = [
+            DatasetSpec.of("adult", rows=20, seed=seed)
+            for seed in range(DATASET_MEMO_SIZE + 1)
+        ]
+        first = specs[0].materialize()[0].fingerprint()
+        for spec in specs:
+            spec.materialize()
+        cache = _materialize_dataset.cache_info()
+        assert cache.maxsize == DATASET_MEMO_SIZE
+        assert cache.currsize <= DATASET_MEMO_SIZE
+        # The first spec was evicted; rebuilding it gives the same table.
+        misses = cache.misses
+        assert specs[0].materialize()[0].fingerprint() == first
+        assert _materialize_dataset.cache_info().misses == misses + 1
 
 
 class TestRuntimeArtifactLint:

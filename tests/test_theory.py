@@ -1,10 +1,17 @@
 """Executable checks around Theorem 1 and its corollaries."""
 
-from repro.kernels.array import xp as np
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.indices.unary import (
+    MaximumIndex,
+    MeanIndex,
+    MinimumIndex,
+    QuantileIndex,
+)
 from repro.core.theory import (
     equivalence_holds,
     find_dominance_counterexample,
@@ -58,10 +65,7 @@ class TestTheorem1Witnesses:
 
     @staticmethod
     def aggregates():
-        return [
-            lambda v: float(v.oriented.min()),
-            lambda v: float(v.oriented.mean()),
-        ]
+        return [MinimumIndex(), MeanIndex()]
 
     def test_min_and_mean_fail_for_n3(self):
         witness = find_dominance_counterexample(self.aggregates(), size=3, seed=0)
@@ -70,27 +74,24 @@ class TestTheorem1Witnesses:
         assert not equivalence_holds(self.aggregates(), first, second)
 
     def test_min_alone_fails_for_n2(self):
-        indices = [lambda v: float(v.oriented.min())]
+        indices = [MinimumIndex()]
         witness = find_dominance_counterexample(indices, size=2, seed=0)
         assert witness is not None
 
     def test_structured_base_case(self):
         # The theorem's own base case: (a, b) vs (b, a) breaks any single
         # index family immediately.
-        indices = [lambda v: float(v.oriented.sum())]
+        indices = [lambda v: math.fsum(v.oriented)]
         witness = find_dominance_counterexample(indices, size=2, trials=1, seed=0)
         assert witness is not None
 
     def test_min_mean_max_fail_for_n4(self):
-        indices = self.aggregates() + [lambda v: float(v.oriented.max())]
+        indices = self.aggregates() + [MaximumIndex()]
         witness = find_dominance_counterexample(indices, size=4, seed=3)
         assert witness is not None
 
     def test_quantile_family_fails(self):
-        indices = [
-            (lambda q: lambda v: float(np.quantile(v.oriented, q)))(q)
-            for q in (0.0, 0.5, 1.0)
-        ]
+        indices = [QuantileIndex(q) for q in (0.0, 0.5, 1.0)]
         witness = find_dominance_counterexample(indices, size=5, seed=5)
         assert witness is not None
 
