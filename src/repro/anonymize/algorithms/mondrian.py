@@ -12,18 +12,50 @@ that lets Mondrian beat full-domain algorithms on utility.
 Both the **strict** variant (median cut splits a sorted order, allowed only
 if both sides have >= k rows) and the **relaxed** variant (rows equal to the
 median are distributed to balance the halves) are provided.
+
+Cuts run over per-row integer *rank codes*, built once per QI: the column's
+exactly interned values (``7`` apart from ``7.0``, see
+:func:`~repro.anonymize.algorithms.cuts._exact_column`) are ranked in the
+cut order — numeric attributes by value, categorical ones by ``str`` — and
+values that order as equal share a rank.  A strict cut is then the first
+position of the median's rank in the partition's sorted ranks, and a
+partition's rows are sorted (stably, by rank) only once a cut is accepted,
+so each side keeps the incoming row order among tied values.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from bisect import bisect_left
+from typing import Any, Callable, Mapping, Sequence
 
 from ...datasets.dataset import Dataset
-from ...datasets.schema import AttributeKind
+from ...datasets.schema import AttributeKind, SchemaError
 from ...hierarchy.base import Hierarchy
 from ...hierarchy.numeric import Span
 from ..engine import Anonymization, released_with_local_cells
 from .base import Anonymizer, check_k
+from .cuts import _exact_column
+
+
+def _rank_codes(dataset: Dataset, attribute: str, numeric: bool) -> list[int]:
+    """Per-row rank of one column in Mondrian's cut order.
+
+    Numeric values rank by value, categorical ones by ``str(value)``;
+    values equal under that order share a rank.  Ranking runs once per
+    exactly interned value, then gathers per row.
+    """
+    codes, decode = _exact_column(dataset, attribute)
+    keys = decode if numeric else [str(value) for value in decode]
+    rank_of = [0] * len(keys)
+    rank = -1
+    previous: Any = None
+    for code in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[code]
+        if rank < 0 or previous < key:
+            rank += 1
+            previous = key
+        rank_of[code] = rank
+    return list(map(rank_of.__getitem__, codes))
 
 
 class Mondrian(Anonymizer):
@@ -65,68 +97,17 @@ class Mondrian(Anonymizer):
 
     # -- partitioning ---------------------------------------------------------
 
-    @staticmethod
-    def _extent(dataset: Dataset, attribute: str, kind: AttributeKind) -> Any:
-        """The dataset-wide denominator of :meth:`_spread`: the value range
-        of a numeric attribute, else its number of distinct values."""
-        if kind is AttributeKind.NUMERIC:
-            full = dataset.column(attribute)
-            return max(full) - min(full)
-        return len(dataset.distinct(attribute))
+    def _diversity_test(
+        self, dataset: Dataset
+    ) -> Callable[[Sequence[int]], bool] | None:
+        """The l-diversity floor a candidate side must meet, or ``None``.
 
-    def _spread(
-        self,
-        dataset: Dataset,
-        rows: Sequence[int],
-        attribute: str,
-        kind: AttributeKind,
-        extent: Any,
-    ) -> float:
-        """Normalized range of the attribute within the partition
-        (``extent`` from :meth:`_extent`)."""
-        column = dataset.column(attribute)
-        values = [column[r] for r in rows]
-        if kind is AttributeKind.NUMERIC:
-            if extent == 0:
-                return 0.0
-            return (max(values) - min(values)) / extent
-        distinct = len(set(values))
-        if extent <= 1:
-            return 0.0
-        return (distinct - 1) / (extent - 1)
-
-    def _split(
-        self, dataset: Dataset, rows: list[int], attribute: str, kind: AttributeKind
-    ) -> tuple[list[int], list[int]] | None:
-        """Median cut of the partition on one attribute, or ``None`` if no
-        allowable cut exists."""
-        column = dataset.column(attribute)
-
-        if kind is AttributeKind.NUMERIC:
-            ordered = sorted(rows, key=lambda r: column[r])
-        else:
-            ordered = sorted(rows, key=lambda r: str(column[r]))
-
-        if self.relaxed:
-            middle = len(ordered) // 2
-            left, right = ordered[:middle], ordered[middle:]
-        else:
-            # Strict: the cut must fall between two distinct values so that
-            # equal values stay together.
-            middle = len(ordered) // 2
-            median_value = column[ordered[middle]]
-            left = [r for r in ordered if self._before(column[r], median_value, kind)]
-            right = [r for r in ordered if not self._before(column[r], median_value, kind)]
-        if len(left) >= self.k and len(right) >= self.k:
-            if self._diverse_enough(dataset, left) and self._diverse_enough(
-                dataset, right
-            ):
-                return left, right
-        return None
-
-    def _sensitive_position(self, dataset: Dataset) -> int:
-        from ...datasets.schema import SchemaError
-
+        Resolves the sensitive attribute (raising :class:`SchemaError`
+        when it cannot) and counts its equality codes, stopping at ``l``.
+        """
+        floor = self.l_diversity
+        if floor is None:
+            return None
         attribute = self.sensitive_attribute
         if attribute is None:
             names = dataset.schema.sensitive_names
@@ -136,71 +117,107 @@ class Mondrian(Anonymizer):
                     "pass sensitive_attribute explicitly"
                 )
             attribute = names[0]
-        return dataset.schema.index_of(attribute)
+        codes = dataset.columns().column(attribute).codes
 
-    def _diverse_enough(self, dataset: Dataset, rows: Sequence[int]) -> bool:
-        """Whether a candidate side meets the optional l-diversity floor."""
-        if self.l_diversity is None:
-            return True
-        position = self._sensitive_position(dataset)
-        distinct = set()
-        for row in rows:
-            distinct.add(dataset[row][position])
-            if len(distinct) >= self.l_diversity:
-                return True
-        return False
+        def diverse(rows: Sequence[int]) -> bool:
+            distinct: set[int] = set()
+            for code in map(codes.__getitem__, rows):
+                distinct.add(code)
+                if len(distinct) >= floor:
+                    return True
+            return False
 
-    @staticmethod
-    def _before(value: Any, pivot: Any, kind: AttributeKind) -> bool:
-        if kind is AttributeKind.NUMERIC:
-            return value < pivot
-        return str(value) < str(pivot)
+        return diverse
 
     def partitions(
         self, dataset: Dataset, hierarchies: Mapping[str, Hierarchy] | None = None
     ) -> list[list[int]]:
-        """The final multidimensional partitions (row-index lists)."""
-        schema = dataset.schema
-        qi = [(a.name, a.kind) for a in schema.quasi_identifiers]
-        extents = {
-            attribute: self._extent(dataset, attribute, kind)
-            for attribute, kind in qi
-        }
+        """The final multidimensional partitions (row-index lists).
+
+        Raises :class:`ValueError` if a numeric quasi-identifier holds NaN
+        (it has no place in the cut order), and :class:`SchemaError` if
+        ``l_diversity`` is set but the sensitive attribute is unresolvable.
+        """
+        if not len(dataset):
+            return []
+        diverse = self._diversity_test(dataset)
+        # Per QI: (numeric, spread values, extent, rank codes).  Numeric
+        # spreads read the exact column; categorical ones count equality
+        # codes, as ``len(set(values))`` does.
+        qi: list[tuple[bool, Sequence[Any], Any, list[int]]] = []
+        for attribute in dataset.schema.quasi_identifiers:
+            name = attribute.name
+            numeric = attribute.kind is AttributeKind.NUMERIC
+            if numeric:
+                values: Sequence[Any] = dataset.column(name)
+                extent = max(values) - min(values)
+                nan_row = next(
+                    (row for row, value in enumerate(values) if value != value),
+                    None,
+                )
+                if nan_row is not None:
+                    raise ValueError(
+                        f"numeric quasi-identifier {name!r} holds NaN "
+                        f"(first at row {nan_row}); Mondrian cannot order it"
+                    )
+            else:
+                interned = dataset.columns().column(name)
+                values = list(interned.codes)
+                extent = interned.domain_size
+            rank = _rank_codes(dataset, name, numeric)
+            qi.append((numeric, values, extent, rank))
+
+        k, relaxed = self.k, self.relaxed
         finished: list[list[int]] = []
         pending: list[list[int]] = [list(range(len(dataset)))]
         while pending:
             rows = pending.pop()
+            size = len(rows)
+            if size < 2 * k:
+                # No cut can leave both sides with k rows.
+                finished.append(rows)
+                continue
+            spreads = []
+            for numeric, values, extent, _ in qi:
+                if numeric:
+                    spreads.append(
+                        0.0 if extent == 0 else (
+                            max(map(values.__getitem__, rows))
+                            - min(map(values.__getitem__, rows))
+                        ) / extent
+                    )
+                else:
+                    spreads.append(
+                        0.0 if extent <= 1 else (
+                            len(set(map(values.__getitem__, rows))) - 1
+                        ) / (extent - 1)
+                    )
             # Try attributes by decreasing spread until one admits a cut.
             by_spread = sorted(
-                qi,
-                key=lambda item: self._spread(
-                    dataset, rows, item[0], item[1], extents[item[0]]
-                ),
-                reverse=True,
+                range(len(qi)), key=spreads.__getitem__, reverse=True
             )
-            for attribute, kind in by_spread:
-                cut = self._split(dataset, rows, attribute, kind)
-                if cut is not None:
-                    pending.extend(cut)
+            for index in by_spread:
+                rank = qi[index][3]
+                if relaxed:
+                    cut = size // 2
+                else:
+                    # Strict: the cut falls before the median's rank, so
+                    # rows that order as equal stay together.
+                    keys = sorted(map(rank.__getitem__, rows))
+                    cut = bisect_left(keys, keys[size // 2])
+                if cut < k or size - cut < k:
+                    continue
+                ordered = sorted(rows, key=rank.__getitem__)
+                left, right = ordered[:cut], ordered[cut:]
+                if diverse is None or (diverse(left) and diverse(right)):
+                    pending.append(left)
+                    pending.append(right)
                     break
             else:
                 finished.append(rows)
         return finished
 
     # -- release --------------------------------------------------------------
-
-    def _summarize(
-        self, dataset: Dataset, rows: Sequence[int], attribute: str, kind: AttributeKind
-    ) -> Any:
-        column = dataset.column(attribute)
-        values = [column[r] for r in rows]
-        if kind is AttributeKind.NUMERIC:
-            low, high = min(values), max(values)
-            return values[0] if low == high else Span(float(low), float(high))
-        distinct = frozenset(values)
-        if len(distinct) == 1:
-            return values[0]
-        return distinct
 
     def anonymize(
         self, dataset: Dataset, hierarchies: Mapping[str, Hierarchy] | None = None
@@ -211,14 +228,26 @@ class Mondrian(Anonymizer):
             raise ValueError(
                 f"dataset of {len(dataset)} rows cannot be {self.k}-anonymized"
             )
-        schema = dataset.schema
-        qi = [(a.name, a.kind) for a in schema.quasi_identifiers]
-        qi_cells: list[dict[str, Any]] = [dict() for _ in range(len(dataset))]
+        columns = [
+            (a.name, dataset.column(a.name), a.kind is AttributeKind.NUMERIC)
+            for a in dataset.schema.quasi_identifiers
+        ]
+        qi_cells: list[dict[str, Any]] = [{}] * len(dataset)
         for rows in self.partitions(dataset):
-            summary = {
-                attribute: self._summarize(dataset, rows, attribute, kind)
-                for attribute, kind in qi
-            }
-            for row_index in rows:
-                qi_cells[row_index] = dict(summary)
+            # One summary per partition, shared by its rows: each cell is
+            # one of the partition's own objects (or a Span/frozenset of
+            # them), taken in partition order.
+            summary: dict[str, Any] = {}
+            for name, column, numeric in columns:
+                values = list(map(column.__getitem__, rows))
+                if numeric:
+                    low, high = min(values), max(values)
+                    summary[name] = (
+                        values[0] if low == high else Span(float(low), float(high))
+                    )
+                else:
+                    distinct = frozenset(values)
+                    summary[name] = values[0] if len(distinct) == 1 else distinct
+            for row in rows:
+                qi_cells[row] = summary
         return released_with_local_cells(dataset, qi_cells, name=self.name)

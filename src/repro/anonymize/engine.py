@@ -400,26 +400,30 @@ def released_with_local_cells(
 
     ``qi_cells[i]`` maps QI attribute names to the released value for row
     ``i``.  Used by local recoders (Mondrian) that do not share one level
-    vector across the table.
+    vector across the table; one row map may be shared by many rows.
     """
     schema = dataset.schema
     qi_names = set(schema.quasi_identifier_names)
+    positions = [
+        (schema.index_of(attribute), attribute)
+        for attribute in schema.quasi_identifier_names
+    ]
     released_rows = []
     for row_index, row in enumerate(dataset):
-        cells = list(row)
         row_map = qi_cells[row_index]
-        extra = set(row_map) - qi_names
-        if extra:
-            raise AnonymizationError(
-                f"row {row_index} recodes non-QI attributes {sorted(extra)}"
-            )
-        missing = qi_names - set(row_map)
-        if missing:
+        if row_map.keys() != qi_names:
+            extra = set(row_map) - qi_names
+            if extra:
+                raise AnonymizationError(
+                    f"row {row_index} recodes non-QI attributes {sorted(extra)}"
+                )
+            missing = qi_names - set(row_map)
             raise AnonymizationError(
                 f"row {row_index} missing recoded values for {sorted(missing)}"
             )
-        for attribute, value in row_map.items():
-            cells[schema.index_of(attribute)] = value
+        cells = list(row)
+        for position, attribute in positions:
+            cells[position] = row_map[attribute]
         released_rows.append(tuple(cells))
     return Anonymization(
         dataset,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import inspect
 from collections import OrderedDict
-from typing import Any, Mapping
+from typing import Any, Hashable, Mapping
 
 from ..anonymize.engine import Anonymization
 from ..obs import metrics as obs_metrics
@@ -50,28 +50,30 @@ class ServeRequestError(ValueError):
     """Raised for malformed request payloads (a client error, HTTP 400)."""
 
 
-#: Most ``rows`` a request's dataset may name: the 1M-row scale tier.  Each
-#: distinct dataset a request names stays resident for the process's life.
+#: Most ``rows`` a request's dataset may name: the 1M-row scale tier.  Tables
+#: stay resident only in the study runtime's ``DATASET_MEMO_SIZE`` LRU, and
+#: their fingerprints in a ``max_resident`` LRU.
 MAX_DATASET_ROWS = 1_000_000
 
 
 class _ResidentLRU:
-    """A bounded insertion-refreshing memo for resident result objects."""
+    """A bounded insertion-refreshing memo for resident result objects
+    (keyed by cache digest) and dataset fingerprints (keyed by spec)."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._items: OrderedDict[str, Any] = OrderedDict()
+        self._items: OrderedDict[Hashable, Any] = OrderedDict()
 
-    def get(self, key: str) -> Any:
+    def get(self, key: Hashable) -> Any:
         """The resident value under ``key``, or :data:`MISS`."""
         if key not in self._items:
             return MISS
         self._items.move_to_end(key)
         return self._items[key]
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Make ``value`` resident, evicting the least-recent beyond capacity."""
         self._items[key] = value
         self._items.move_to_end(key)
@@ -144,7 +146,8 @@ class ServeState:
         exactly as ``repro study`` derives them.
     max_resident:
         Bound on each in-memory memo (releases, vectors, query/compare
-        results); least-recently-used entries fall back to the disk cache.
+        results, dataset fingerprints); least-recently-used results fall
+        back to the disk cache, evicted fingerprints are recomputed.
     """
 
     def __init__(
@@ -159,12 +162,11 @@ class ServeState:
         self._default_dataset = default_dataset
         self._releases = _ResidentLRU(max_resident)
         self._derived = _ResidentLRU(max_resident)
-        self._fingerprints: dict[DatasetSpec, str] = {}
+        self._fingerprints = _ResidentLRU(max_resident)
         # Materialize and fingerprint the default workload now: startup pays
         # the build cost once, requests find the table resident.  Its
         # columnar view is interned by the first release that needs it.
-        dataset, _ = default_dataset.materialize()
-        self._fingerprints[default_dataset] = dataset.fingerprint()
+        self.fingerprint(default_dataset)
 
     # -- request-payload resolution ---------------------------------------
 
@@ -202,10 +204,12 @@ class ServeState:
 
     def fingerprint(self, dataset_spec: DatasetSpec) -> str:
         """The (memoized) content fingerprint of a named dataset."""
-        if dataset_spec not in self._fingerprints:
+        fingerprint = self._fingerprints.get(dataset_spec)
+        if fingerprint is MISS:
             dataset, _ = dataset_spec.materialize()
-            self._fingerprints[dataset_spec] = dataset.fingerprint()
-        return self._fingerprints[dataset_spec]
+            fingerprint = dataset.fingerprint()
+            self._fingerprints.put(dataset_spec, fingerprint)
+        return fingerprint
 
     # -- layered resolution ------------------------------------------------
 

@@ -247,6 +247,19 @@ class TestHttpContract:
         with pytest.raises(ServeRequestError, match="rows must be from 1"):
             spec(MAX_DATASET_ROWS + 1)
 
+    def test_fingerprint_memo_is_bounded(self):
+        state = ServeState(
+            DatasetSpec.of("adult", rows=20, seed=1), seed=SEED, max_resident=2
+        )
+        specs = [DatasetSpec.of("adult", rows=20, seed=s) for s in range(1, 5)]
+        first = [state.fingerprint(spec) for spec in specs]
+        assert state.resident_counts()["datasets"] <= 2
+        # The first spec was evicted; asking again recomputes the same digest.
+        assert state.fingerprint(specs[0]) == first[0]
+        assert first[0] == specs[0].materialize()[0].fingerprint()
+        assert len(set(first)) == 4
+        assert state.resident_counts()["datasets"] <= 2
+
     def test_malformed_json_body_is_400(self, server):
         connection = http.client.HTTPConnection(
             server.host, server.port, timeout=30
