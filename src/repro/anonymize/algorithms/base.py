@@ -4,12 +4,15 @@ Provides the :class:`Anonymizer` protocol plus a :class:`RecodingWorkspace`
 running on the columnar plane: per QI attribute the column is interned once
 (:meth:`Dataset.columns`) and a level table is built per hierarchy
 (:mod:`repro.hierarchy.codes`), after which evaluating a lattice node is a
-handful of array gathers.  Node partitions are cached and — when the level
+handful of array gathers.  A k verdict (:meth:`RecodingWorkspace.
+violation_count`, behind ``satisfies_k``) reads only the node's class
+sizes, counted straight from its packed keys, which is what makes
+full-lattice walks (Samarati, Incognito, Datafly, the optimal search)
+cheap at scale.  Callers that need per-row labels or representatives get
+a node partition instead; partitions are cached and — when the level
 tables are *nested* over the column domain — derived incrementally: a
 coarser node's partition is computed from a cached finer one by re-keying
-one representative row per class instead of re-grouping all rows, which is
-what makes full-lattice walks (Samarati, Incognito, Datafly, the optimal
-search) cheap at scale.
+one representative row per class instead of re-grouping all rows.
 """
 
 from __future__ import annotations
@@ -85,9 +88,10 @@ class RecodingWorkspace:
     """Cached full-domain recoding machinery for one dataset + hierarchies.
 
     Caches, per QI attribute, the interned base codes and the hierarchy
-    level tables, plus an LRU of recently evaluated node partitions; lattice
-    walks evaluating neighbor nodes hit the incremental coarsening path
-    instead of re-grouping every row.
+    level tables, plus an LRU of recently built node partitions; neighbor
+    partitions take the incremental coarsening path instead of re-grouping
+    every row.  Verdicts and sizes-only costs bypass partitions and the
+    LRU altogether (:meth:`class_sizes`).
     """
 
     #: Partitions kept per attribute projection (int64 labels cost 8·N
@@ -206,7 +210,8 @@ class RecodingWorkspace:
             return cached
         partition = self._derive_partition(node, names, cache)
         if partition is None:
-            reps, labels, count = self._kernels.group(self._packed_keys(node, names))
+            keys, _ = self._packed_keys(node, names)
+            reps, labels, count = self._kernels.group(keys)
             partition = _Partition(labels, self._kernels.bincount(labels, count), reps)
             self.partition_stats["fresh"] += 1
             obs_metrics().inc("workspace.partition.fresh")
@@ -220,18 +225,25 @@ class RecodingWorkspace:
             obs_metrics().inc("workspace.partition.evict")
         return partition
 
-    def _packed_keys(self, node: Node, names: tuple[str, ...], rows: Any = None) -> Any:
-        """Unsorted mixed-radix keys of ``rows`` (default: all) at ``node``."""
+    def _packed_keys(
+        self, node: Node, names: tuple[str, ...], rows: Any = None
+    ) -> tuple[Any, int]:
+        """Unsorted mixed-radix keys of ``rows`` (default: all, packed
+        from the cached :meth:`code_column` arrays) at ``node``, with their
+        exclusive bound."""
         kernels = self._kernels
         columns: list[tuple[Any, int]] = []
         for name, level in zip(names, node):
-            built = self._table(name).level(level)
-            base = self._base(name) if rows is None else kernels.gather(self._base(name), rows)
-            columns.append((kernels.gather(built.gather, base), built.count))
-        combined = pack_columns(kernels, columns)
-        if combined is None:
+            if rows is None:
+                columns.append(self.code_column(name, level))
+            else:
+                built = self._table(name).level(level)
+                base = kernels.gather(self._base(name), rows)
+                columns.append((kernels.gather(built.gather, base), built.count))
+        keys, bound = pack_columns(kernels, columns)
+        if keys is None:
             raise AnonymizationError("grouping requires at least one attribute")
-        return combined
+        return keys, bound
 
     def _derive_partition(
         self,
@@ -264,9 +276,8 @@ class RecodingWorkspace:
         kernels = self._kernels
         parent = best[1]
         # Re-key one representative row per parent class at the new node.
-        child_of_group, count = kernels.densify(
-            self._packed_keys(node, names, parent.reps)
-        )
+        keys, _ = self._packed_keys(node, names, parent.reps)
+        child_of_group, count = kernels.densify(keys)
         labels = kernels.gather(child_of_group, parent.labels)
         sizes = kernels.fold_add(child_of_group, parent.sizes, count)
         reps = kernels.fold_min(
@@ -299,6 +310,23 @@ class RecodingWorkspace:
             counts[key] = int(partition.sizes[group])
         return counts
 
+    def class_sizes(
+        self, node: Node, attributes: Sequence[str] | None = None
+    ) -> Any:
+        """Equivalence class sizes at ``node`` (a kernel array).
+
+        Equal to ``partition(node).sizes``, in the same canonical
+        sorted-key order, but counted straight from the packed keys of the
+        cached code columns: no per-row labels, no representatives, no
+        partition cache entry.  This is all a k-anonymity verdict or a
+        sizes-only cost reads.
+        """
+        names = tuple(attributes) if attributes is not None else self.qi_names
+        self._check_node_arity(node, names)
+        obs_metrics().inc("workspace.sizes")
+        keys, bound = self._packed_keys(node, names)
+        return self._kernels.key_sizes(keys, bound)
+
     def class_size_vector(
         self, node: Node, attributes: Sequence[str] | None = None
     ) -> Any:
@@ -326,10 +354,7 @@ class RecodingWorkspace:
         self, node: Node, k: int, attributes: Sequence[str] | None = None
     ) -> int:
         """Number of rows in classes smaller than ``k`` at ``node``."""
-        names = tuple(attributes) if attributes is not None else self.qi_names
-        self._check_node_arity(node, names)
-        per_row = self.class_size_vector(node, names)
-        return self._kernels.count_less(per_row, k)
+        return self._kernels.sum_less(self.class_sizes(node, attributes), k)
 
     def satisfies_k(
         self,

@@ -475,13 +475,12 @@ class CutEvaluator:
     def violations(self, k: int, trial: CutCoding | None = None) -> int:
         """Rows in groups smaller than ``k``."""
         kernels = self._kernels
-        combined = pack_columns(
+        keys, bound = pack_columns(
             kernels, [coding.tokens() for coding in self.codings(trial)]
         )
-        if combined is None:
+        if keys is None:
             return 0
-        _, labels, count = kernels.group(combined)
-        return kernels.sum_less(kernels.bincount(labels, count), k)
+        return kernels.sum_less(kernels.key_sizes(keys, bound), k)
 
     def total_loss(self, trial: CutCoding | None = None) -> float:
         """Total LM loss, added over the QIs in schema order."""

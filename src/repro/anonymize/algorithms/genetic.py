@@ -253,10 +253,9 @@ class GeneticAnonymizer(Anonymizer):
         # Iyengar's penalty: every row of a class below k is charged as if
         # suppressed (full loss across all QIs).
         penalty = 0
-        combined = pack_columns(kernels, columns)
-        if combined is not None:
-            labels, count = kernels.densify(combined)
-            sizes = kernels.bincount(labels, count)
+        keys, bound = pack_columns(kernels, columns)
+        if keys is not None:
+            sizes = kernels.key_sizes(keys, bound)
             penalty = kernels.sum_less(sizes, self.k) * qi_count
         return loss + penalty
 

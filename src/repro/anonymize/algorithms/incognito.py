@@ -17,7 +17,7 @@ candidate anonymizations.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
@@ -52,26 +52,28 @@ class Incognito(Anonymizer):
     def _anonymous_sublattice(
         self,
         workspace: RecodingWorkspace,
-        attributes: Sequence[str],
+        attributes: tuple[str, ...],
         previous: dict[tuple[str, ...], set[Node]],
         budget: int,
     ) -> set[Node]:
         """k-anonymous nodes of one QI-subset sub-lattice."""
         sub_lattice = Lattice([workspace.hierarchies[name] for name in attributes])
+        # Per dropped attribute, the anonymous nodes of the projection that
+        # omits it (none to consult for a single attribute).
+        projections = (
+            [
+                (drop, previous[attributes[:drop] + attributes[drop + 1 :]])
+                for drop in range(len(attributes))
+            ]
+            if len(attributes) > 1
+            else []
+        )
 
         def projections_anonymous(node: Node) -> bool:
-            if len(attributes) == 1:
-                return True
-            for drop in range(len(attributes)):
-                subset = tuple(
-                    name for i, name in enumerate(attributes) if i != drop
-                )
-                projected = tuple(
-                    level for i, level in enumerate(node) if i != drop
-                )
-                if projected not in previous[subset]:
-                    return False
-            return True
+            return all(
+                node[:drop] + node[drop + 1 :] in known
+                for drop, known in projections
+            )
 
         anonymous: set[Node] = set()
         # Bottom-up breadth-first sweep; the generalization property marks

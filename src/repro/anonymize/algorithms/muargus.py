@@ -13,10 +13,11 @@ documented shortcoming Sweeney reported [16], reproduced faithfully here
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Mapping
+from typing import Mapping
 
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
+from ...kernels import active as active_kernels
 from ..engine import Anonymization, recode
 from .base import (
     Anonymizer,
@@ -60,7 +61,12 @@ class MuArgus(Anonymizer):
         self, workspace: RecodingWorkspace, levels: dict[str, int]
     ) -> tuple[set[int], dict[str, int]]:
         """Rows appearing in any unsafe (< k) combination up to the checked
-        dimension, and per-attribute unsafe-combination involvement."""
+        dimension, and per-attribute unsafe-combination involvement.
+
+        A combination's unsafe classes are counted from its class sizes
+        alone; only a combination that has any is partitioned, to find
+        its rows."""
+        kernels = active_kernels()
         qi_names = workspace.qi_names
         unsafe_rows: set[int] = set()
         involvement = {name: 0 for name in qi_names}
@@ -68,21 +74,14 @@ class MuArgus(Anonymizer):
         for size in range(1, dimension + 1):
             for subset in itertools.combinations(qi_names, size):
                 node = tuple(levels[name] for name in subset)
-                counts = workspace.group_sizes(node, subset)
-                unsafe_keys = {
-                    key for key, count in counts.items() if count < self.k
-                }
-                if not unsafe_keys:
+                unsafe_classes = kernels.count_less(
+                    workspace.class_sizes(node, subset), self.k
+                )
+                if not unsafe_classes:
                     continue
-                columns = [
-                    workspace.generalized_column(name, levels[name])
-                    for name in subset
-                ]
-                for row_index, key in enumerate(zip(*columns)):
-                    if key in unsafe_keys:
-                        unsafe_rows.add(row_index)
+                unsafe_rows.update(workspace.violating_rows(node, self.k, subset))
                 for name in subset:
-                    involvement[name] += len(unsafe_keys)
+                    involvement[name] += unsafe_classes
         return unsafe_rows, involvement
 
     def anonymize(
@@ -92,6 +91,8 @@ class MuArgus(Anonymizer):
         levels = {name: 0 for name in workspace.qi_names}
         budget = int(self.suppression_limit * len(dataset))
 
+        # Both exits leave ``levels`` as last checked, so the final unsafe
+        # rows are the last iteration's.
         while True:
             unsafe_rows, involvement = self._unsafe_rows_by_attribute(
                 workspace, levels
@@ -109,7 +110,6 @@ class MuArgus(Anonymizer):
             chosen = max(candidates, key=lambda name: involvement[name])
             levels[chosen] += 1
 
-        unsafe_rows, _ = self._unsafe_rows_by_attribute(workspace, levels)
         return recode(
             dataset,
             workspace.hierarchies,

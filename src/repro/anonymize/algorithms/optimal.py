@@ -53,7 +53,7 @@ def loss_metric_cost(workspace: RecodingWorkspace, node: Node, k: int) -> float:
 
 def discernibility_cost(workspace: RecodingWorkspace, node: Node, k: int) -> float:
     """DM cost: Σ|class|² over surviving classes + N per suppressed row."""
-    sizes = workspace.group_sizes(node).values()
+    sizes = workspace.class_sizes(node).tolist()
     total = len(workspace.dataset)
     cost = 0.0
     for size in sizes:

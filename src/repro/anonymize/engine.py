@@ -231,7 +231,7 @@ def packed_group_labels(
         else:
             radix = built.count
         packed.append((codes, radix))
-    combined = pack_columns(kernels, packed)
+    combined, _ = pack_columns(kernels, packed)
     if combined is None:
         raise AnonymizationError("grouping requires at least one attribute")
     return combined

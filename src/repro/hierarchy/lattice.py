@@ -9,12 +9,24 @@ the optimal search enumerates it with monotonicity pruning.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Mapping, Sequence
 
 from .base import Hierarchy, HierarchyError
 
 Node = tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=256)
+def _strata(heights: tuple[int, ...]) -> tuple[tuple[Node, ...], ...]:
+    """Every node of the lattice with these heights, bucketed by level sum,
+    each bucket in lexicographic order: one pass over the product, shared
+    by every lattice (and sub-lattice) of the same shape."""
+    buckets: list[list[Node]] = [[] for _ in range(sum(heights) + 1)]
+    for node in itertools.product(*(range(height + 1) for height in heights)):
+        buckets[sum(node)].append(node)
+    return tuple(map(tuple, buckets))
 
 
 class Lattice:
@@ -105,10 +117,11 @@ class Lattice:
         return itertools.product(*(range(h + 1) for h in self._heights))
 
     def nodes_at_height(self, height: int) -> Iterator[Node]:
-        """All nodes whose level sum equals ``height``."""
+        """All nodes whose level sum equals ``height``, in lexicographic
+        order (Samarati's early exit and loss tie-breaks rely on it)."""
         if not 0 <= height <= self.max_height:
             return iter(())
-        return (node for node in self.nodes() if sum(node) == height)
+        return iter(_strata(self._heights)[height])
 
     def dominates(self, upper: Node, lower: Node) -> bool:
         """Whether ``upper`` is at least as generalized as ``lower`` in

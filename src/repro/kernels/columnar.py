@@ -9,6 +9,8 @@ code arrays:
 * ``group`` / ``densify`` — label rows by distinct packed value;
 * ``bincount`` / ``fold_add`` / ``fold_min`` — per-group sizes and
   representative rows, fresh or folded through a coarsening map;
+* ``key_sizes`` — per-group sizes straight from packed keys, without
+  labelling rows: all a k-anonymity verdict reads;
 * ``grouped_value_counts`` — per-class value histograms (the raw material
   of l-diversity / t-closeness) from one grouping pass;
 * ``intern`` — first-occurrence code interning by equality; both
@@ -27,6 +29,9 @@ densifying the running key only when its tracked bound (the radix product)
 would pass int64.  A partition thus sorts once, in ``group``/``densify``,
 with the labels of densifying after every step: both keys order rows
 lexicographically over the column codes, so their sorted ranks coincide.
+``pack_columns`` hands its bound back with the keys, so ``key_sizes`` can
+count with a ``bincount`` wherever the bound is at most the row count and
+fall back to a sorted count only above it: no allocation grows past N.
 
 Kernel arrays are opaque to callers: ``numpy.ndarray`` under the numpy
 backend, ``array('q')`` under the pure backend.  Callers index them and
@@ -37,6 +42,7 @@ or feeding a public API happens via ``tolist``.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from typing import Any, Sequence
 
 
@@ -119,6 +125,18 @@ class PythonKernels:
         return reps, labels, len(ordered)
 
     # -- per-group reductions ------------------------------------------------
+
+    def key_sizes(self, keys: Sequence[int], bound: int) -> "array[int]":
+        """Group sizes of packed ``keys`` (values in ``range(bound)``) in
+        sorted-key order: ``bincount(group(keys)[1], count)`` without the
+        labels."""
+        if bound <= len(keys):
+            counts = [0] * bound
+            for key in keys:
+                counts[key] += 1
+            return array("q", filter(None, counts))
+        counts = Counter(keys)
+        return array("q", map(counts.__getitem__, sorted(counts)))
 
     def bincount(self, labels: Sequence[int], count: int) -> "array[int]":
         """Per-group sizes of ``labels`` (values in ``range(count)``)."""
@@ -283,6 +301,17 @@ class NumpyKernels:
 
     # -- per-group reductions ------------------------------------------------
 
+    def key_sizes(self, keys: Any, bound: int) -> Any:
+        """Group sizes of packed ``keys`` (values in ``range(bound)``) in
+        sorted-key order: a ``bincount`` compressed to its nonzero entries
+        when ``bound`` is at most the row count, else a sorted count."""
+        np = self._np
+        if bound <= keys.size:
+            counts = np.bincount(keys)
+            return counts[counts > 0].astype(np.int64, copy=False)
+        _, sizes = np.unique(keys, return_counts=True)
+        return sizes.astype(np.int64, copy=False)
+
     def bincount(self, labels: Any, count: int) -> Any:
         """Occurrences of each label in ``0..count-1`` as an int64 array."""
         return self._np.bincount(labels, minlength=count).astype(
@@ -387,9 +416,12 @@ def intern_values(values: Sequence[Any]) -> tuple["array[int]", tuple[Any, ...]]
 _INT64_SPAN = 1 << 63  # keys below a bound b fit int64 iff b <= 2**63
 
 
-def pack_columns(kernels: Any, columns: Sequence[tuple[Any, int]]) -> Any:
-    """Mixed-radix keys of ``[(codes, radix), ...]`` (codes in
-    ``range(radix)``), or ``None`` for no columns; see the module docstring.
+def pack_columns(
+    kernels: Any, columns: Sequence[tuple[Any, int]]
+) -> tuple[Any, int]:
+    """``(keys, bound)``: mixed-radix keys of ``[(codes, radix), ...]``
+    (codes in ``range(radix)``) and the exclusive bound of the keys, or
+    ``(None, 1)`` for no columns; see the module docstring.
     """
     combined: Any = None
     bound = 1
@@ -403,5 +435,5 @@ def pack_columns(kernels: Any, columns: Sequence[tuple[Any, int]]) -> Any:
                 raise OverflowError(f"{bound} groups x radix {radix} overflow int64")
         combined = kernels.pack(combined, radix, codes)
         bound *= radix
-    return combined
+    return combined, bound
 

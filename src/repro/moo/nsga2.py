@@ -41,11 +41,11 @@ ObjectiveFn = Callable[[RecodingWorkspace, Node], float]
 
 def privacy_rank_objective(workspace: RecodingWorkspace, node: Node) -> float:
     """Distance of the class-size property vector from the all-N ideal."""
-    counts = workspace.group_sizes(node)
+    sizes = workspace.class_sizes(node).tolist()
     total = len(workspace.dataset)
     # Per-tuple class sizes without materializing the release: each class of
     # size s contributes s tuples at distance (total - s).
-    squared = sum(size * (total - size) ** 2 for size in counts.values())
+    squared = sum(size * (total - size) ** 2 for size in sizes)
     return math.sqrt(squared)
 
 
@@ -62,11 +62,11 @@ def weighted_k_objective(workspace: RecodingWorkspace, node: Node) -> float:
     Unlike the minimum (plain k), the weighted k credits protection
     delivered to *every* tuple; negated so the framework minimizes it.
     """
-    counts = workspace.group_sizes(node)
+    sizes = workspace.class_sizes(node).tolist()
     total = len(workspace.dataset)
     if not total:
         return 0.0
-    weighted_k = sum(size * size for size in counts.values()) / total
+    weighted_k = sum(size * size for size in sizes) / total
     return -weighted_k
 
 

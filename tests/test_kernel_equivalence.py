@@ -21,6 +21,8 @@ the generators' byte-identity rests on them.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -85,7 +87,7 @@ def full_grouping(kernels, columns, radixes):
     """Pack columns mixed-radix, then group: the plane's inner loop."""
     if not columns:
         return [], [], [], 0
-    combined = pack_columns(
+    combined, _ = pack_columns(
         kernels,
         [(kernels.asarray(column), radix) for column, radix in zip(columns, radixes)],
     )
@@ -202,11 +204,12 @@ class TestGroupingEquivalence:
 
         def operation(kernels):
             counting = CountingKernels(kernels)
-            packed = pack_columns(
+            packed, bound = pack_columns(
                 counting,
                 [(kernels.asarray(combined), 2), (kernels.asarray(column), 2**62)],
             )
             assert counting.densifies == 0
+            assert bound == 2**63
             assert kernels.tolist(packed)[2] == 2**62 + 1
             labels, _ = kernels.densify(packed)
             return kernels.tolist(labels)
@@ -412,6 +415,89 @@ class TestPackColumnsOracle:
                             (kernels.asarray([0, 0, 0]), 2**62),
                         ],
                     )
+
+
+def key_sizes_case(kernels, columns, radixes):
+    """``key_sizes`` over the packed columns, plus the grouped sizes."""
+    keys, bound = pack_columns(
+        kernels,
+        [(kernels.asarray(column), radix) for column, radix in zip(columns, radixes)],
+    )
+    sizes = kernels.tolist(kernels.key_sizes(keys, bound))
+    return sizes, bound, len(keys)
+
+
+class TestKeySizes:
+    """``key_sizes`` equals ``bincount(group(keys))`` on every route:
+    the ``bincount`` route (bound at most the row count), the sorted-count
+    route (bound above it) and keys densified on the int64 overflow path.
+    Sizes are bit-identical across backends."""
+
+    @given(radix_columns())
+    @example(([[0, 1, 1, 0], [0, 0, 1, 1]], [2, 2**62]))
+    @example(([[5, 0, 5], [2**40 - 1, 3, 2**40 - 1], [7, 7, 0]], [2**40] * 3))
+    @example(([[0, 1, 2, 1, 0, 0], [1, 1, 0, 1, 1, 0]], [3, 2]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_grouped_sizes(self, case):
+        columns, radixes = case
+        sizes, _, _ = assert_backends_agree(
+            lambda kernels: key_sizes_case(kernels, columns, radixes)
+        )
+        _, _, expected, _ = per_step_reference(columns, radixes)
+        assert sizes == expected
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=12, max_size=40),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=12, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bincount_route(self, first, second):
+        """Bound 12 <= rows: counted by ``bincount`` and compressed, with
+        unused keys (gaps in the key range) dropped."""
+        rows = min(len(first), len(second))
+        columns = [first[:rows], second[:rows]]
+        sizes, bound, length = assert_backends_agree(
+            lambda kernels: key_sizes_case(kernels, columns, [4, 3])
+        )
+        assert bound == 12 <= length
+        assert sizes == per_step_reference(columns, [4, 3])[2]
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**40 - 1), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_sorted_count_route(self, column):
+        """Bound 2^40 > rows: counted by a sort over the distinct keys."""
+        sizes, bound, length = assert_backends_agree(
+            lambda kernels: key_sizes_case(kernels, [column], [2**40])
+        )
+        assert bound > length
+        assert sizes == [count for _, count in sorted(Counter(column).items())]
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**40 - 1), min_size=1, max_size=30),
+        st.lists(st.integers(min_value=0, max_value=2**40 - 1), min_size=1, max_size=30),
+        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_after_overflow_densify(self, first, second, third):
+        """Two radix-2^40 columns overflow int64, so ``pack_columns``
+        densifies; the bound it hands back is the densified one."""
+        rows = min(len(first), len(second), len(third))
+        columns = [first[:rows], second[:rows], third[:rows]]
+        radixes = [2**40, 2**40, 2]
+
+        def operation(kernels):
+            counting = CountingKernels(kernels)
+            return key_sizes_case(counting, columns, radixes), counting.densifies
+
+        (sizes, bound, _), densifies = assert_backends_agree(operation)
+        assert densifies == 1
+        assert bound < 2**40 * 2**40
+        assert sizes == per_step_reference(columns, radixes)[2]
+
+    def test_no_columns(self):
+        for name in ["python"] + (["numpy"] if HAVE_NUMPY else []):
+            with force_backend(name):
+                assert pack_columns(active(), []) == (None, 1)
 
 
 def column_codes_on_both_backends(values):

@@ -66,6 +66,26 @@ class TestStructure:
         assert list(lattice.nodes_at_height(-1)) == []
         assert list(lattice.nodes_at_height(99)) == []
 
+    @pytest.mark.parametrize(
+        "heights", [(3, 1, 2), (1,), (2, 2, 2, 2), (4, 1), (1, 3, 2, 1, 2)]
+    )
+    def test_strata_keep_the_lexicographic_filter_order(self, heights):
+        """Samarati's early exit and loss tie-breaks read the stratum in
+        the order the filter over ``nodes()`` produced."""
+        chain = [
+            TaxonomyHierarchy(
+                f"h{i}", {"leaf": tuple(f"g{level}" for level in range(height - 1))}
+            )
+            for i, height in enumerate(heights)
+        ]
+        lattice = Lattice(chain)
+        assert lattice.heights == heights
+        for height in range(-1, lattice.max_height + 2):
+            filtered = [node for node in lattice.nodes() if sum(node) == height]
+            assert list(lattice.nodes_at_height(height)) == filtered
+            # A second walk (served from the shared strata) is the same.
+            assert list(lattice.nodes_at_height(height)) == filtered
+
 
 class TestOrder:
     def test_successors(self, lattice):

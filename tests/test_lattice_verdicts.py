@@ -1,0 +1,337 @@
+"""Oracles for the lattice searches' k-anonymity verdicts.
+
+``RecodingWorkspace.violation_count`` (behind ``satisfies_k``) decides k
+from a node's class sizes alone, counted straight from the packed keys.
+These tests pin that verdict on small random tables, for every node of
+every Incognito projection, against two oracles:
+
+* the brute-force group-by check of a k-anonymity test (group the
+  generalized QI tuples, sum the sizes of the groups below k);
+* the label-based count the workspace used before, kept here: build the
+  node's row partition and count rows whose class is below k.
+
+The releases of Datafly, Samarati, Incognito and μ-Argus must equal those
+of that label-based path, and the sizes-only costs (DM, the NSGA-II
+objectives, the cut and genetic penalties) must equal their values from
+the full grouping — they are integer sums, exact in float.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from collections import Counter
+from contextlib import ExitStack
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.anonymize.algorithms import (
+    AlgorithmError,
+    Datafly,
+    GeneticAnonymizer,
+    Incognito,
+    MuArgus,
+    RecodingWorkspace,
+    Samarati,
+    discernibility_cost,
+)
+from repro.anonymize.algorithms import (
+    cuts,
+    datafly,
+    genetic,
+    incognito,
+    muargus,
+    samarati,
+)
+from repro.anonymize.algorithms.cuts import CutEvaluator, bottom_cuts, top_cuts
+from repro.anonymize.engine import recode
+from repro.datasets.dataset import Dataset
+from repro.datasets.schema import AttributeKind, Schema, quasi_identifier, sensitive
+from repro.hierarchy.categorical import TaxonomyHierarchy
+from repro.hierarchy.lattice import Lattice
+from repro.hierarchy.numeric import Banding, IntervalHierarchy
+from repro.kernels import HAVE_NUMPY, active, force_backend
+from repro.moo.nsga2 import privacy_rank_objective, weighted_k_objective
+
+SCHEMA = Schema.of(
+    quasi_identifier("num", AttributeKind.NUMERIC),
+    quasi_identifier("cat", AttributeKind.CATEGORICAL),
+    quasi_identifier("pair", AttributeKind.CATEGORICAL),
+    sensitive("sens", AttributeKind.CATEGORICAL),
+)
+QI_NAMES = ("num", "cat", "pair")
+HIERARCHIES = {
+    "num": IntervalHierarchy("num", [Banding(5), Banding(20)], (0, 100)),
+    "cat": TaxonomyHierarchy(
+        "cat",
+        {
+            "a": ("left",), "b": ("left",), "c": ("left",),
+            "d": ("right",), "e": ("right",), "f": ("right",),
+        },
+    ),
+    "pair": TaxonomyHierarchy(
+        "pair", {"p": ("pq",), "q": ("pq",), "r": ("rs",), "s": ("rs",)}
+    ),
+}
+BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+KS = range(1, 7)
+
+
+@st.composite
+def datasets(draw):
+    size = draw(st.integers(min_value=1, max_value=30))
+    rows = [
+        (
+            draw(st.integers(min_value=0, max_value=100)),
+            draw(st.sampled_from("abcdef")),
+            draw(st.sampled_from("pqrs")),
+            draw(st.sampled_from(["s1", "s2"])),
+        )
+        for _ in range(size)
+    ]
+    return Dataset(SCHEMA, rows)
+
+
+common = settings(
+    max_examples=25, suppress_health_check=[HealthCheck.too_slow], deadline=None
+)
+
+
+def projections():
+    """Every QI subset Incognito walks, smallest first."""
+    for size in range(1, len(QI_NAMES) + 1):
+        yield from itertools.combinations(QI_NAMES, size)
+
+
+def group_by_violations(data, names, node, k):
+    """Brute force: rows in generalized-tuple groups smaller than ``k``."""
+    positions = [data.schema.index_of(name) for name in names]
+    keys = Counter(
+        tuple(
+            HIERARCHIES[name].generalize(row[position], level)
+            for name, position, level in zip(names, positions, node)
+        )
+        for row in data.rows
+    )
+    return sum(size for size in keys.values() if size < k)
+
+
+def label_violation_count(workspace, node, k, names):
+    """The label-based count: partition rows, gather each row's class size."""
+    per_row = workspace.class_size_vector(node, names)
+    return active().count_less(per_row, k)
+
+
+class LabelWorkspace(RecodingWorkspace):
+    """A workspace whose verdicts take the label-based path."""
+
+    def violation_count(self, node, k, attributes=None):
+        names = tuple(attributes) if attributes is not None else self.qi_names
+        self._check_node_arity(node, names)
+        return label_violation_count(self, node, k, names)
+
+
+class LabelMuArgus(MuArgus):
+    """μ-Argus as it matched every row's generalized tuple against the
+    decoded frequency set, with its final recount after the loop."""
+
+    def _unsafe_rows_by_attribute(self, workspace, levels):
+        qi_names = workspace.qi_names
+        unsafe_rows = set()
+        involvement = {name: 0 for name in qi_names}
+        dimension = min(self.max_combination_size, len(qi_names))
+        for size in range(1, dimension + 1):
+            for subset in itertools.combinations(qi_names, size):
+                node = tuple(levels[name] for name in subset)
+                counts = workspace.group_sizes(node, subset)
+                unsafe_keys = {key for key, count in counts.items() if count < self.k}
+                if not unsafe_keys:
+                    continue
+                columns = [
+                    workspace.generalized_column(name, levels[name]) for name in subset
+                ]
+                for row_index, key in enumerate(zip(*columns)):
+                    if key in unsafe_keys:
+                        unsafe_rows.add(row_index)
+                for name in subset:
+                    involvement[name] += len(unsafe_keys)
+        return unsafe_rows, involvement
+
+    def anonymize(self, dataset, hierarchies):
+        workspace = LabelWorkspace(dataset, hierarchies)
+        levels = {name: 0 for name in workspace.qi_names}
+        budget = int(self.suppression_limit * len(dataset))
+        while True:
+            unsafe_rows, involvement = self._unsafe_rows_by_attribute(workspace, levels)
+            if len(unsafe_rows) <= budget:
+                break
+            candidates = [
+                name
+                for name in workspace.qi_names
+                if levels[name] < workspace.hierarchies[name].height
+                and involvement[name] > 0
+            ]
+            if not candidates:
+                break
+            levels[max(candidates, key=lambda name: involvement[name])] += 1
+        unsafe_rows, _ = self._unsafe_rows_by_attribute(workspace, levels)
+        return recode(
+            dataset, workspace.hierarchies, levels,
+            suppress=sorted(unsafe_rows), name=self.name,
+        )
+
+
+def label_path():
+    """Patch the lattice searches onto the label-based workspace."""
+    stack = ExitStack()
+    for module in (datafly, samarati, incognito, muargus):
+        stack.enter_context(mock.patch.object(module, "RecodingWorkspace", LabelWorkspace))
+    return stack
+
+
+class GroupedKernels:
+    """The active backend with ``key_sizes`` taken the long way: label
+    every row with ``group``, then ``bincount`` the labels."""
+
+    def __init__(self, kernels):
+        self._kernels = kernels
+
+    def __getattr__(self, name):
+        return getattr(self._kernels, name)
+
+    def key_sizes(self, keys, bound):
+        _, labels, count = self._kernels.group(keys)
+        return self._kernels.bincount(labels, count)
+
+
+def release_of(algorithm, data):
+    """``(rows, suppressed, levels, name)`` of a release, or the error."""
+    try:
+        release = algorithm.anonymize(data, HIERARCHIES)
+    except AlgorithmError as error:
+        return ("error", str(error))
+    return (release.released.rows, release.suppressed, release.levels, release.name)
+
+
+class TestViolationCountOracle:
+    @common
+    @given(datasets())
+    def test_every_projection_node_matches_both_oracles(self, data):
+        per_backend = {}
+        for backend in BACKENDS:
+            with force_backend(backend):
+                workspace = RecodingWorkspace(data, HIERARCHIES)
+                verdicts = []
+                for names in projections():
+                    lattice = Lattice([HIERARCHIES[name] for name in names])
+                    for node in lattice.nodes():
+                        sizes = workspace.class_sizes(node, names)
+                        assert list(sizes) == list(
+                            workspace.partition(node, names).sizes
+                        ), (names, node)
+                        for k in KS:
+                            count = workspace.violation_count(node, k, names)
+                            assert count == group_by_violations(data, names, node, k)
+                            assert count == label_violation_count(
+                                workspace, node, k, names
+                            )
+                            for budget in (0, 1, len(data) // 4, len(data)):
+                                assert workspace.satisfies_k(node, k, budget, names) == (
+                                    count <= budget
+                                )
+                            verdicts.append(count)
+                        verdicts.append(active().tolist(sizes))
+                per_backend[backend] = verdicts
+        assert len({repr(verdicts) for verdicts in per_backend.values()}) == 1
+
+    def test_arity_is_checked(self):
+        data = Dataset(SCHEMA, [(1, "a", "p", "s1")])
+        workspace = RecodingWorkspace(data, HIERARCHIES)
+        with pytest.raises(ValueError):
+            workspace.violation_count((0, 0), 2)
+
+
+class TestReleasesMatchLabelPath:
+    @common
+    @given(datasets(), st.sampled_from(list(KS)), st.sampled_from([0.0, 0.1, 0.3]))
+    def test_lattice_searches(self, data, k, limit):
+        algorithms = [
+            Datafly(k, limit),
+            Samarati(k, limit),
+            Incognito(k, limit),
+            MuArgus(k, 2, limit),
+            MuArgus(k, 1, limit),
+        ]
+        for backend in BACKENDS:
+            with force_backend(backend):
+                for algorithm in algorithms:
+                    current = release_of(algorithm, data)
+                    if isinstance(algorithm, MuArgus):
+                        reference = LabelMuArgus(
+                            k, algorithm.max_combination_size, limit
+                        )
+                    else:
+                        reference = algorithm
+                    with label_path():
+                        expected = release_of(reference, data)
+                    assert current == expected, (backend, algorithm.name)
+
+
+class TestSizesOnlyCosts:
+    @common
+    @given(datasets(), st.sampled_from(list(KS)))
+    def test_discernibility_and_objectives_equal_frequency_set_sums(self, data, k):
+        for backend in BACKENDS:
+            with force_backend(backend):
+                workspace = RecodingWorkspace(data, HIERARCHIES)
+                total = len(data)
+                for node in workspace.lattice.nodes():
+                    sizes = list(workspace.group_sizes(node).values())
+                    dm = 0.0
+                    for size in sizes:
+                        dm += size * total if size < k else size * size
+                    cost = discernibility_cost(workspace, node, k)
+                    assert cost == dm and type(cost) is float
+                    privacy = privacy_rank_objective(workspace, node)
+                    assert privacy == sum(s * (total - s) ** 2 for s in sizes) ** 0.5
+                    assert type(privacy) is float
+                    weighted = weighted_k_objective(workspace, node)
+                    assert weighted == -(sum(s * s for s in sizes) / total)
+
+    @common
+    @given(datasets(), st.sampled_from(list(KS)))
+    def test_cut_violations_equal_grouped_count(self, data, k):
+        ends = (bottom_cuts(data, HIERARCHIES), top_cuts(data, HIERARCHIES))
+        for backend in BACKENDS:
+            with force_backend(backend):
+                for choice in itertools.product(ends, repeat=len(QI_NAMES)):
+                    chosen = {name: end[name] for name, end in zip(QI_NAMES, choice)}
+                    current = CutEvaluator(data, chosen).violations(k)
+                    with mock.patch.object(
+                        cuts, "active_kernels", lambda: GroupedKernels(active())
+                    ):
+                        expected = CutEvaluator(data, chosen).violations(k)
+                    assert current == expected
+
+    @common
+    @given(datasets(), st.sampled_from(list(KS)), st.integers(0, 2**16))
+    def test_genetic_fitness_equals_grouped_penalty(self, data, k, seed):
+        algorithm = GeneticAnonymizer(k, population_size=4, generations=1, seed=seed)
+        plan = algorithm._attribute_plan(data, HIERARCHIES)
+        rng = random.Random(seed)
+        chromosomes = [algorithm._random_chromosome(plan, rng) for _ in range(4)]
+        for backend in BACKENDS:
+            with force_backend(backend):
+                for chromosome in chromosomes:
+                    current = algorithm._fitness(data, plan, HIERARCHIES, chromosome)
+                    with mock.patch.object(
+                        genetic, "active_kernels", lambda: GroupedKernels(active())
+                    ):
+                        expected = algorithm._fitness(
+                            data, plan, HIERARCHIES, chromosome
+                        )
+                    assert current == expected
+
