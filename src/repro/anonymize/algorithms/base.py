@@ -112,7 +112,6 @@ class RecodingWorkspace:
         self._kernels = active_kernels()
         self._tables: dict[str, LevelTable] = {}
         self._base_codes: dict[str, Any] = {}
-        self._columns: dict[tuple[str, int], tuple[Hashable, ...]] = {}
         self._loss_columns: dict[tuple[str, int], tuple[float, ...]] = {}
         self._code_columns: dict[tuple[str, int], tuple[Any, int]] = {}
         self._partitions: dict[
@@ -152,17 +151,6 @@ class RecodingWorkspace:
             )
             self._base_codes[attribute] = codes
         return codes
-
-    def generalized_column(self, attribute: str, level: int) -> tuple[Hashable, ...]:
-        """The attribute's column generalized to ``level`` (cached)."""
-        key = (attribute, level)
-        if key not in self._columns:
-            built = self._table(attribute).level(level)
-            values = built.values
-            self._columns[key] = tuple(
-                values[code] for code in self._view.column(attribute).codes
-            )
-        return self._columns[key]
 
     def loss_column(self, attribute: str, level: int) -> tuple[float, ...]:
         """Per-row LM loss of the attribute at ``level`` (cached)."""

@@ -90,7 +90,7 @@ class TaxonomyCut:
     def specialize(self, token: Hashable) -> "TaxonomyCut":
         """A new cut with ``token`` replaced by its children."""
         if token not in self.tokens:
-            raise CutError(f"{token!r} not in cut")
+            raise CutError(f"{redact_value(token, label='token')} not in cut")
         replaced = set(self.tokens)
         replaced.remove(token)
         replaced.update(self.hierarchy.children(token))

@@ -40,9 +40,19 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
         for row in dataset:
             # This IS the sanctioned release writer — the one place cells
             # may cross the boundary.
-            writer.writerow(  # lint: disable=REP103
-                [_serialize_cell(cell) for cell in row]
-            )
+            writer.writerow([_serialize_cell(cell) for cell in row])
+
+
+def _parse_number(text: str) -> float:
+    # Raised outside the ``except``: float()'s ValueError quotes the raw
+    # text and would ride along as the error's ``__context__``.
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    raise DatasetError(
+        f"unparseable numeric cell {redact_value(text, label='cell')}"
+    )
 
 
 def _parse_cell(text: str, kind: AttributeKind) -> Any:
@@ -51,7 +61,7 @@ def _parse_cell(text: str, kind: AttributeKind) -> Any:
     if kind is AttributeKind.NUMERIC:
         if text.startswith("(") and text.endswith("]"):
             low_text, high_text = text[1:-1].split(",")
-            return Interval(float(low_text), float(high_text))
+            return Interval(_parse_number(low_text), _parse_number(high_text))
         if text.startswith("[") and text.endswith("]"):
             match = re.fullmatch(
                 r"\[(-?[0-9.]+)-(-?[0-9.]+)\]", text
@@ -63,7 +73,7 @@ def _parse_cell(text: str, kind: AttributeKind) -> Any:
             return Span(float(match.group(1)), float(match.group(2)))
         if text == "*":
             return text
-        number = float(text)
+        number = _parse_number(text)
         return int(number) if number.is_integer() else number
     return text
 

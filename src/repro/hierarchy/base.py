@@ -99,8 +99,12 @@ class Hierarchy(abc.ABC):
                 return 0.0
         except HierarchyError:
             pass
+        # Late import: repro.lint's package init imports this module.
+        from ..lint.redact import redact_value
+
         raise HierarchyError(
-            f"hierarchy {self.name!r} cannot score released cell {cell!r}"
+            f"hierarchy {self.name!r} cannot score released cell "
+            f"{redact_value(cell, label='cell')}"
         )
 
     def check_level(self, level: int) -> None:

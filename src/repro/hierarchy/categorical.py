@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Mapping, Sequence
 
+from ..lint.redact import redact_value
 from .base import SUPPRESSED, Hierarchy, HierarchyError
 
 TreeSpec = Mapping[str, Sequence[Any]]
@@ -114,12 +115,15 @@ class TaxonomyHierarchy(Hierarchy):
         return len(self._paths)
 
     def _path(self, value: Any) -> tuple[Hashable, ...]:
-        try:
-            return self._paths[value]
-        except KeyError:
+        # A lookup, not ``except KeyError``: the KeyError would carry the
+        # raw cell on the error's ``__context__``.
+        path = self._paths.get(value)
+        if path is None:
             raise HierarchyError(
-                f"value {value!r} not in domain of hierarchy {self.name!r}"
-            ) from None
+                f"value {redact_value(value, label='cell')} not in domain of "
+                f"hierarchy {self.name!r}"
+            )
+        return path
 
     # -- tree navigation (used by cut-based recoders) -------------------------
 
@@ -200,9 +204,8 @@ class TaxonomyHierarchy(Hierarchy):
         if isinstance(cell, frozenset):
             unknown = set(cell) - set(self._paths)
             if unknown:
-                raise HierarchyError(
-                    f"set cell contains non-domain values {sorted(map(repr, unknown))}"
-                )
+                cells = redact_value(sorted(map(repr, unknown)), label="cells")
+                raise HierarchyError(f"set cell contains non-domain values {cells}")
             return self._coverage_loss(len(cell))
         if cell in self._paths:
             return 0.0

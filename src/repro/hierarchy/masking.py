@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterable
 
+from ..lint.redact import redact_value
 from .base import SUPPRESSED, Hierarchy, HierarchyError
 
 
@@ -64,8 +65,8 @@ class MaskingHierarchy(Hierarchy):
         text = str(value)
         if len(text) != self._code_length:
             raise HierarchyError(
-                f"value {value!r} must have length {self._code_length} "
-                f"for hierarchy {self.name!r}"
+                f"value {redact_value(value, label='cell')} must have length "
+                f"{self._code_length} for hierarchy {self.name!r}"
             )
         return text
 
@@ -74,7 +75,8 @@ class MaskingHierarchy(Hierarchy):
         text = self._check_value(value)
         if self._domain is not None and text not in self._domain:
             raise HierarchyError(
-                f"value {value!r} not in domain of hierarchy {self.name!r}"
+                f"value {redact_value(value, label='cell')} not in domain of "
+                f"hierarchy {self.name!r}"
             )
         if level == 0:
             return text

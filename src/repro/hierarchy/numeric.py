@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Hashable, Sequence
 
+from ..lint.redact import redact_value
 from .base import SUPPRESSED, Hierarchy, HierarchyError, Interval
 
 
@@ -111,12 +112,14 @@ class IntervalHierarchy(Hierarchy):
     def _check_value(self, value: Any) -> float:
         if not isinstance(value, (int, float)):
             raise HierarchyError(
-                f"hierarchy {self.name!r} expects numeric values, got {value!r}"
+                f"hierarchy {self.name!r} expects numeric values, got "
+                f"{redact_value(value, label='cell')}"
             )
         low, high = self._bounds
         if not low <= value <= high:
             raise HierarchyError(
-                f"value {value!r} outside domain [{low}, {high}] of {self.name!r}"
+                f"value {redact_value(value, label='cell')} outside domain "
+                f"[{low}, {high}] of {self.name!r}"
             )
         return float(value)
 

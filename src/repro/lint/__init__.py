@@ -1,6 +1,6 @@
 """``repro.lint`` — static analysis for anonymization pipelines.
 
-Three layers share one diagnostic core:
+Two layers share one diagnostic core:
 
 * **Layer 1, artifact analysis** (:mod:`repro.lint.artifacts`) validates
   the objects a run is configured with — hierarchy completeness and
@@ -17,22 +17,20 @@ Three layers share one diagnostic core:
   :class:`~repro.anonymize.algorithms.base.Anonymizer` subclasses, no
   per-row generalization loops — plus ``REP302``/``REP303``: durable
   writes go through the atomic writer (:mod:`repro.utility.atomic`).
-* **Layer 3, taint analysis** (:mod:`repro.lint.taint` on the
-  :mod:`repro.lint.dataflow` CFG/fixpoint machinery) proves raw
-  quasi-identifier and sensitive values cannot leak past the anonymizer
-  boundary through exceptions, logs, writers or provenance — the
-  ``REP101``–``REP104`` family.  Violations are fixed by routing messages
-  through :func:`repro.lint.redact.redact_value`.
+
+Error messages that must identify a raw cell name it through
+:func:`repro.lint.redact.redact_value`; ``tests/test_boundary_canary.py``
+checks on behaviour that no raw cell leaves an anonymizer, the CSV loader
+or a cut in an exception, a log record or a warning.
 
 Run all of it from the command line with ``repro lint [paths] [--strict]
-[--format json|sarif] [--select REP1] [--baseline FILE] [--artifacts]``, or
-programmatically through :mod:`repro.lint.api`.  Every rule is documented
-with examples in ``docs/static_analysis.md``.
+[--format json|sarif] [--select REP3] [--artifacts]``, or programmatically
+through :mod:`repro.lint.api`.  Every rule is documented with examples in
+``docs/static_analysis.md``.
 """
 
 from .api import (
     ARTIFACT_RULES,
-    apply_baseline,
     check_bench_artifacts,
     check_cache_store,
     check_hierarchies,
@@ -51,10 +49,8 @@ from .api import (
     lint_file,
     lint_paths,
     lint_source,
-    load_baseline,
     redact_value,
     registered_rules,
-    write_baseline,
 )
 from .diagnostics import Diagnostic, DiagnosticCollector, LintError, Severity
 from .engine import LintContext, Rule, RuleVisitor, register
@@ -62,7 +58,6 @@ from .report import render, render_json, render_text
 
 __all__ = [
     "ARTIFACT_RULES",
-    "apply_baseline",
     "check_bench_artifacts",
     "check_cache_store",
     "check_hierarchies",
@@ -85,7 +80,6 @@ __all__ = [
     "lint_source",
     "LintContext",
     "LintError",
-    "load_baseline",
     "redact_value",
     "register",
     "registered_rules",
@@ -95,5 +89,4 @@ __all__ = [
     "Rule",
     "RuleVisitor",
     "Severity",
-    "write_baseline",
 ]

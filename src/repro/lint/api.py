@@ -40,7 +40,6 @@ from .diagnostics import (
     has_blocking,
     sort_diagnostics,
 )
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .engine import (
     expand_selection,
     lint_file,
@@ -51,10 +50,8 @@ from .engine import (
 from .redact import redact_value
 from .report import render
 from . import rules as _rules  # noqa: F401 — importing registers the REP0xx/REP3xx rules
-from . import taint as _taint  # noqa: F401 — importing registers REP101-REP104
 
 __all__ = [
-    "apply_baseline",
     "ARTIFACT_RULES",
     "check_bench_artifacts",
     "check_cache_store",
@@ -77,13 +74,11 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "LintError",
-    "load_baseline",
     "redact_value",
     "registered_rules",
     "render",
     "Severity",
     "sort_diagnostics",
-    "write_baseline",
 ]
 
 #: Rules whose ERROR findings make a recoding semantically wrong and

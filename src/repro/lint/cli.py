@@ -5,10 +5,9 @@ arguments; all lint policy (what runs, what blocks, how findings render)
 lives with the lint subsystem.
 
 Exit codes: 0 — clean (or INFO-only); 1 — errors, or warnings under
-``--strict``; 2 — bad invocation (unknown rule id, nonexistent path,
-unreadable baseline, or — under ``--strict`` — a malformed suppression
-comment, which means some disable comment is not doing what its author
-thinks).
+``--strict``; 2 — bad invocation (unknown rule id, nonexistent path, or —
+under ``--strict`` — a malformed suppression comment, which means some
+disable comment is not doing what its author thinks).
 """
 
 from __future__ import annotations
@@ -18,12 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 from . import api
-from .baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .diagnostics import Diagnostic, has_blocking
 from .engine import expand_selection
 from .report import FORMATS, render
@@ -55,16 +48,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="run only these rule ids (e.g. REP001 REP003)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to --baseline instead of reporting",
-    )
-    parser.add_argument(
         "--artifacts",
         action="store_true",
         help="also run artifact analysis on the shipped paper/Adult artifacts",
@@ -85,12 +68,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "benchmark trajectory (ART012; any other schema is an ART012 "
         "error)",
     )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="record a Chrome trace of the lint passes to FILE (one span "
-        "per pass)",
-    )
 
 
 def _partition_selectors(
@@ -100,7 +77,7 @@ def _partition_selectors(
 
     One code path for every rule family: the selectors are expanded over
     the union of the AST-rule registry and the artifact checkers with
-    :func:`repro.lint.engine.expand_selection`, so ``REP1``, ``REP3``,
+    :func:`repro.lint.engine.expand_selection`, so ``REP0``, ``REP3``,
     ``ART`` and exact ids all get identical prefix semantics.  Raises
     ``ValueError`` on a selector matching nothing.
     """
@@ -117,34 +94,17 @@ def _partition_selectors(
 
 def run(args: argparse.Namespace) -> int:
     """Execute ``repro lint`` and return the process exit code."""
-    if args.update_baseline and not args.baseline:
-        print("--update-baseline requires --baseline FILE")
-        return 2
     findings: list[Diagnostic] = []
-    # Under --trace every pass runs inside a span.
-    from ..obs import NULL_OBSERVATION, Observation, observing
-
-    observation = Observation() if args.trace else NULL_OBSERVATION
-    tracer = observation.trace
     try:
-        with observing(observation):
-            code_select, artifact_select = _partition_selectors(args.select)
-            # A --select naming only artifact rules asks for those checks,
-            # not a full code sweep under "no filter".
-            run_code = not args.no_code and not (
-                args.select and code_select is None
-            )
-            if run_code:
-                with tracer.span("lint.code", category="lint"):
-                    findings.extend(api.lint_paths(args.paths, select=code_select))
+        code_select, artifact_select = _partition_selectors(args.select)
+        # A --select naming only artifact rules asks for those checks, not
+        # a full code sweep under "no filter".
+        run_code = not args.no_code and not (args.select and code_select is None)
+        if run_code:
+            findings.extend(api.lint_paths(args.paths, select=code_select))
     except ValueError as exc:  # unknown rule id or nonexistent path
         print(exc)
         return 2
-    if args.trace:
-        from ..obs.export import write_chrome_trace
-
-        write_chrome_trace(tracer.spans, args.trace, process_name="repro-lint")
-        print(f"wrote lint trace to {args.trace}")
     if args.artifacts:
         findings.extend(api.check_shipped_artifacts())
     for runtime_path in args.runtime or ():
@@ -185,23 +145,7 @@ def run(args: argparse.Namespace) -> int:
         selected = set(artifact_select) | set(code_select or ())
         findings = [finding for finding in findings if finding.rule in selected]
 
-    baseline_note = ""
-    if args.baseline and args.update_baseline:
-        count = write_baseline(findings, args.baseline)
-        print(f"wrote {count} finding(s) to baseline {args.baseline}")
-        return 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except BaselineError as exc:
-            print(exc)
-            return 2
-        findings, matched = apply_baseline(findings, baseline)
-        baseline_note = f"baseline {args.baseline}: {matched} finding(s) matched"
-
     print(render(findings, format=args.format))
-    if baseline_note and args.format == "text":
-        print(baseline_note)
     if args.strict and any(f.rule == "REP006" for f in findings):
         # A malformed suppression means some disable comment is silently
         # suppressing nothing: that is an invocation-level error.

@@ -134,7 +134,7 @@ def expand_selection(
 ) -> list[str]:
     """Expand rule-id selectors (exact ids or prefixes) to known ids.
 
-    ``REP1`` selects the whole ``REP1xx`` family; ``REP001`` selects just
+    ``REP3`` selects the whole ``REP3xx`` family; ``REP302`` selects just
     that rule.  One code path serves every rule family: ``universe``
     defaults to the AST-rule registry, but callers owning a larger id
     space (the CLI unions in the ``ART*`` artifact checkers) pass it
@@ -168,7 +168,7 @@ def _instantiate(select: Sequence[str] | None) -> list[Rule]:
     return [registry[rule_id]() for rule_id in expand_selection(select)]
 
 
-#: Inline suppression comment: ``# lint: disable=REP101`` (comma-separated
+#: Inline suppression comment: ``# lint: disable=REP003`` (comma-separated
 #: ids allowed).  Scoped to the physical line the comment sits on — for a
 #: multi-line call, that is the line where the call expression starts.
 _SUPPRESSION_PATTERN = re.compile(

@@ -2,14 +2,15 @@
 
 Error messages need *something* to identify the offending cell — but a
 raw quasi-identifier or sensitive value in an exception string escapes
-the anonymizer boundary (REP101).  :func:`redact_value` gives messages a
+the anonymizer boundary.  :func:`redact_value` gives messages a
 stable, privacy-safe handle: the value's type, its length and a short
 SHA-256 digest.  Someone holding the original data can recompute the
 digest to locate the cell; someone holding only the log cannot invert it
 (beyond guessing, which the truncated digest deliberately weakens).
 
-The Layer-3 taint analysis treats ``redact_value`` as a sanitizer, so
-routing a message through it is the sanctioned way to mention a cell.
+Routing a message through it is the sanctioned way to mention a cell;
+``tests/test_boundary_canary.py`` seeds tables with sentinel cells and
+fails when one shows up in an exception, a log record or a warning.
 """
 
 from __future__ import annotations

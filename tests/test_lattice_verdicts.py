@@ -119,6 +119,12 @@ def group_by_violations(data, names, node, k):
     return sum(size for size in keys.values() if size < k)
 
 
+def generalized_column(workspace, name, level):
+    """The row plane's ``name`` column generalized to ``level``."""
+    hierarchy = workspace.hierarchies[name]
+    return [hierarchy.generalize(value, level) for value in workspace.dataset.column(name)]
+
+
 def label_violation_count(workspace, node, k, names):
     """The label-based count: partition rows, gather each row's class size."""
     per_row = workspace.class_size_vector(node, names)
@@ -151,7 +157,7 @@ class LabelMuArgus(MuArgus):
                 if not unsafe_keys:
                     continue
                 columns = [
-                    workspace.generalized_column(name, levels[name]) for name in subset
+                    generalized_column(workspace, name, levels[name]) for name in subset
                 ]
                 for row_index, key in enumerate(zip(*columns)):
                     if key in unsafe_keys:

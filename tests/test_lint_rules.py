@@ -1,5 +1,7 @@
 """Tests for Layer 2 of repro.lint: the AST rules (REP001-REP005, REP008,
-REP302, REP303), the engine, the reporters and the ``repro lint`` CLI."""
+REP302, REP303), the engine with its prefix selection and inline
+suppression, the reporters, the redaction helper and the ``repro lint``
+CLI."""
 
 import json
 from pathlib import Path
@@ -25,9 +27,11 @@ from repro.lint.engine import (
     lint_file,
     lint_paths,
     lint_source,
+    parse_suppressions,
     register,
     registered_rules,
 )
+from repro.lint.redact import redact_value
 from repro.lint.report import (
     render,
     render_json,
@@ -531,6 +535,99 @@ class TestEngine:
         assert "core" in context.parts
 
 
+class TestSelection:
+    def test_prefix_expands_to_family(self):
+        assert expand_selection(["REP0"]) == [
+            "REP001",
+            "REP002",
+            "REP003",
+            "REP004",
+            "REP005",
+            "REP008",
+        ]
+
+    def test_exact_id_still_selects_one(self):
+        assert expand_selection(["REP302"]) == ["REP302"]
+
+    def test_unmatched_selector_raises(self):
+        with pytest.raises(ValueError, match="REP9"):
+            expand_selection(["REP9"])
+
+    def test_select_one_rule_only(self):
+        source = (
+            "import random\n\n"
+            "def f(path, text, acc=[]):\n"
+            "    random.shuffle(acc)\n"
+            "    path.write_text(text)\n"
+        )
+        findings = lint_source(source, path=PLAIN, select=["REP302"])
+        assert rule_ids(findings) == ["REP302"]
+
+
+#: One mutable default (REP003) and one unseeded shuffle (REP001) on the
+#: same line, so a suppression can name either.
+TWO_FINDINGS = (
+    "import random\n\n"
+    "def f(x, acc=[]): random.shuffle(acc)\n"
+)
+
+
+class TestInlineSuppression:
+    def test_disable_comment_suppresses_on_its_line(self):
+        source = TWO_FINDINGS.replace(
+            "random.shuffle(acc)\n",
+            "random.shuffle(acc)  # lint: disable=REP001, REP003\n",
+        )
+        assert lint_source(source, path=PLAIN) == []
+
+    def test_disable_is_line_scoped(self):
+        source = (
+            "# lint: disable=REP003\n"
+            "def f(x, acc=[]):\n"
+            "    return acc\n"
+        )
+        assert rule_ids(lint_source(source, path=PLAIN)) == ["REP003"]
+
+    def test_disable_only_names_that_rule(self):
+        source = TWO_FINDINGS.replace(
+            "random.shuffle(acc)\n", "random.shuffle(acc)  # lint: disable=REP001\n"
+        )
+        assert rule_ids(lint_source(source, path=PLAIN)) == ["REP003"]
+
+    def test_multiple_ids_in_one_comment(self):
+        suppressions, bad = parse_suppressions(
+            "x = 1  # lint: disable=REP001, REP003\n"
+        )
+        assert suppressions == {1: {"REP001", "REP003"}}
+        assert bad == []
+
+    def test_unknown_id_is_a_rep006_finding(self):
+        source = "x = 1  # lint: disable=REP999\n"
+        findings = lint_source(source, select=["REP0"])
+        assert [d.rule for d in findings] == ["REP006"]
+        assert "REP999" in findings[0].message
+
+    def test_suppression_applies_to_layer2_rules_too(self):
+        source = "def f(x, acc=[]):  # lint: disable=REP003\n    return acc\n"
+        assert lint_source(source) == []
+
+
+class TestRedactValue:
+    def test_output_contains_no_raw_content(self):
+        secret = "flu-diagnosis-47906"
+        redacted = redact_value(secret)
+        assert secret not in redacted
+        assert "47906" not in redacted
+
+    def test_output_is_stable_and_correlatable(self):
+        assert redact_value("x") == redact_value("x")
+        assert redact_value("x") != redact_value("y")
+
+    def test_label_and_type_survive(self):
+        redacted = redact_value(29, label="cell")
+        assert redacted.startswith("<cell type=int len=2 ")
+
+
 class TestDiagnosticsAndReport:
     def test_format_includes_location_and_hint(self):
         diagnostic = Diagnostic(
@@ -689,16 +786,22 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert "REP302" in out and "REP003" not in out
 
-    def test_baseline_interplay(self, tmp_path, capsys):
-        path = tmp_path / "mod.py"
-        path.write_text("def f(p, text):\n    p.write_text(text)\n")
-        baseline = tmp_path / "baseline.json"
-        command = ["lint", str(path), "--select", "REP3", "--baseline", str(baseline)]
-        assert main([*command, "--update-baseline"]) == 0
-        capsys.readouterr()
-        # With the finding baselined, the same invocation is clean.
-        assert main(command) == 0
-        assert "1 finding(s) matched" in capsys.readouterr().out
+    def test_suppressed_fixture_is_clean(self, tmp_path, capsys):
+        fixture = tmp_path / "waived.py"
+        fixture.write_text("def f(x, acc=[]):\n    return acc\n", encoding="utf-8")
+        assert main(["lint", str(fixture), "--select", "REP003"]) == 1
+        fixture.write_text(
+            "def f(x, acc=[]):  # lint: disable=REP003\n    return acc\n",
+            encoding="utf-8",
+        )
+        assert main(["lint", str(fixture), "--select", "REP003"]) == 0
+
+    def test_bad_suppression_id_exits_2_under_strict(self, tmp_path, capsys):
+        fixture = tmp_path / "typo.py"
+        fixture.write_text("x = 1  # lint: disable=REP9999\n", encoding="utf-8")
+        assert main(["lint", str(fixture)]) == 0
+        assert main(["lint", str(fixture), "--strict"]) == 2
+        assert "REP006" in capsys.readouterr().out
 
     def test_nonexistent_path_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir"
