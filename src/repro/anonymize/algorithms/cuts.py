@@ -66,8 +66,9 @@ class TaxonomyCut:
             covering = [token for token in path if token in self.tokens]
             if len(covering) != 1:
                 raise CutError(
-                    f"cut {sorted(map(repr, self.tokens))} covers leaf "
-                    f"{leaf!r} {len(covering)} times (must be exactly once)"
+                    f"cut of {len(self.tokens)} token(s) covers leaf "
+                    f"{redact_value(leaf, label='leaf')} {len(covering)} times "
+                    "(must be exactly once)"
                 )
 
     def map_value(self, value: Any) -> Hashable:

@@ -17,6 +17,7 @@ from typing import Mapping
 
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
+from ...hierarchy.lattice import Node
 from ...kernels import active as active_kernels
 from ..engine import Anonymization, recode
 from .base import (
@@ -58,14 +59,19 @@ class MuArgus(Anonymizer):
         self.name = f"muargus[k={k},dim={max_combination_size}]"
 
     def _unsafe_rows_by_attribute(
-        self, workspace: RecodingWorkspace, levels: dict[str, int]
+        self,
+        workspace: RecodingWorkspace,
+        levels: dict[str, int],
+        counted: dict[tuple[tuple[str, ...], Node], tuple[int, list[int]]],
     ) -> tuple[set[int], dict[str, int]]:
         """Rows appearing in any unsafe (< k) combination up to the checked
         dimension, and per-attribute unsafe-combination involvement.
 
         A combination's unsafe classes are counted from its class sizes
         alone; only a combination that has any is partitioned, to find
-        its rows."""
+        its rows.  ``counted`` memoizes both per (combination, node) for
+        one search: a round raises one attribute, so only the combinations
+        holding it are counted again."""
         kernels = active_kernels()
         qi_names = workspace.qi_names
         unsafe_rows: set[int] = set()
@@ -74,12 +80,21 @@ class MuArgus(Anonymizer):
         for size in range(1, dimension + 1):
             for subset in itertools.combinations(qi_names, size):
                 node = tuple(levels[name] for name in subset)
-                unsafe_classes = kernels.count_less(
-                    workspace.class_sizes(node, subset), self.k
-                )
+                entry = counted.get((subset, node))
+                if entry is None:
+                    unsafe_classes = kernels.count_less(
+                        workspace.class_sizes(node, subset), self.k
+                    )
+                    rows = (
+                        workspace.violating_rows(node, self.k, subset)
+                        if unsafe_classes
+                        else []
+                    )
+                    entry = counted[(subset, node)] = (unsafe_classes, rows)
+                unsafe_classes, rows = entry
                 if not unsafe_classes:
                     continue
-                unsafe_rows.update(workspace.violating_rows(node, self.k, subset))
+                unsafe_rows.update(rows)
                 for name in subset:
                     involvement[name] += unsafe_classes
         return unsafe_rows, involvement
@@ -90,12 +105,13 @@ class MuArgus(Anonymizer):
         workspace = RecodingWorkspace(dataset, hierarchies)
         levels = {name: 0 for name in workspace.qi_names}
         budget = int(self.suppression_limit * len(dataset))
+        counted: dict[tuple[tuple[str, ...], Node], tuple[int, list[int]]] = {}
 
         # Both exits leave ``levels`` as last checked, so the final unsafe
         # rows are the last iteration's.
         while True:
             unsafe_rows, involvement = self._unsafe_rows_by_attribute(
-                workspace, levels
+                workspace, levels, counted
             )
             if len(unsafe_rows) <= budget:
                 break

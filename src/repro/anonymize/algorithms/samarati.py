@@ -11,7 +11,7 @@ provided by the data recipient" of the original paper.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
@@ -42,16 +42,34 @@ class Samarati(Anonymizer):
         self.suppression_limit = check_suppression_limit(suppression_limit)
         self.name = f"samarati[k={k}]"
 
-    def minimal_height(self, workspace: RecodingWorkspace) -> int:
-        """Lowest lattice height containing a satisfying node."""
+    def _verdicts(self, workspace: RecodingWorkspace) -> Callable[[Node], bool]:
+        """The node verdict of one search, each node decided once."""
         budget = int(self.suppression_limit * len(workspace.dataset))
+        decided: dict[Node, bool] = {}
+
+        def satisfies(node: Node) -> bool:
+            verdict = decided.get(node)
+            if verdict is None:
+                verdict = decided[node] = workspace.satisfies_k(node, self.k, budget)
+            return verdict
+
+        return satisfies
+
+    def minimal_height(
+        self,
+        workspace: RecodingWorkspace,
+        satisfies: Callable[[Node], bool] | None = None,
+    ) -> int:
+        """Lowest lattice height containing a satisfying node.
+
+        ``satisfies`` is the search's memoized verdict (a fresh one when
+        omitted), so the caller can reuse the nodes decided here.
+        """
+        satisfies = satisfies or self._verdicts(workspace)
         lattice = workspace.lattice
 
         def satisfiable_at(height: int) -> bool:
-            return any(
-                workspace.satisfies_k(node, self.k, budget)
-                for node in lattice.nodes_at_height(height)
-            )
+            return any(map(satisfies, lattice.nodes_at_height(height)))
 
         if not satisfiable_at(lattice.max_height):
             raise AlgorithmError(
@@ -76,12 +94,12 @@ class Samarati(Anonymizer):
         return self._k_minimal_nodes(workspace)
 
     def _k_minimal_nodes(self, workspace: RecodingWorkspace) -> list[Node]:
-        budget = int(self.suppression_limit * len(workspace.dataset))
-        height = self.minimal_height(workspace)
+        satisfies = self._verdicts(workspace)
+        height = self.minimal_height(workspace, satisfies)
         return [
             node
             for node in workspace.lattice.nodes_at_height(height)
-            if workspace.satisfies_k(node, self.k, budget)
+            if satisfies(node)
         ]
 
     def anonymize(

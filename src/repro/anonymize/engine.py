@@ -13,28 +13,35 @@ exist in the anonymized data set in an overly generalized form"), so original
 and released data sets always have equal size and property vectors stay
 index-aligned.
 
-Since the columnar refactor, :func:`recode` runs on the columnar plane: each
-QI column is interned once (:meth:`Dataset.columns`), generalization is a
-gather through the per-(hierarchy, column) level tables of
-:mod:`repro.hierarchy.codes`, and the equivalence-class partition is grouped
-by mixed-radix-packed integer codes instead of tuple keys.  Suppression goes
-through the same path — a suppressed row's per-column code is the gather to
-the suppression token's code at the level (:meth:`LevelTable.
-suppression_code`), so suppressed rows collide exactly with naturally
-fully-generalized rows and ``suppression_fraction`` / class sizes agree
-between planes.  :func:`recode_rowwise` keeps the original row-at-a-time
-implementation as the reference facade; both produce byte-identical results
-(pinned by ``tests/test_golden_plane.py`` and the Hypothesis equivalence
-tests).
+Because every tuple is kept, index-aligned, a release is fully determined by
+the original plus its *recoding*, and that is all an :class:`Anonymization`
+stores:
+
+* a full-domain release (:func:`recode`) holds, per QI attribute, the
+  ``gather``/``decode`` of its level over the original's interned base codes
+  (:mod:`repro.hierarchy.codes`), plus the suppressed rows — nothing per row;
+* a local release (:func:`released_with_local_cells`) holds its distinct
+  released QI rows, keyed by the *identity* of their cells (two objects are
+  never merged by equality), plus one code per row naming its distinct row.
+
+The released table is a lazy view, built on first access.  The partition
+groups codes — packed per-column codes for full-domain releases, the distinct
+rows by equality for local ones — and the loss measures score each distinct
+released code once (:meth:`Anonymization.released_codes`).  A pickle (cache
+entry, pool result) carries the original's fingerprint plus the recoding,
+never rows, and unpickles in a process that holds no dataset; the reader
+calls :meth:`Anonymization.bind` with the original table before touching
+rows or classes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from array import array
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..datasets.dataset import Dataset
 from ..hierarchy.base import SUPPRESSED, Hierarchy
-from ..hierarchy.codes import Level, LevelTable, level_table
+from ..hierarchy.codes import level_table
 from ..kernels import active as active_kernels, pack_columns
 from ..lint.api import ensure_valid_hierarchies
 from ..obs import metrics as obs_metrics
@@ -43,17 +50,61 @@ from .equivalence import EquivalenceClasses
 
 Levels = Mapping[str, int]
 
+#: ``(labels, rows, decodes)`` of :meth:`Anonymization.released_codes`.
+ReleasedCodes = tuple[Sequence[int], list[tuple[int, ...]], list[tuple[Any, ...]]]
+
 
 class AnonymizationError(ValueError):
     """Raised for inconsistent anonymization inputs."""
 
 
+def _compact(values: Sequence[int]) -> array:
+    """``values`` (non-negative ints) in the narrowest array typecode."""
+    top = max(values, default=0)
+    for typecode in "BHI":
+        if top < 1 << (8 * array(typecode).itemsize):
+            return array(typecode, values)
+    return array("q", values)
+
+
+def _suppression_code(decode: tuple[Any, ...]) -> int:
+    """The code suppressed rows take in a level's ``decode``: the
+    suppression token's own code, or the next fresh code without one
+    (see :meth:`repro.hierarchy.codes.LevelTable.suppression_code`)."""
+    for code, value in enumerate(decode):
+        if isinstance(value, str) and value == SUPPRESSED:
+            return code
+    return len(decode)
+
+
+def _distinct_rows(
+    qi_rows: Iterable[tuple[Any, ...]],
+) -> tuple[tuple[tuple[Any, ...], ...], array]:
+    """``(rows, codes)``: the distinct QI rows by cell identity, in first
+    occurrence order, and each row's index among them."""
+    lookup: dict[tuple[int, ...], int] = {}
+    rows: list[tuple[Any, ...]] = []
+    codes = []
+    for cells in qi_rows:
+        code = lookup.setdefault(tuple(map(id, cells)), len(rows))
+        if code == len(rows):
+            rows.append(cells)
+        codes.append(code)
+    return tuple(rows), _compact(codes)
+
+
 class Anonymization:
     """An anonymized release of a data set.
 
-    Wraps the original and released tables (equal length, aligned rows) plus
-    provenance: which rows were suppressed, which algorithm produced it, and —
-    for full-domain recodings — the hierarchy level vector used.
+    Holds the original table and the recoding that produces the released
+    one (see the module docstring), plus provenance: which rows were
+    suppressed, which algorithm produced it, and — for full-domain
+    recodings — the hierarchy level vector used.  The released table
+    (:attr:`released`) is built on first access.
+
+    A pickled release carries no rows; after unpickling it must be bound to
+    its original with :meth:`bind` before :attr:`original`, :attr:`released`
+    or :attr:`equivalence_classes` are read.
 
     Parameters
     ----------
@@ -61,7 +112,8 @@ class Anonymization:
         The raw microdata.
     released:
         The generalized table; same schema shape and row count as the
-        original, same values for non-QI columns.
+        original, same values for non-QI columns.  The recoding is derived
+        from its QI cells.
     suppressed:
         Row indices whose QI values were fully suppressed.
     levels:
@@ -83,33 +135,128 @@ class Anonymization:
             raise AnonymizationError(
                 f"released table has {len(released)} rows, original has {len(original)}"
             )
-        if original.schema.names != released.schema.names:
+        schema = original.schema
+        if schema.names != released.schema.names:
             raise AnonymizationError("released schema must match original schema")
-        self.original = original
-        self.released = released
+        qi_names = set(schema.quasi_identifier_names)
+        for attribute in schema.names:
+            if attribute not in qi_names and (
+                released.column(attribute) != original.column(attribute)
+            ):
+                raise AnonymizationError(
+                    f"released column {attribute!r} differs from the original's; "
+                    "only quasi-identifiers may be recoded"
+                )
+        self._setup(
+            original, suppressed, levels, name,
+            local=_distinct_rows(released.quasi_identifier_tuples()),
+        )
+        self._released = released
+
+    @classmethod
+    def _of(
+        cls,
+        original: Dataset,
+        suppressed: Iterable[int],
+        levels: Levels | None,
+        name: str,
+        columns: tuple[tuple[array, tuple[Any, ...]], ...] | None = None,
+        local: tuple[tuple[tuple[Any, ...], ...], array] | None = None,
+    ) -> "Anonymization":
+        """A release from its recoding (the engine's own constructors)."""
+        instance = cls.__new__(cls)
+        instance._setup(original, suppressed, levels, name, columns, local)
+        return instance
+
+    def _setup(
+        self,
+        original: Dataset,
+        suppressed: Iterable[int],
+        levels: Levels | None,
+        name: str,
+        columns: tuple[tuple[array, tuple[Any, ...]], ...] | None = None,
+        local: tuple[tuple[tuple[Any, ...], ...], array] | None = None,
+    ) -> None:
         self.suppressed = frozenset(suppressed)
         out_of_range = [i for i in self.suppressed if not 0 <= i < len(original)]
         if out_of_range:
             raise AnonymizationError(f"suppressed indices out of range: {out_of_range}")
         self.levels = dict(levels) if levels is not None else None
         self.name = name
+        self._original: Dataset | None = original
+        self._fingerprint: str | None = None
+        self._row_count = len(original)
+        # Exactly one of the two recodings is set (see the module docstring).
+        self._columns = columns
+        self._local = local
+        self._released: Dataset | None = None
         self._classes: EquivalenceClasses | None = None
-        # Optional columnar-plane partition factory, attached by recode();
-        # consulted once by `equivalence_classes` instead of tuple grouping.
-        self._classes_factory: Callable[[], EquivalenceClasses] | None = None
+        self._codes: ReleasedCodes | None = None
 
     def __len__(self) -> int:
-        return len(self.original)
+        return self._row_count
+
+    # -- pickling and binding -------------------------------------------------
 
     def __getstate__(self) -> dict[str, Any]:
-        # The columnar partition factory is a closure over level tables and
-        # cannot cross process boundaries; drop it (and the classes it may
-        # have produced, so both sides rebuild identically).  The row-plane
-        # fallback in `equivalence_classes` yields the same partition.
-        state = self.__dict__.copy()
-        state["_classes"] = None
-        state["_classes_factory"] = None
-        return state
+        # The recoding and the original's fingerprint, never rows: the
+        # reader holds the original and binds it (see `bind`).
+        return {
+            "fingerprint": self._original_fingerprint(),
+            "rows": self._row_count,
+            "suppressed": _compact(sorted(self.suppressed)),
+            "levels": self.levels,
+            "name": self.name,
+            "columns": self._columns,
+            "local": self._local,
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.suppressed = frozenset(state["suppressed"])
+        self.levels = state["levels"]
+        self.name = state["name"]
+        self._original = None
+        self._fingerprint = state["fingerprint"]
+        self._row_count = state["rows"]
+        self._columns = state["columns"]
+        self._local = state["local"]
+        self._released = None
+        self._classes = None
+        self._codes = None
+
+    def _original_fingerprint(self) -> str:
+        if self._fingerprint is None:
+            self._fingerprint = self.original.fingerprint()
+        return self._fingerprint
+
+    def bind(self, original: Dataset) -> "Anonymization":
+        """Attach the original table this release was computed from.
+
+        Returns ``self``.  Raises :class:`AnonymizationError` unless
+        ``original`` has this release's fingerprint.
+        """
+        if original is self._original:
+            return self
+        if (
+            len(original) != self._row_count
+            or original.fingerprint() != self._original_fingerprint()
+        ):
+            raise AnonymizationError(
+                f"release {self.name!r} was not computed from this table "
+                "(dataset fingerprint mismatch)"
+            )
+        self._original = original
+        return self
+
+    @property
+    def original(self) -> Dataset:
+        """The raw microdata (requires a bound release)."""
+        if self._original is None:
+            raise AnonymizationError(
+                f"release {self.name!r} is not bound to its original table; "
+                "call bind(original) first"
+            )
+        return self._original
 
     def __repr__(self) -> str:
         return (
@@ -117,17 +264,163 @@ class Anonymization:
             f"suppressed={len(self.suppressed)}, levels={self.levels})"
         )
 
+    # -- derived views --------------------------------------------------------
+
+    @property
+    def released(self) -> Dataset:
+        """The released table (built from the recoding on first access)."""
+        if self._released is None:
+            original = self.original
+            schema = original.schema
+            qi_columns = dict(
+                zip(schema.quasi_identifier_names, self._released_qi_columns())
+            )
+            columns = [
+                qi_columns[attribute]
+                if attribute in qi_columns
+                else original.column(attribute)
+                for attribute in schema.names
+            ]
+            self._released = original.replace_rows(
+                list(zip(*columns)) if len(original) else []
+            )
+        return self._released
+
+    def _released_qi_columns(self) -> list[list[Any]]:
+        """Each QI column of the release, in row order."""
+        original = self.original
+        if self._local is not None:
+            rows, codes = self._local
+            return [[per_distinct[code] for code in codes] for per_distinct in zip(*rows)]
+        view = original.columns()
+        columns = []
+        for attribute, (gather, decode) in zip(
+            original.schema.quasi_identifier_names, self._columns
+        ):
+            values = [decode[code] for code in gather]
+            cells = [values[code] for code in view.column(attribute).codes]
+            for row_index in self.suppressed:
+                cells[row_index] = SUPPRESSED
+            columns.append(cells)
+        return columns
+
     @property
     def equivalence_classes(self) -> EquivalenceClasses:
-        """Row partition by released QI tuple (lazily computed, cached)."""
+        """Row partition by released QI tuple (grouped from codes, cached)."""
         if self._classes is None:
-            if self._classes_factory is not None:
-                self._classes = self._classes_factory()
+            if self._local is not None:
+                self._classes = self._local_classes()
             else:
-                self._classes = EquivalenceClasses(
-                    self.released.quasi_identifier_tuples()
-                )
+                self._classes = self._full_domain_classes()
         return self._classes
+
+    def _local_classes(self) -> EquivalenceClasses:
+        """Group the distinct rows by equality, then label every row."""
+        self.original  # noqa: B018 — an unbound release raises here
+        rows, codes = self._local
+        lookup: dict[tuple[Any, ...], int] = {}
+        class_of_row = [lookup.setdefault(cells, len(lookup)) for cells in rows]
+        return EquivalenceClasses.from_labels(
+            [class_of_row[code] for code in codes],
+            lambda row_index: rows[codes[row_index]],
+        )
+
+    def _full_domain_classes(self) -> EquivalenceClasses:
+        """Group rows by their packed per-column codes (mixed radix).
+
+        Each column contributes ``gather[base]``, with suppressed rows
+        redirected to the level's suppression code, packed into one integer
+        per row by :func:`repro.kernels.pack_columns`.  Class keys are
+        decoded from one representative row per class.
+        """
+        original = self.original
+        kernels = active_kernels()
+        view = original.columns()
+        suppressed = self.suppressed
+        suppressed_rows = kernels.asarray(sorted(suppressed)) if suppressed else None
+        packed: list[tuple[Any, int]] = []
+        key_columns: list[tuple[Sequence[int], list[Any]]] = []
+        for attribute, (gather, decode) in zip(
+            original.schema.quasi_identifier_names, self._columns
+        ):
+            base = view.column(attribute).codes
+            codes = kernels.gather(gather, kernels.from_code_buffer(base))
+            radix = len(decode)
+            if suppressed_rows is not None:
+                code = _suppression_code(decode)
+                radix = max(radix, code + 1)
+                kernels.scatter_fill(codes, suppressed_rows, code)
+            packed.append((codes, radix))
+            key_columns.append((base, [decode[code] for code in gather]))
+        labels, _ = pack_columns(kernels, packed)
+        suppressed_key = (SUPPRESSED,) * len(key_columns)
+
+        def key_of_row(row_index: int) -> tuple[Any, ...]:
+            if row_index in suppressed:
+                return suppressed_key
+            return tuple(values[base[row_index]] for base, values in key_columns)
+
+        return EquivalenceClasses.from_labels(kernels.tolist(labels), key_of_row)
+
+    def released_codes(self) -> ReleasedCodes:
+        """The release over its distinct released QI rows (cached).
+
+        Returns ``(labels, rows, decodes)``: ``rows[labels[i]]`` holds row
+        ``i``'s per-QI codes in QI schema order, and ``decodes[q][code]`` is
+        the exact released object.  A full-domain release has one distinct
+        row per equivalence class; a local release one per identity-distinct
+        row.  Measures score each distinct code once through this instead
+        of re-reading the released table.
+        """
+        if self._codes is None:
+            if self._local is not None:
+                self._codes = self._local_codes()
+            else:
+                self._codes = self._full_domain_codes()
+        return self._codes
+
+    def _local_codes(self) -> ReleasedCodes:
+        qi_names = self.original.schema.quasi_identifier_names
+        rows, codes = self._local
+        per_qi: list[list[int]] = []
+        decodes: list[tuple[Any, ...]] = []
+        for position in range(len(qi_names)):
+            lookup: dict[int, int] = {}
+            decode: list[Any] = []
+            column = []
+            for cells in rows:
+                cell = cells[position]
+                code = lookup.setdefault(id(cell), len(decode))
+                if code == len(decode):
+                    decode.append(cell)
+                column.append(code)
+            per_qi.append(column)
+            decodes.append(tuple(decode))
+        distinct = list(zip(*per_qi)) if per_qi else [()] * len(rows)
+        return codes, distinct, decodes
+
+    def _full_domain_codes(self) -> ReleasedCodes:
+        classes = self.equivalence_classes
+        original = self.original
+        view = original.columns()
+        suppressed = self.suppressed
+        reps = [members[0] for members in classes]
+        per_qi: list[list[int]] = []
+        decodes: list[tuple[Any, ...]] = []
+        for attribute, (gather, decode) in zip(
+            original.schema.quasi_identifier_names, self._columns
+        ):
+            base = view.column(attribute).codes
+            code = _suppression_code(decode)
+            if suppressed and code == len(decode):
+                decode = decode + (SUPPRESSED,)
+            per_qi.append(
+                [code if rep in suppressed else gather[base[rep]] for rep in reps]
+            )
+            decodes.append(decode)
+        return classes.class_labels(), list(zip(*per_qi)), decodes
+
+    # -- measures -------------------------------------------------------------
 
     def k(self) -> int:
         """The k-anonymity level actually achieved (minimum class size)."""
@@ -141,11 +434,9 @@ class Anonymization:
 
     def renamed(self, name: str) -> "Anonymization":
         """A shallow copy with a different report label."""
-        clone = Anonymization(
-            self.original, self.released, self.suppressed, self.levels, name
-        )
-        clone._classes = self._classes
-        clone._classes_factory = self._classes_factory
+        clone = Anonymization.__new__(Anonymization)
+        clone.__dict__.update(self.__dict__)
+        clone.name = name
         return clone
 
 
@@ -184,7 +475,7 @@ def _validate_recode(
     hierarchies: Mapping[str, Hierarchy],
     levels: Levels,
 ) -> tuple[str, ...]:
-    """Shared input validation of both recoding planes; returns QI names."""
+    """Input validation of a full-domain recoding; returns QI names."""
     schema = dataset.schema
     qi_names = schema.quasi_identifier_names
     if not qi_names:
@@ -207,36 +498,6 @@ def _validate_recode(
     return qi_names
 
 
-def packed_group_labels(
-    columns: Sequence[tuple[Any, Level, LevelTable, int]],
-    suppressed_rows: Any = None,
-) -> Any:
-    """Per-row group labels from per-column code gathers (mixed-radix).
-
-    ``columns`` holds ``(base_codes, level_tables_level, table, level)`` per
-    QI attribute; each column contributes ``gather[base]`` (with suppressed
-    rows redirected to the level's suppression code), packed into one
-    integer per row by :func:`repro.kernels.pack_columns` (which densifies
-    early only if the product would overflow ``int64``).  All array work
-    runs on the active kernel backend (:mod:`repro.kernels`); the returned
-    labels are a kernel array of raw packed keys, not yet densified.
-    """
-    kernels = active_kernels()
-    packed: list[tuple[Any, int]] = []
-    for base_codes, built, table, level in columns:
-        codes = kernels.gather(built.gather, base_codes)
-        if suppressed_rows is not None and len(suppressed_rows):
-            suppression_code, radix = table.suppression_code(level)
-            kernels.scatter_fill(codes, suppressed_rows, suppression_code)
-        else:
-            radix = built.count
-        packed.append((codes, radix))
-    combined, _ = pack_columns(kernels, packed)
-    if combined is None:
-        raise AnonymizationError("grouping requires at least one attribute")
-    return combined
-
-
 def recode(
     dataset: Dataset,
     hierarchies: Mapping[str, Hierarchy],
@@ -245,6 +506,10 @@ def recode(
     name: str | None = None,
 ) -> Anonymization:
     """Apply a full-domain recoding (columnar plane).
+
+    Stores each QI level's ``gather``/``decode`` from the per-(column,
+    hierarchy) level tables of :mod:`repro.hierarchy.codes`; rows are
+    released only when read.
 
     Parameters
     ----------
@@ -260,7 +525,6 @@ def recode(
     name:
         Optional label; defaults to a description of the level vector.
     """
-    schema = dataset.schema
     qi_names = _validate_recode(dataset, hierarchies, levels)
     suppressed = frozenset(suppress)
     obs_metrics().inc("engine.recode.calls")
@@ -273,104 +537,22 @@ def recode(
         attributes=len(qi_names),
         suppressed=len(suppressed),
     ):
-        kernels = active_kernels()
         view = dataset.columns()
-        per_attribute: list[tuple[Any, Level, LevelTable, int]] = []
-        released_columns: dict[str, list[Any]] = {}
+        columns = []
         for attribute in qi_names:
-            column = view.column(attribute)
-            table = level_table(column, hierarchies[attribute])
-            level = levels[attribute]
-            built = table.level(level)
-            base_codes = kernels.from_code_buffer(column.codes)
-            per_attribute.append((base_codes, built, table, level))
-            values = built.values
-            released_columns[attribute] = [values[code] for code in column.codes]
-
-        # Assemble released rows column-wise; non-QI columns pass through.
-        source_columns: list[Sequence[Any]] = [
-            released_columns[attribute]
-            if attribute in released_columns
-            else dataset.column(attribute)
-            for attribute in schema.names
-        ]
-        released_rows = list(zip(*source_columns)) if len(dataset) else []
-        if suppressed:
-            qi_positions = [schema.index_of(attribute) for attribute in qi_names]
-            for row_index in sorted(suppressed):
-                if not 0 <= row_index < len(released_rows):
-                    continue  # Anonymization() rejects out-of-range indices
-                cells = list(released_rows[row_index])
-                for position in qi_positions:
-                    cells[position] = SUPPRESSED
-                released_rows[row_index] = tuple(cells)
-
+            table = level_table(view.column(attribute), hierarchies[attribute])
+            built = table.level(levels[attribute])
+            columns.append((built.gather, built.decode))
         label = name or "recode[" + ",".join(
             f"{attribute}={levels[attribute]}" for attribute in qi_names
         ) + "]"
-        anonymization = Anonymization(
+        return Anonymization._of(
             dataset,
-            dataset.replace_rows(released_rows),
-            suppressed=suppressed,
-            levels={attribute: levels[attribute] for attribute in qi_names},
-            name=label,
+            suppressed,
+            {attribute: levels[attribute] for attribute in qi_names},
+            label,
+            columns=tuple(columns),
         )
-
-    released = anonymization.released
-    suppressed_rows = kernels.asarray(sorted(suppressed)) if suppressed else None
-
-    def build_classes() -> EquivalenceClasses:
-        labels = packed_group_labels(per_attribute, suppressed_rows)
-        return EquivalenceClasses.from_labels(
-            kernels.tolist(labels), released.quasi_identifier_tuple
-        )
-
-    anonymization._classes_factory = build_classes
-    return anonymization
-
-
-def recode_rowwise(
-    dataset: Dataset,
-    hierarchies: Mapping[str, Hierarchy],
-    levels: Levels,
-    suppress: Iterable[int] = (),
-    name: str | None = None,
-) -> Anonymization:
-    """The reference row-plane recoding (cell-at-a-time hierarchy walks).
-
-    Kept as the executable specification of :func:`recode`: the columnar
-    plane must produce byte-identical releases and partitions.  Used by the
-    golden/property tests and the recode benchmark's baseline; production
-    callers should use :func:`recode`.
-    """
-    schema = dataset.schema
-    qi_names = _validate_recode(dataset, hierarchies, levels)
-
-    suppressed = frozenset(suppress)
-    qi_positions = {name: schema.index_of(name) for name in qi_names}
-    released_rows: list[tuple[Any, ...]] = []
-    for row_index, row in enumerate(dataset):
-        cells = list(row)
-        for attribute in qi_names:
-            position = qi_positions[attribute]
-            if row_index in suppressed:
-                cells[position] = SUPPRESSED
-            else:
-                cells[position] = hierarchies[attribute].generalize(
-                    row[position], levels[attribute]
-                )
-        released_rows.append(tuple(cells))
-
-    label = name or "recode[" + ",".join(
-        f"{attribute}={levels[attribute]}" for attribute in qi_names
-    ) + "]"
-    return Anonymization(
-        dataset,
-        dataset.replace_rows(released_rows),
-        suppressed=suppressed,
-        levels={attribute: levels[attribute] for attribute in qi_names},
-        name=label,
-    )
 
 
 def recode_node(
@@ -400,35 +582,37 @@ def released_with_local_cells(
 
     ``qi_cells[i]`` maps QI attribute names to the released value for row
     ``i``.  Used by local recoders (Mondrian) that do not share one level
-    vector across the table; one row map may be shared by many rows.
+    vector across the table; one row map may be shared by many rows.  Rows
+    are keyed by the identity of their cells, so the stored recoding is as
+    small as the number of distinct cell combinations the recoder built.
     """
-    schema = dataset.schema
-    qi_names = set(schema.quasi_identifier_names)
-    positions = [
-        (schema.index_of(attribute), attribute)
-        for attribute in schema.quasi_identifier_names
-    ]
-    released_rows = []
-    for row_index, row in enumerate(dataset):
-        row_map = qi_cells[row_index]
-        if row_map.keys() != qi_names:
-            extra = set(row_map) - qi_names
-            if extra:
+    qi_names = dataset.schema.quasi_identifier_names
+    qi_set = set(qi_names)
+    if len(qi_cells) != len(dataset):
+        raise AnonymizationError(
+            f"released table has {len(qi_cells)} rows, original has {len(dataset)}"
+        )
+    cells_of_map: dict[int, tuple[Any, ...]] = {}
+
+    def cells_of(row_index: int, row_map: Mapping[str, Any]) -> tuple[Any, ...]:
+        # ``qi_cells`` keeps every map alive, so a map's id is stable here.
+        cells = cells_of_map.get(id(row_map))
+        if cells is None:
+            if row_map.keys() != qi_set:
+                extra = set(row_map) - qi_set
+                if extra:
+                    raise AnonymizationError(
+                        f"row {row_index} recodes non-QI attributes {sorted(extra)}"
+                    )
+                missing = qi_set - set(row_map)
                 raise AnonymizationError(
-                    f"row {row_index} recodes non-QI attributes {sorted(extra)}"
+                    f"row {row_index} missing recoded values for {sorted(missing)}"
                 )
-            missing = qi_names - set(row_map)
-            raise AnonymizationError(
-                f"row {row_index} missing recoded values for {sorted(missing)}"
-            )
-        cells = list(row)
-        for position, attribute in positions:
-            cells[position] = row_map[attribute]
-        released_rows.append(tuple(cells))
-    return Anonymization(
-        dataset,
-        dataset.replace_rows(released_rows),
-        suppressed=suppressed,
-        levels=None,
-        name=name,
+            cells = tuple(row_map[attribute] for attribute in qi_names)
+            cells_of_map[id(row_map)] = cells
+        return cells
+
+    local = _distinct_rows(
+        cells_of(row_index, row_map) for row_index, row_map in enumerate(qi_cells)
     )
+    return Anonymization._of(dataset, suppressed, None, name, local=local)

@@ -7,10 +7,12 @@ belongs", Section 3).
 
 Two construction paths exist:
 
-* the row plane passes one hashable key per row (the generalized QI tuple);
-* the columnar plane passes precomputed integer group labels via
+* one hashable key per row (the generalized QI tuple) — the row-plane
+  grouping the tests keep as their oracle;
+* precomputed integer group labels via
   :meth:`EquivalenceClasses.from_labels`, resolving the human-facing class
-  keys lazily from one representative row per class.
+  keys from one representative row per class — how every
+  :class:`~repro.anonymize.engine.Anonymization` groups its codes.
 
 Both yield the identical partition contract: classes ordered by first
 occurrence, members in row order.  Per-column histograms
@@ -138,6 +140,10 @@ class EquivalenceClasses:
     def class_of(self, row_index: int) -> int:
         """Index of the class containing the row."""
         return self._class_of[row_index]
+
+    def class_labels(self) -> tuple[int, ...]:
+        """The class index of every row, in row order."""
+        return self._class_of
 
     def members_of(self, row_index: int) -> tuple[int, ...]:
         """All rows in the same class as ``row_index`` (including itself)."""

@@ -78,7 +78,7 @@ class Dataset:
         Row tuples; each must have exactly ``len(schema)`` values.
     """
 
-    __slots__ = ("_schema", "_rows", "_column_cache", "_columnar")
+    __slots__ = ("_schema", "_rows", "_column_cache", "_columnar", "_fingerprint")
 
     def __init__(self, schema: Schema, rows: Sequence[Sequence[Any]]):
         materialized: list[Row] = []
@@ -94,6 +94,7 @@ class Dataset:
         self._rows: tuple[Row, ...] = tuple(materialized)
         self._column_cache: dict[str, tuple[Any, ...]] = {}
         self._columnar: Any = None
+        self._fingerprint: str | None = None
 
     # -- basic container protocol ------------------------------------------
 
@@ -130,8 +131,9 @@ class Dataset:
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
-        # Persist the table only.  The column memo and the columnar view
-        # (interned codes, decode and level tables) are derived from it and
+        # Persist the table only.  The column memo, the columnar view
+        # (interned codes, decode and level tables) and the fingerprint
+        # are derived from it and
         # rebuild lazily; pickling them would more than double every cached
         # release and every dataset sent to a pool worker.
         return None, {"_schema": self._schema, "_rows": self._rows}
@@ -144,6 +146,7 @@ class Dataset:
         self._rows = slots["_rows"]
         self._column_cache = {}
         self._columnar = None
+        self._fingerprint = None
 
     # -- identity ------------------------------------------------------------
 
@@ -159,8 +162,11 @@ class Dataset:
         process (no ``PYTHONHASHSEED`` dependence) and is the dataset
         component of the runtime's content-addressed cache keys.  The
         hashed stream is one token per cell, but each column builds the
-        token of each distinct cell only once (:func:`_column_tokens`).
+        token of each distinct cell only once (:func:`_column_tokens`), and
+        the digest is memoized on the (immutable) table.
         """
+        if self._fingerprint is not None:
+            return self._fingerprint
         hasher = hashlib.sha256()
         hasher.update(f"rows:{len(self._rows)}\x1e".encode("utf-8"))
         order = sorted(
@@ -177,7 +183,8 @@ class Dataset:
             if cells is None:
                 cells = [row[position] for row in self._rows]
             hasher.update(_column_tokens(cells))
-        return hasher.hexdigest()
+        self._fingerprint = hasher.hexdigest()
+        return self._fingerprint
 
     # -- column access ------------------------------------------------------
 

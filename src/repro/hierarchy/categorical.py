@@ -60,16 +60,27 @@ class TaxonomyHierarchy(Hierarchy):
                 token = path[level - 1]
                 counts[token] = counts.get(token, 0) + 1
             self._coverage.append(counts)
-        # A token label may coincide with a leaf only when that leaf sits
-        # under the token (then the two are semantically the same node);
-        # any other collision makes cut recodings ambiguous.
+        # A token label may coincide with a leaf only when the token groups
+        # that leaf alone (then the two are semantically the same node, as
+        # Adult's workclass group "Private"); any other collision makes cut
+        # recodings ambiguous.
         for level, counts in enumerate(self._coverage, start=1):
-            for token in counts:
-                if token in self._paths and self._paths[token][level - 1] != token:
-                    raise HierarchyError(
-                        f"hierarchy {name!r}: level-{level} token {token!r} "
-                        "collides with an unrelated leaf value"
+            for token, covered in counts.items():
+                if token not in self._paths:
+                    continue
+                if self._paths[token][level - 1] != token:
+                    problem = "collides with an unrelated leaf value"
+                elif covered > 1:
+                    problem = (
+                        f"is labelled like one of its {covered} leaves; a group "
+                        "may share a leaf's label only when it holds that leaf alone"
                     )
+                else:
+                    continue
+                raise HierarchyError(
+                    f"hierarchy {name!r}: level-{level} token "
+                    f"{redact_value(token, label='token')} {problem}"
+                )
 
     @classmethod
     def from_tree(cls, name: str, tree: TreeSpec) -> "TaxonomyHierarchy":
@@ -137,13 +148,19 @@ class TaxonomyHierarchy(Hierarchy):
         for level_index, counts in enumerate(self._coverage, start=1):
             if token in counts:
                 return level_index
-        raise HierarchyError(f"unknown token {token!r} in hierarchy {self.name!r}")
+        raise HierarchyError(
+            f"unknown token {redact_value(token, label='token')} in hierarchy "
+            f"{self.name!r}"
+        )
 
     def parent(self, token: Hashable) -> Hashable:
         """The token one level above ``token`` (top's parent is an error)."""
         level = self.level_of(token)
         if level >= self._height:
-            raise HierarchyError(f"{token!r} is the hierarchy top")
+            raise HierarchyError(
+                f"{redact_value(token, label='token')} is the top of hierarchy "
+                f"{self.name!r}"
+            )
         leaves = self.leaves_under(token)
         return self.generalize(leaves[0], level + 1)
 
@@ -151,7 +168,10 @@ class TaxonomyHierarchy(Hierarchy):
         """Tokens one level below ``token`` (leaves for level-1 tokens)."""
         level = self.level_of(token)
         if level == 0:
-            raise HierarchyError(f"{token!r} is a leaf")
+            raise HierarchyError(
+                f"{redact_value(token, label='token')} is a leaf of hierarchy "
+                f"{self.name!r}"
+            )
         children: list[Hashable] = []
         for leaf in self.leaves_under(token):
             child = self.generalize(leaf, level - 1)

@@ -95,8 +95,8 @@ class ResultCache:
         """
         path = self.path_for(key)
         try:
-            with path.open("rb") as handle:
-                entry = pickle.load(handle)
+            payload = path.read_bytes()
+            entry = pickle.loads(payload)
             stored = entry["key"]
             if stored != dataclasses.asdict(key):
                 raise ValueError(f"entry key mismatch: {stored!r}")
@@ -119,6 +119,7 @@ class ResultCache:
             return MISS
         self.stats.hits += 1
         obs_metrics().inc("cache.hit")
+        obs_metrics().inc("cache.read_bytes", len(payload))
         try:
             os.utime(path)  # refresh LRU recency
         except OSError:
@@ -137,6 +138,7 @@ class ResultCache:
             handle.write(payload)
         self.stats.writes += 1
         obs_metrics().inc("cache.write")
+        obs_metrics().inc("cache.written_bytes", len(payload))
         if self.max_bytes is not None:
             self._evict(protect=path)
         return path

@@ -276,9 +276,13 @@ def _op_anonymize(params: Mapping[str, Any], deps: Mapping[str, Any], seed: int)
 
 @register_op("measure")
 def _op_measure(params: Mapping[str, Any], deps: Mapping[str, Any], seed: int) -> Any:
-    """Evaluate one registered measure on an upstream release."""
-    release = deps[params["release_task"]]
-    _, hierarchies = _dataset_from_payload(params["dataset"])
+    """Evaluate one registered measure on an upstream release.
+
+    The release may come from the store or a pool worker, unbound; it is
+    bound here to this process's copy of the dataset.
+    """
+    dataset, hierarchies = _dataset_from_payload(params["dataset"])
+    release = deps[params["release_task"]].bind(dataset)
     metric = params["metric"]
     if params["kind"] == "scalar":
         return SCALAR_MEASURES[metric](release, hierarchies)
@@ -460,6 +464,9 @@ def run_study(
 ) -> StudyResult:
     """Build and execute a study, assembling the materialized result.
 
+    Every release in the result is bound to the study's dataset, whether
+    it was computed here, on a pool worker or read from ``cache``.
+
     ``obs`` is an optional :class:`repro.obs.Observation` enabling span
     tracing and metric collection for this run; the default keeps the
     zero-overhead null observation.  ``transport`` selects where task
@@ -483,6 +490,7 @@ def run_study(
     report = executor.run(graph)
     report.raise_on_failure()
 
+    dataset, _ = spec.dataset.materialize()
     releases: dict[str, Anonymization] = {}
     scalars: dict[str, dict[str, float]] = {}
     vectors: dict[str, dict[str, Any]] = {}
@@ -495,7 +503,7 @@ def run_study(
         suffix = f"#{count}" if count else ""
         cell_key = f"{cell.label}{suffix}"
         cell_id = f"anonymize:{cell_key}"
-        releases[cell_key] = report.value(cell_id)
+        releases[cell_key] = report.value(cell_id).bind(dataset)
         scalars[cell_key] = {
             metric: float(report.value(f"measure:{metric}:{cell_key}"))
             for metric in spec.scalar_measures
@@ -542,11 +550,13 @@ def run_release_grid(
     graph = build_study(spec)
     report = StudyExecutor(jobs=jobs, cache=cache, study_seed=seed).run(graph)
     report.raise_on_failure()
+    original, _ = dataset.materialize()
     releases = []
     seen_labels: dict[str, int] = {}
     for cell in (c.with_seed(seed) for c in algorithms):
         count = seen_labels.get(cell.label, 0)
         seen_labels[cell.label] = count + 1
         suffix = f"#{count}" if count else ""
-        releases.append(report.value(f"anonymize:{cell.label}{suffix}"))
+        release = report.value(f"anonymize:{cell.label}{suffix}")
+        releases.append(release.bind(original))
     return releases

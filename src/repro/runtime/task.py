@@ -31,7 +31,9 @@ from typing import Any, Callable, Iterator, Mapping
 #: entries must not satisfy epoch-3 lookups.
 #: "4": property vectors store an ``array('d')`` instead of a numpy array,
 #: so cached vectors changed pickle layout.
-CODE_EPOCH = "4"
+#: "5": a cached release is the original's fingerprint plus its recoding
+#: (level gathers or distinct local rows), not two pickled row tables.
+CODE_EPOCH = "5"
 
 
 class TaskError(ValueError):

@@ -254,7 +254,8 @@ class ServeState:
 
         Key-compatible with the study runtime's ``anonymize`` tasks: a
         cache directory warmed by ``repro study`` serves these requests
-        without recomputation, and vice versa.
+        without recomputation, and vice versa.  The release comes back
+        bound to the resident dataset.
         """
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
@@ -264,9 +265,11 @@ class ServeState:
             "dataset": dataset_spec.as_payload(),
             "algorithm": cell.as_payload(),
         }
-        return self._resolve(
+        release, source = self._resolve(
             self._releases, key, "anonymize", params, {}, "serve.release"
         )
+        dataset, _ = dataset_spec.materialize()
+        return release.bind(dataset), source
 
     def vector_for(
         self, dataset_spec: DatasetSpec, cell: AlgorithmSpec, prop: str

@@ -24,5 +24,11 @@ def tuple_penalties(anonymization: Anonymization) -> list[int]:
 
 
 def discernibility(anonymization: Anonymization) -> int:
-    """The scalar DM cost (sum of per-tuple penalties)."""
-    return sum(tuple_penalties(anonymization))
+    """The scalar DM cost (sum of per-tuple penalties), from class sizes:
+    Σ|E|² over classes, with each suppressed row's class-size charge
+    replaced by N."""
+    total = len(anonymization)
+    classes = anonymization.equivalence_classes
+    return sum(size * size for size in classes.class_sizes()) + sum(
+        total - classes.size_of(row_index) for row_index in anonymization.suppressed
+    )

@@ -32,29 +32,39 @@ def _check_hierarchies(
     return qi_names
 
 
+def _distinct_row_losses(
+    anonymization: Anonymization, hierarchies: Mapping[str, Hierarchy]
+) -> tuple[Sequence[int], tuple[str, ...], list[list[float]]]:
+    """``(labels, qi_names, losses)``: per distinct released row its QI cell
+    losses in schema order, and each row's distinct-row label.
+
+    Reads :meth:`~repro.anonymize.engine.Anonymization.released_codes`:
+    ``released_loss`` is scored once per distinct released code, and no
+    released row is built.
+    """
+    qi_names = _check_hierarchies(anonymization, hierarchies)
+    labels, rows, decodes = anonymization.released_codes()
+    scorers = [hierarchies[name].released_loss for name in qi_names]
+    scored: list[dict[int, float]] = [{} for _ in qi_names]
+    losses = []
+    for row in rows:
+        cells = []
+        for released_loss, decode, memo, code in zip(scorers, decodes, scored, row):
+            loss = memo.get(code)
+            if loss is None:
+                loss = memo[code] = released_loss(decode[code])
+            cells.append(loss)
+        losses.append(cells)
+    return labels, qi_names, losses
+
+
 def cell_losses(
     anonymization: Anonymization, hierarchies: Mapping[str, Hierarchy]
 ) -> list[dict[str, float]]:
-    """Per-row maps of QI attribute name to normalized cell loss.
-
-    Runs on the columnar plane: each released QI column is interned once
-    (:meth:`~repro.datasets.dataset.Dataset.columns`), ``released_loss`` is
-    scored once per *distinct* released cell, and the per-row maps gather
-    through the codes — same floats as scoring every row directly.
-    """
-    qi_names = _check_hierarchies(anonymization, hierarchies)
-    view = anonymization.released.columns()
-    scored: list[tuple[str, bytes | Sequence[int], list[float]]] = []
-    for name in qi_names:
-        column = view.column(name)
-        released_loss = hierarchies[name].released_loss
-        scored.append(
-            (name, column.codes, [released_loss(value) for value in column.decode])
-        )
-    return [
-        {name: per_cell[codes[row_index]] for name, codes, per_cell in scored}
-        for row_index in range(len(anonymization))
-    ]
+    """Per-row maps of QI attribute name to normalized cell loss."""
+    labels, qi_names, losses = _distinct_row_losses(anonymization, hierarchies)
+    maps = [dict(zip(qi_names, cells)) for cells in losses]
+    return [dict(maps[label]) for label in labels]
 
 
 def tuple_losses(
@@ -62,10 +72,14 @@ def tuple_losses(
 ) -> list[float]:
     """Per-tuple LM loss (sum of QI cell losses), in row order.
 
-    Suppressed tuples naturally score the maximum (one per QI attribute)
-    because their released cells are the suppression token.
+    Each distinct released row sums its cell losses in QI schema order with
+    the builtin ``sum``, as a per-row sum would.  Suppressed tuples
+    naturally score the maximum (one per QI attribute) because their
+    released cells are the suppression token.
     """
-    return [sum(row.values()) for row in cell_losses(anonymization, hierarchies)]
+    labels, _, losses = _distinct_row_losses(anonymization, hierarchies)
+    per_row = [sum(cells) for cells in losses]
+    return [per_row[label] for label in labels]
 
 
 def tuple_utilities(

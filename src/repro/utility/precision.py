@@ -13,6 +13,7 @@ from typing import Mapping
 
 from ..anonymize.engine import Anonymization, AnonymizationError
 from ..hierarchy.base import Hierarchy
+from .loss_metric import tuple_losses
 
 
 def tuple_precisions(
@@ -39,24 +40,11 @@ def tuple_precisions(
             for row_index in range(len(anonymization))
         ]
 
-    # Local recoding: score each distinct released cell once through the
-    # interned columns, then gather per row (same floats as direct scoring).
-    view = anonymization.released.columns()
-    scored = []
-    for name in qi_names:
-        column = view.column(name)
-        released_loss = hierarchies[name].released_loss
-        scored.append(
-            (column.codes, [released_loss(value) for value in column.decode])
-        )
-    precisions = []
-    for row_index in range(len(anonymization)):
-        if row_index in anonymization.suppressed:
-            precisions.append(0.0)
-            continue
-        climbed = sum(per_cell[codes[row_index]] for codes, per_cell in scored)
-        precisions.append(1.0 - climbed / len(qi_names))
-    return precisions
+    # Local recoding: a row climbs its cells' normalized losses.
+    return [
+        0.0 if row_index in anonymization.suppressed else 1.0 - loss / len(qi_names)
+        for row_index, loss in enumerate(tuple_losses(anonymization, hierarchies))
+    ]
 
 
 def precision(

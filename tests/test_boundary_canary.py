@@ -14,7 +14,9 @@ domain, and drives
 * the ``map_value``/``generalize``/``specialize`` error paths of
   :class:`TaxonomyCut` and the ``map_value``/``specialize`` error paths of
   :class:`NumericSplitCut` (its ``generalize`` takes a split index, not a
-  cell).
+  cell);
+* the construction error of a taxonomy whose leaf-labelled group (Adult's
+  workclass "Private") is given a second leaf.
 
 No sentinel may appear in an exception (its ``str``, its ``args`` or any
 exception on its ``__cause__``/``__context__`` chain), a log record or a
@@ -37,7 +39,12 @@ from hypothesis import strategies as st
 from repro.anonymize.algorithms.cuts import NumericSplitCut, TaxonomyCut
 from repro.datasets import Dataset, adult_dataset, adult_hierarchies, paper_tables
 from repro.datasets.io import read_csv
-from repro.hierarchy import IntervalHierarchy, MaskingHierarchy, TaxonomyHierarchy
+from repro.hierarchy import (
+    HierarchyError,
+    IntervalHierarchy,
+    MaskingHierarchy,
+    TaxonomyHierarchy,
+)
 from repro.runtime.study import ALGORITHM_FACTORIES
 
 #: Keeps the genetic search small; every other anonymizer runs as a study
@@ -309,3 +316,25 @@ def test_cut_errors_name_no_sentinel(sentinels, data):
     for cell in (sentinels.text(), sentinels.number(low, high, inside=False)):
         for action in (numeric.map_value, numeric.specialize):
             assert_no_leak([cell], lambda: action(cell))
+
+
+# -- taxonomy construction -------------------------------------------------------
+
+
+@common
+@given(sentinels=SENTINELS)
+def test_taxonomy_construction_errors_name_no_sentinel(sentinels):
+    workclass = adult_hierarchies()["workclass"]
+    paths = {
+        leaf: tuple(workclass.generalizations(leaf)[1:-1]) for leaf in workclass.leaves
+    }
+    # A sentinel leaf filed under the group named after its one leaf, and a
+    # sentinel that labels its own group while the group holds another leaf.
+    beside, label = sentinels.text(), sentinels.text()
+    for sentinel, spec in (
+        (beside, {**paths, beside: paths["Private"]}),
+        (label, {**paths, label: (label,), "Private": (label,)}),
+    ):
+        with pytest.raises(HierarchyError):
+            TaxonomyHierarchy("workclass", spec)
+        assert_no_leak([sentinel], lambda: TaxonomyHierarchy("workclass", spec))

@@ -4,9 +4,10 @@ Two equivalences the plane must uphold on *arbitrary* inputs, not just the
 pinned golden cases:
 
 * plane equivalence — :func:`repro.anonymize.engine.recode` (columnar)
-  and :func:`~repro.anonymize.engine.recode_rowwise` (the reference row
-  plane) produce identical releases: same released rows, same partition,
-  same class keys/sizes, same k, same property vectors;
+  and :func:`tests.rowplane.recode_rowwise` (the reference row plane)
+  produce identical releases: same released rows, same partition (against
+  the row-plane grouping of :func:`tests.rowplane.row_classes`), same
+  class keys/sizes, same k, same property vectors;
 * incremental-vs-fresh — walking a random ascending lattice path through
   one :class:`~repro.anonymize.algorithms.base.RecodingWorkspace` (whose
   partitions derive incrementally from cached finer nodes) yields exactly
@@ -19,12 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.anonymize.algorithms.base import RecodingWorkspace
-from repro.anonymize.engine import recode, recode_rowwise
+from repro.anonymize.engine import recode
 from repro.core.properties import equivalence_class_size
 from repro.datasets.dataset import Dataset
 from repro.datasets.schema import AttributeKind, Schema, quasi_identifier, sensitive
 from repro.hierarchy.categorical import TaxonomyHierarchy
 from repro.hierarchy.numeric import Banding, IntervalHierarchy
+from tests.rowplane import recode_rowwise, row_classes
 
 SCHEMA = Schema.of(
     quasi_identifier("num", AttributeKind.NUMERIC),
@@ -115,13 +117,13 @@ class TestPlaneEquivalence:
         columnar = recode(data, HIERARCHIES, levels, suppress=suppress)
         rowwise = recode_rowwise(data, HIERARCHIES, levels, suppress=suppress)
         left = columnar.equivalence_classes
-        right = rowwise.equivalence_classes
-        assert tuple(left) == tuple(right)
-        assert left.class_sizes() == right.class_sizes()
-        assert left.sizes() == right.sizes()
-        assert [
-            left.key_of_class(i) for i in range(len(left))
-        ] == [right.key_of_class(i) for i in range(len(right))]
+        for right in (rowwise.equivalence_classes, row_classes(rowwise)):
+            assert tuple(left) == tuple(right)
+            assert left.class_sizes() == right.class_sizes()
+            assert left.sizes() == right.sizes()
+            assert [
+                left.key_of_class(i) for i in range(len(left))
+            ] == [right.key_of_class(i) for i in range(len(right))]
         assert columnar.k() == rowwise.k()
 
     @common

@@ -9,7 +9,7 @@ from repro.anonymize.engine import (
     recode_node,
     released_with_local_cells,
 )
-from repro.datasets import paper_tables
+from repro.datasets import adult_dataset, paper_tables
 from repro.hierarchy import SUPPRESSED
 
 
@@ -135,6 +135,13 @@ class TestAnonymization:
     def test_row_count_mismatch_rejected(self, table1):
         with pytest.raises(AnonymizationError, match="rows"):
             Anonymization(table1, table1.head(5))
+
+    def test_recoded_non_qi_column_rejected(self):
+        data = adult_dataset(20, seed=1)
+        position = data.schema.index_of(data.schema.sensitive_names[0])
+        rows = [row[:position] + ("other",) + row[position + 1:] for row in data]
+        with pytest.raises(AnonymizationError, match="only quasi-identifiers"):
+            Anonymization(data, data.replace_rows(rows))
 
     def test_k_matches_paper(self, t3a, t3b, t4):
         assert t3a.k() == 3

@@ -127,6 +127,32 @@ class TestTaxonomyHierarchy:
         with pytest.raises(HierarchyError, match="one root"):
             TaxonomyHierarchy.from_tree("x", {"A": ["v"], "B": ["w"]})
 
+    def test_group_labelled_like_its_single_leaf_is_accepted(self):
+        workclass = TaxonomyHierarchy(
+            "workclass", {"Private": ("Private",), "Federal": ("Gov",)}
+        )
+        assert workclass.generalize("Private", 1) == "Private"
+        assert workclass.level_of("Gov") == 1
+
+    def test_group_labelled_like_one_of_several_leaves_is_rejected(self):
+        with pytest.raises(HierarchyError, match="holds that leaf alone") as caught:
+            TaxonomyHierarchy(
+                "workclass",
+                {"Private": ("Private",), "Contractor": ("Private",), "Federal": ("Gov",)},
+            )
+        assert "Private" not in str(caught.value)
+
+    def test_token_errors_are_redacted(self, marital):
+        for action in (marital.level_of, marital.parent, marital.children):
+            with pytest.raises(HierarchyError) as caught:
+                action("Widowed")
+            assert "Widowed" not in str(caught.value)
+        with pytest.raises(HierarchyError, match="top"):
+            marital.parent(SUPPRESSED)
+        with pytest.raises(HierarchyError, match="leaf") as caught:
+            marital.children("Divorced")
+        assert "Divorced" not in str(caught.value)
+
     def test_generalizations(self, marital):
         assert marital.generalizations("Divorced") == [
             "Divorced",

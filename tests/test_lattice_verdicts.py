@@ -19,6 +19,7 @@ the full grouping — they are integer sums, exact in float.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from contextlib import ExitStack
@@ -302,7 +303,9 @@ class TestSizesOnlyCosts:
                     cost = discernibility_cost(workspace, node, k)
                     assert cost == dm and type(cost) is float
                     privacy = privacy_rank_objective(workspace, node)
-                    assert privacy == sum(s * (total - s) ** 2 for s in sizes) ** 0.5
+                    # ``math.sqrt`` is correctly rounded; ``** 0.5`` is off by an
+                    # ulp for some integer sums (8414, for one).
+                    assert privacy == math.sqrt(sum(s * (total - s) ** 2 for s in sizes))
                     assert type(privacy) is float
                     weighted = weighted_k_objective(workspace, node)
                     assert weighted == -(sum(s * s for s in sizes) / total)
@@ -341,3 +344,81 @@ class TestSizesOnlyCosts:
                         )
                     assert current == expected
 
+
+
+class RecountingMuArgus(MuArgus):
+    """μ-Argus as it counted every combination afresh in every round."""
+
+    def _unsafe_rows_by_attribute(self, workspace, levels, counted=None):
+        kernels = active()
+        qi_names = workspace.qi_names
+        unsafe_rows = set()
+        involvement = {name: 0 for name in qi_names}
+        dimension = min(self.max_combination_size, len(qi_names))
+        for size in range(1, dimension + 1):
+            for subset in itertools.combinations(qi_names, size):
+                node = tuple(levels[name] for name in subset)
+                unsafe_classes = kernels.count_less(
+                    workspace.class_sizes(node, subset), self.k
+                )
+                if not unsafe_classes:
+                    continue
+                unsafe_rows.update(workspace.violating_rows(node, self.k, subset))
+                for name in subset:
+                    involvement[name] += unsafe_classes
+        return unsafe_rows, involvement
+
+
+class CountingWorkspace(RecodingWorkspace):
+    """A workspace that counts its class-size passes and k verdicts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sizes_calls = Counter()
+        self.verdicts = Counter()
+
+    def class_sizes(self, node, attributes=None):
+        self.sizes_calls[(tuple(attributes or self.qi_names), tuple(node))] += 1
+        return super().class_sizes(node, attributes)
+
+    def satisfies_k(self, node, k, max_suppressed=0, attributes=None):
+        self.verdicts[tuple(node)] += 1
+        return super().satisfies_k(node, k, max_suppressed, attributes)
+
+
+class TestVerdictReuse:
+    @common
+    @given(datasets(), st.sampled_from(list(KS)), st.sampled_from([0.0, 0.1, 0.3]))
+    def test_muargus_counts_each_combination_node_once(self, data, k, limit):
+        for dimension in (1, 2, 3):
+            workspaces = []
+
+            def counting(*args):
+                workspaces.append(CountingWorkspace(*args))
+                return workspaces[-1]
+
+            with mock.patch.object(muargus, "RecodingWorkspace", counting):
+                current = release_of(MuArgus(k, dimension, limit), data)
+            calls = workspaces[0].sizes_calls
+            assert set(calls.values()) == {1}
+            assert current == release_of(
+                RecountingMuArgus(k, dimension, limit), data
+            )
+
+    @common
+    @given(datasets(), st.sampled_from(list(KS)), st.sampled_from([0.0, 0.1, 0.3]))
+    def test_samarati_decides_each_node_once(self, data, k, limit):
+        workspace = CountingWorkspace(data, HIERARCHIES)
+        try:
+            nodes = Samarati(k, limit)._k_minimal_nodes(workspace)
+        except AlgorithmError:
+            nodes = None
+        assert set(workspace.verdicts.values()) == {1}
+        if nodes is not None:
+            budget = int(limit * len(data))
+            height = sum(nodes[0])
+            assert nodes == [
+                node
+                for node in workspace.lattice.nodes_at_height(height)
+                if workspace.violation_count(node, k) <= budget
+            ]

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from repro.obs import Observation, observing
 from repro.runtime.cache import MISS, CacheStats, ResultCache
 from repro.runtime.task import CODE_EPOCH, CacheKey, canonical_json, derive_seed
 
@@ -142,6 +143,19 @@ class TestResultCache:
             "corrupt": 0,
         }
         assert isinstance(cache.stats, CacheStats)
+
+    def test_traffic_counters_count_entry_bytes(self, tmp_path):
+        cache = ResultCache(tmp_path / "store")
+        observation = Observation()
+        with observing(observation):
+            cache.get(key_for("value"))
+            path = cache.put(key_for("value"), list(range(100)))
+            assert cache.get(key_for("value")) == list(range(100))
+            assert cache.get(key_for("value")) == list(range(100))
+        counters = observation.metrics.snapshot()["counters"]
+        size = path.stat().st_size
+        assert counters["cache.written_bytes"] == size
+        assert counters["cache.read_bytes"] == 2 * size
 
 
 class TestDeriveSeed:
