@@ -585,8 +585,8 @@ class RowwiseGeneralizationRule(Rule):
     same few distinct values thousands of times; the columnar measurement
     plane (``datasets/columnar.py`` interning + ``hierarchy/codes.py``
     level tables) computes each distinct generalization once and recodes a
-    column with a single gather.  Only the engine's reference row plane
-    and the plane's own builders are sanctioned to loop rows.
+    column with a single gather.  Only the plane's own builders are
+    sanctioned to loop rows.
     """
 
     id = "REP008"
@@ -597,7 +597,6 @@ class RowwiseGeneralizationRule(Rule):
         "through hierarchy.codes.level_table(...) instead"
     )
     exempt_suffixes = (
-        "anonymize/engine.py",
         "datasets/columnar.py",
         "hierarchy/codes.py",
     )

@@ -179,17 +179,19 @@ class AlgorithmSpec:
         rather than being resolved implicitly at run time.
         """
         params = dict(self.params)
-        if "seed" in params:
-            return self
-        factory = ALGORITHM_FACTORIES[self.algorithm]
-        try:
-            accepts_seed = "seed" in inspect.signature(factory).parameters
-        except (TypeError, ValueError):
-            accepts_seed = False
-        if not accepts_seed:
+        if "seed" in params or not _accepts_seed(ALGORITHM_FACTORIES[self.algorithm]):
             return self
         params["seed"] = derive_seed(study_seed, f"algorithm:{self.label}")
         return AlgorithmSpec(self.algorithm, _canonical_items(params))
+
+
+@functools.lru_cache(maxsize=None)
+def _accepts_seed(factory: Callable[..., Any]) -> bool:
+    """Whether ``factory`` takes a ``seed`` keyword (inspected once each)."""
+    try:
+        return "seed" in inspect.signature(factory).parameters
+    except (TypeError, ValueError):
+        return False
 
 
 @dataclasses.dataclass(frozen=True)

@@ -438,16 +438,13 @@ class ServeServer:
         dataset_spec = self.state.dataset_spec(body.get("dataset"))
         cell = self.state.algorithm_spec(body.get("algorithm"))
         release, source = self.state.release_for(dataset_spec, cell)
+        summary, _ = self.state.summary_for(dataset_spec, cell, release)
         payload: dict[str, Any] = {
             "ok": True,
             "algorithm": cell.label,
             "dataset": dataset_spec.as_payload(),
             "source": source,
-            "rows": len(release),
-            "k": release.k(),
-            "suppressed": len(release.suppressed),
-            "levels": release.levels,
-            "released_fingerprint": release.released.fingerprint(),
+            **summary,
         }
         if body.get("include_rows"):
             payload["columns"] = list(release.released.schema.names)

@@ -15,8 +15,9 @@ serves that study's results without recomputing a single cell — and a
 restarted server resumes from disk with 100% hits.
 
 Request handlers resolve through the registered task operations
-(``anonymize``, ``measure``, ``compare``, ``serve.query``) — the same
-ops the study executor runs inline or on its process pool.
+(``anonymize``, ``measure``, ``compare``, ``serve.summary``,
+``serve.query``) — the same ops the study executor runs inline or on its
+process pool.
 
 Seeds follow the study convention: algorithm specs that accept a ``seed``
 get one derived from the server's study seed with
@@ -43,7 +44,13 @@ from ..runtime.study import (
     StudyError,
     algorithm_key,
 )
-from ..runtime.task import CacheKey, canonical_json, derive_seed, resolve_op
+from ..runtime.task import (
+    CacheKey,
+    canonical_json,
+    derive_seed,
+    register_op,
+    resolve_op,
+)
 
 
 class ServeRequestError(ValueError):
@@ -51,14 +58,14 @@ class ServeRequestError(ValueError):
 
 
 #: Most ``rows`` a request's dataset may name: the 1M-row scale tier.  Tables
-#: stay resident only in the study runtime's ``DATASET_MEMO_SIZE`` LRU, and
-#: their fingerprints in a ``max_resident`` LRU.
+#: stay resident only in the study runtime's ``DATASET_MEMO_SIZE`` LRU, each
+#: with its memoized fingerprint.
 MAX_DATASET_ROWS = 1_000_000
 
 
 class _ResidentLRU:
-    """A bounded insertion-refreshing memo for resident result objects
-    (keyed by cache digest) and dataset fingerprints (keyed by spec)."""
+    """A bounded insertion-refreshing memo for resident result objects,
+    keyed by cache digest."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -130,6 +137,26 @@ def _spec_payload(spec: Mapping[str, Any] | None, field: str) -> dict[str, Any]:
     return {key: value for key, value in spec.items()}
 
 
+@register_op("serve.summary")
+def _op_serve_summary(
+    params: Mapping[str, Any], deps: Mapping[str, Any], seed: int
+) -> dict[str, Any]:
+    """Registered op behind the ``/anonymize`` summary fields.
+
+    ``deps['release']`` is the bound release; the op builds its class
+    partition (for ``k``) and hashes its released table once, so the
+    cached summary spares every later request both.
+    """
+    release = deps["release"]
+    return {
+        "rows": len(release),
+        "k": release.k(),
+        "suppressed": len(release.suppressed),
+        "levels": release.levels,
+        "released_fingerprint": release.released.fingerprint(),
+    }
+
+
 class ServeState:
     """All state one ``repro serve`` process keeps resident.
 
@@ -145,9 +172,9 @@ class ServeState:
         Study seed for the serve plane; algorithm seeds derive from it
         exactly as ``repro study`` derives them.
     max_resident:
-        Bound on each in-memory memo (releases, vectors, query/compare
-        results, dataset fingerprints); least-recently-used results fall
-        back to the disk cache, evicted fingerprints are recomputed.
+        Bound on each in-memory memo (releases; summaries, vectors and
+        query/compare results); least-recently-used results fall back to
+        the disk cache.
     """
 
     def __init__(
@@ -162,7 +189,6 @@ class ServeState:
         self._default_dataset = default_dataset
         self._releases = _ResidentLRU(max_resident)
         self._derived = _ResidentLRU(max_resident)
-        self._fingerprints = _ResidentLRU(max_resident)
         # Materialize and fingerprint the default workload now: startup pays
         # the build cost once, requests find the table resident.  Its
         # columnar view is interned by the first release that needs it.
@@ -203,13 +229,8 @@ class ServeState:
         return cell.with_seed(self.seed)
 
     def fingerprint(self, dataset_spec: DatasetSpec) -> str:
-        """The (memoized) content fingerprint of a named dataset."""
-        fingerprint = self._fingerprints.get(dataset_spec)
-        if fingerprint is MISS:
-            dataset, _ = dataset_spec.materialize()
-            fingerprint = dataset.fingerprint()
-            self._fingerprints.put(dataset_spec, fingerprint)
-        return fingerprint
+        """The content fingerprint of a named dataset (memoized on its table)."""
+        return dataset_spec.materialize()[0].fingerprint()
 
     # -- layered resolution ------------------------------------------------
 
@@ -270,6 +291,27 @@ class ServeState:
         )
         dataset, _ = dataset_spec.materialize()
         return release.bind(dataset), source
+
+    def summary_for(
+        self, dataset_spec: DatasetSpec, cell: AlgorithmSpec, release: Anonymization
+    ) -> tuple[dict[str, Any], str]:
+        """The ``/anonymize`` summary of one release, plus its source layer.
+
+        Rows, achieved k, suppressed count, levels and the released
+        table's fingerprint, resolved like every derived answer — so a
+        warm request builds no partition and hashes no released table.
+        ``release`` is the cell's bound release from :meth:`release_for`,
+        which the endpoint resolves once for its own ``source`` and rows.
+        """
+        key = CacheKey(
+            dataset=self.fingerprint(dataset_spec),
+            algorithm=algorithm_key(cell),
+            metric="serve.summary",
+        )
+        return self._resolve(
+            self._derived, key, "serve.summary", {}, {"release": release},
+            "serve.summary",
+        )
 
     def vector_for(
         self, dataset_spec: DatasetSpec, cell: AlgorithmSpec, prop: str
@@ -398,5 +440,4 @@ class ServeState:
         return {
             "releases": len(self._releases),
             "derived": len(self._derived),
-            "datasets": len(self._fingerprints),
         }

@@ -294,14 +294,16 @@ class TestRep008RowwiseGeneralization:
         )
         assert lint_source(source, path=PLAIN) == []
 
-    def test_engine_reference_plane_is_exempt(self):
+    def test_row_loop_in_engine_is_flagged(self):
+        # The engine recodes through level gathers; a per-row loop
+        # planted there is a regression.
         source = (
             "def recode_rowwise(dataset, hierarchy, level):\n"
             "    return [hierarchy.generalize(row[0], level)"
             " for row in dataset]\n"
         )
         path = "src/repro/anonymize/engine.py"
-        assert lint_source(source, path=path) == []
+        assert rule_ids(lint_source(source, path=path)) == ["REP008"]
 
     def test_level_table_builder_is_exempt(self):
         source = (

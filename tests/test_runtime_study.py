@@ -3,6 +3,9 @@ dataset fingerprints, runtime artifact lint, and the ``repro study`` CLI."""
 
 from __future__ import annotations
 
+import hashlib
+import inspect
+
 import pytest
 
 from repro.cli import main
@@ -11,6 +14,7 @@ from repro.lint.api import check_cache_store, check_run_artifacts
 from repro.lint.diagnostics import Severity
 from repro.runtime.cache import ResultCache
 from repro.runtime.study import (
+    ALGORITHM_FACTORIES,
     DATASET_MEMO_SIZE,
     AlgorithmSpec,
     DatasetSpec,
@@ -19,6 +23,7 @@ from repro.runtime.study import (
     build_study,
     run_release_grid,
     _materialize_dataset,
+    algorithm_key,
     run_study,
 )
 
@@ -44,6 +49,28 @@ class TestSpecs:
 
     def test_labels_carry_parameters(self):
         assert AlgorithmSpec.of("datafly", k=5).label == "datafly[k=5]"
+
+    def test_with_seed_keys_are_pinned_for_every_factory(self):
+        # Seeds enter only the factories whose signature takes one, and an
+        # explicit seed is kept; the keys digest pins every cell's key.
+        keys = []
+        for name in sorted(ALGORITHM_FACTORIES):
+            takes_seed = "seed" in inspect.signature(
+                ALGORITHM_FACTORIES[name]
+            ).parameters
+            for params in ({"k": 3}, {"k": 3, "seed": 7}):
+                spec = AlgorithmSpec.of(name, **params)
+                seeded = spec.with_seed(42)
+                assert seeded.with_seed(42) == seeded
+                if takes_seed or "seed" in params:
+                    assert "seed" in dict(seeded.params)
+                if "seed" in params or not takes_seed:
+                    assert seeded == spec
+                keys.append(algorithm_key(seeded))
+        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        assert digest == (
+            "ad6ee9df5a2b3b70320ec1b3f5816a898bb2ac919fd95fa066fd6be8063c3767"
+        )
 
     def test_study_rejects_empty_grid(self):
         with pytest.raises(StudyError, match="at least one algorithm"):

@@ -22,7 +22,8 @@ import pytest
 
 from repro.obs import Observation
 from repro.runtime.cache import ResultCache
-from repro.runtime.study import AlgorithmSpec, DatasetSpec
+from repro.runtime.study import AlgorithmSpec, DatasetSpec, algorithm_key
+from repro.runtime.task import CacheKey
 from repro.serve import ServeServer, ServerThread, ServeState
 from repro.serve.query import render_cell
 from repro.serve.state import MAX_DATASET_ROWS, ServeRequestError
@@ -86,7 +87,6 @@ class TestHttpContract:
         assert status == 200
         assert body["ok"] is True
         assert body["status"] == "ok"
-        assert body["resident"]["datasets"] == 1
 
     def test_anonymize_cold_then_memory_warm(self, server):
         status, cold = _request(server, "POST", "/anonymize", {"algorithm": CELL})
@@ -247,18 +247,16 @@ class TestHttpContract:
         with pytest.raises(ServeRequestError, match="rows must be from 1"):
             spec(MAX_DATASET_ROWS + 1)
 
-    def test_fingerprint_memo_is_bounded(self):
+    def test_fingerprint_is_stable_per_spec(self):
         state = ServeState(
             DatasetSpec.of("adult", rows=20, seed=1), seed=SEED, max_resident=2
         )
         specs = [DatasetSpec.of("adult", rows=20, seed=s) for s in range(1, 5)]
         first = [state.fingerprint(spec) for spec in specs]
-        assert state.resident_counts()["datasets"] <= 2
-        # The first spec was evicted; asking again recomputes the same digest.
+        # Asking again returns the same digest as the table's own.
         assert state.fingerprint(specs[0]) == first[0]
         assert first[0] == specs[0].materialize()[0].fingerprint()
         assert len(set(first)) == 4
-        assert state.resident_counts()["datasets"] <= 2
 
     def test_malformed_json_body_is_400(self, server):
         connection = http.client.HTTPConnection(
@@ -359,13 +357,80 @@ class TestConcurrency:
         thread.start()
         try:
             _, warm = _request(second, "POST", "/anonymize", {"algorithm": CELL})
-            assert warm["source"] == "cache"
-            assert warm["released_fingerprint"] == cold["released_fingerprint"]
+            assert warm.pop("source") == "cache"
+            cold.pop("source")
+            assert warm == cold
             counters = observation.metrics.snapshot()["counters"]
             assert counters.get("serve.release.computed", 0) == 0
             assert counters["serve.release.disk_hit"] == 1
+            assert counters.get("serve.summary.computed", 0) == 0
+            assert counters["serve.summary.disk_hit"] == 1
         finally:
             thread.stop()
+
+    @staticmethod
+    def _summary_key(state):
+        cell = state.algorithm_spec(CELL)
+        return CacheKey(
+            dataset=state.fingerprint(state.dataset_spec(None)),
+            algorithm=algorithm_key(cell),
+            metric="serve.summary",
+        )
+
+    def test_truncated_summary_entry_heals(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        first = _make_server(cache_dir=cache_dir)
+        thread = ServerThread(first)
+        thread.start()
+        try:
+            _, cold = _request(first, "POST", "/anonymize", {"algorithm": CELL})
+        finally:
+            thread.stop()
+        key = self._summary_key(first.state)
+        entry = first.state.cache.path_for(key)
+        entry.write_bytes(entry.read_bytes()[:10])
+
+        observation = Observation()
+        second = _make_server(cache_dir=cache_dir, observation=observation)
+        thread = ServerThread(second)
+        thread.start()
+        try:
+            _, healed = _request(second, "POST", "/anonymize", {"algorithm": CELL})
+            counters = observation.metrics.snapshot()["counters"]
+            assert counters["cache.corrupt_healed"] == 1
+            assert counters["serve.summary.computed"] == 1
+            assert counters["serve.release.disk_hit"] == 1
+            assert healed.pop("source") == "cache"
+            cold.pop("source")
+            assert healed == cold
+        finally:
+            thread.stop()
+        # The recomputed summary was written back whole.
+        stored = ResultCache(cache_dir).get(key)
+        assert stored == {name: cold[name] for name in stored}
+
+    def test_restarted_server_still_returns_rows(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        body = {"algorithm": CELL, "include_rows": True}
+        first = _make_server(cache_dir=cache_dir)
+        thread = ServerThread(first)
+        thread.start()
+        try:
+            _, cold = _request(first, "POST", "/anonymize", body)
+        finally:
+            thread.stop()
+
+        second = _make_server(cache_dir=cache_dir)
+        thread = ServerThread(second)
+        thread.start()
+        try:
+            _, warm = _request(second, "POST", "/anonymize", body)
+        finally:
+            thread.stop()
+        assert warm.pop("source") == "cache"
+        cold.pop("source")
+        assert len(warm["released_rows"]) == ROWS
+        assert warm == cold
 
 
 class TestShutdown:

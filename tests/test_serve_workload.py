@@ -140,16 +140,26 @@ class TestBenchCommand:
             if cell is not None
         }
         assert len(cells) == 3
+        # Each distinct /anonymize cell computes its summary once.
+        summaries = {
+            json.dumps(body["algorithm"], sort_keys=True)
+            for plan in _plans()
+            for endpoint, _, body in plan
+            if endpoint == "anonymize"
+        }
 
         cache_dir = tmp_path / "cache"
         failures, cold = _replay(cache_dir=cache_dir)
         assert failures == []
         assert cold["serve.release.computed"] == 3
+        assert cold["serve.summary.computed"] == len(summaries)
 
         failures, warm = _replay(cache_dir=cache_dir)
         assert failures == []
-        assert warm.get("serve.release.computed", 0) == 0
+        for plane in ("release", "summary", "vector", "compare", "query"):
+            assert warm.get(f"serve.{plane}.computed", 0) == 0, plane
         assert warm["serve.release.disk_hit"] >= 1
+        assert warm["serve.summary.disk_hit"] == len(summaries)
 
         failures, empty = _replay(cache_dir=tmp_path / "cold")
         assert failures == []
