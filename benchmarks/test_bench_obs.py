@@ -41,6 +41,9 @@ def _three_qi(size: int):
 
 
 def _sweep(data, hierarchies, nodes):
+    # Each timed sweep counts every node: empty the table's verdict store,
+    # which would otherwise answer the later sweeps from the first.
+    data.columns().lattice_memo.clear()
     workspace = RecodingWorkspace(data, hierarchies)
     return [workspace.violation_count(node, K) for node in nodes]
 

@@ -84,6 +84,9 @@ def _row_plane_sweep(data, hierarchies, nodes):
 
 
 def _columnar_sweep(data, hierarchies, nodes):
+    # Each sweep (every repeat, every backend) counts every node: empty the
+    # table's verdict store, which would otherwise answer it from the last.
+    data.columns().lattice_memo.clear()
     workspace = RecodingWorkspace(data, hierarchies)
     return [workspace.violation_count(node, K) for node in nodes], workspace
 

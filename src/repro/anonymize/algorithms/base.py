@@ -5,19 +5,24 @@ running on the columnar plane: per QI attribute the column is interned once
 (:meth:`Dataset.columns`) and a level table is built per hierarchy
 (:mod:`repro.hierarchy.codes`), after which evaluating a lattice node is a
 handful of array gathers.  A k verdict (:meth:`RecodingWorkspace.
-violation_count`, behind ``satisfies_k``) reads only the node's class
-sizes, counted straight from its packed keys, which is what makes
-full-lattice walks (Samarati, Incognito, Datafly, the optimal search)
-cheap at scale.  Callers that need per-row labels or representatives get
-a node partition instead; partitions are cached and — when the level
-tables are *nested* over the column domain — derived incrementally: a
-coarser node's partition is computed from a cached finer one by re-keying
-one representative row per class instead of re-grouping all rows.
+violation_count`, behind ``satisfies_k``) reads only the node's class-size
+histogram, counted straight from its packed keys once per table: the
+histogram does not depend on k, so it is kept in the table's columnar view
+and read by every later search of any k on the same table.  That is what
+makes full-lattice walks (Samarati, Incognito, Datafly, the optimal
+search) and grids of them cheap.  Callers that need per-row labels or
+representatives get a node partition instead; partitions are cached and —
+when the level tables are *nested* over the column domain — derived
+incrementally: a coarser node's partition is computed from a cached finer
+one by re-keying one representative row per class instead of re-grouping
+all rows.
 """
 
 from __future__ import annotations
 
 import abc
+from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import Any, Hashable, Mapping, Sequence
 
@@ -92,6 +97,11 @@ class RecodingWorkspace:
     partitions take the incremental coarsening path instead of re-grouping
     every row.  Verdicts and sizes-only costs bypass partitions and the
     LRU altogether (:meth:`class_sizes`).
+
+    Verdicts read a node's class-size histogram from the table's
+    ``ColumnarView.lattice_memo``, keyed by the projection's level tables
+    and the node, so every workspace on the same dataset object (every
+    search of a study grid, any k) counts each node at most once.
     """
 
     #: Partitions kept per attribute projection (int64 labels cost 8·N
@@ -109,8 +119,10 @@ class RecodingWorkspace:
         self.hierarchies = {name: hierarchies[name] for name in self.qi_names}
         self.lattice = Lattice([self.hierarchies[name] for name in self.qi_names])
         self._view = dataset.columns()
+        self._memo = self._view.lattice_memo
         self._kernels = active_kernels()
         self._tables: dict[str, LevelTable] = {}
+        self._projections: dict[tuple[str, ...], tuple[LevelTable, ...]] = {}
         self._base_codes: dict[str, Any] = {}
         self._loss_columns: dict[tuple[str, int], tuple[float, ...]] = {}
         self._code_columns: dict[tuple[str, int], tuple[Any, int]] = {}
@@ -142,6 +154,13 @@ class RecodingWorkspace:
             )
             self._tables[attribute] = table
         return table
+
+    def _projection(self, names: tuple[str, ...]) -> tuple[LevelTable, ...]:
+        tables = self._projections.get(names)
+        if tables is None:
+            tables = tuple(self._table(name) for name in names)
+            self._projections[names] = tables
+        return tables
 
     def _base(self, attribute: str) -> Any:
         codes = self._base_codes.get(attribute)
@@ -306,8 +325,9 @@ class RecodingWorkspace:
         Equal to ``partition(node).sizes``, in the same canonical
         sorted-key order, but counted straight from the packed keys of the
         cached code columns: no per-row labels, no representatives, no
-        partition cache entry.  This is all a k-anonymity verdict or a
-        sizes-only cost reads.
+        partition cache entry.  This is all a sizes-only cost reads; a k
+        verdict reads the node's memoized histogram of these sizes
+        (:meth:`violation_count`) and counts them only on a miss.
         """
         names = tuple(attributes) if attributes is not None else self.qi_names
         self._check_node_arity(node, names)
@@ -338,11 +358,39 @@ class RecodingWorkspace:
         per_row = self.class_size_vector(node, names)
         return self._kernels.flatnonzero_less(per_row, k)
 
+    def _histogram(
+        self, node: Node, attributes: Sequence[str] | None
+    ) -> "array[int]":
+        """The node's class-size histogram, from the table's shared memo
+        (counted by :meth:`class_sizes` on a miss)."""
+        names = tuple(attributes) if attributes is not None else self.qi_names
+        self._check_node_arity(node, names)
+        key = (self._projection(names), tuple(node))
+        histogram = self._memo.get(key)
+        if histogram is None:
+            histogram = self._kernels.size_histogram(self.class_sizes(node, names))
+            self._memo[key] = histogram
+        else:
+            obs_metrics().inc("workspace.sizes.reused")
+        return histogram
+
     def violation_count(
         self, node: Node, k: int, attributes: Sequence[str] | None = None
     ) -> int:
         """Number of rows in classes smaller than ``k`` at ``node``."""
-        return self._kernels.sum_less(self.class_sizes(node, attributes), k)
+        # ``histogram`` is ``size_histogram``'s: m distinct sizes, then the
+        # rows and the classes below each, read at the first size >= k.
+        histogram = self._histogram(node, attributes)
+        distinct = (len(histogram) - 2) // 3
+        return histogram[distinct + bisect_left(histogram, k, 0, distinct)]
+
+    def unsafe_class_count(
+        self, node: Node, k: int, attributes: Sequence[str] | None = None
+    ) -> int:
+        """Number of classes smaller than ``k`` at ``node``."""
+        histogram = self._histogram(node, attributes)
+        distinct = (len(histogram) - 2) // 3
+        return histogram[2 * distinct + 1 + bisect_left(histogram, k, 0, distinct)]
 
     def satisfies_k(
         self,
@@ -355,11 +403,22 @@ class RecodingWorkspace:
         ``max_suppressed`` rows."""
         return self.violation_count(node, k, attributes) <= max_suppressed
 
+    def _level_loss(self, attribute: str, level: int) -> float:
+        """``sum(loss_column(attribute, level))``, summed in row order once
+        per table (memoized in the table's shared memo)."""
+        table = self._table(attribute)
+        key = (table, level)
+        total = self._memo.get(key)
+        if total is None:
+            loss = table.level(level).loss
+            total = sum(map(loss.__getitem__, self._view.column(attribute).codes))
+            self._memo[key] = total
+        return total
+
     def node_loss(self, node: Node) -> float:
         """Total LM loss of the recoding at ``node`` (without suppression)."""
         return sum(
-            sum(self.loss_column(name, level))
-            for name, level in zip(self.qi_names, node)
+            self._level_loss(name, level) for name, level in zip(self.qi_names, node)
         )
 
     def apply(self, node: Node, k: int, name: str | None = None) -> Anonymization:

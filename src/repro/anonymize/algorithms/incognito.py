@@ -21,7 +21,7 @@ from typing import Mapping
 
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
-from ...hierarchy.lattice import Lattice, Node
+from ...hierarchy.lattice import Node
 from ..engine import Anonymization
 from .base import (
     AlgorithmError,
@@ -57,42 +57,54 @@ class Incognito(Anonymizer):
         budget: int,
     ) -> set[Node]:
         """k-anonymous nodes of one QI-subset sub-lattice."""
-        sub_lattice = Lattice([workspace.hierarchies[name] for name in attributes])
-        # Per dropped attribute, the anonymous nodes of the projection that
-        # omits it (none to consult for a single attribute).
-        projections = (
-            [
-                (drop, previous[attributes[:drop] + attributes[drop + 1 :]])
-                for drop in range(len(attributes))
-            ]
-            if len(attributes) > 1
-            else []
-        )
+        anonymous: set[Node] = set()
 
-        def projections_anonymous(node: Node) -> bool:
-            return all(
-                node[:drop] + node[drop + 1 :] in known
-                for drop, known in projections
+        def predecessor_anonymous(node: Node) -> bool:
+            # Candidates are valid nodes, so predecessors are built here
+            # rather than through ``Lattice.predecessors``' checks.
+            return any(
+                node[:i] + (level - 1,) + node[i + 1 :] in anonymous
+                for i, level in enumerate(node)
+                if level
             )
 
-        anonymous: set[Node] = set()
         # Bottom-up breadth-first sweep; the generalization property marks
         # every ancestor of an anonymous node without a frequency-set pass.
-        for height in range(sub_lattice.max_height + 1):
-            for node in sub_lattice.nodes_at_height(height):
-                if node in anonymous:
-                    continue
-                if not projections_anonymous(node):
-                    continue
-                if any(
-                    predecessor in anonymous
-                    for predecessor in sub_lattice.predecessors(node)
-                ):
-                    anonymous.add(node)
-                    continue
-                if workspace.satisfies_k(node, self.k, budget, attributes):
-                    anonymous.add(node)
+        for node in self._candidates(workspace, attributes, previous):
+            if predecessor_anonymous(node) or workspace.satisfies_k(
+                node, self.k, budget, attributes
+            ):
+                anonymous.add(node)
         return anonymous
+
+    @staticmethod
+    def _candidates(
+        workspace: RecodingWorkspace,
+        attributes: tuple[str, ...],
+        previous: dict[tuple[str, ...], set[Node]],
+    ) -> list[Node]:
+        """The sub-lattice's nodes whose every projection onto one
+        attribute fewer is k-anonymous, by height, then lexicographically.
+
+        Incognito's candidate generation: each anonymous node of the
+        projection that drops the last attribute is extended by every
+        level of it, and the other projections filter the result, so the
+        nodes they rule out are never visited.
+        """
+        last = len(attributes) - 1
+        levels = range(workspace.hierarchies[attributes[last]].height + 1)
+        if not last:
+            return [(level,) for level in levels]
+        candidates = [
+            node + (level,) for node in previous[attributes[:last]] for level in levels
+        ]
+        for drop in range(last):
+            known = previous[attributes[:drop] + attributes[drop + 1 :]]
+            candidates = [
+                node for node in candidates if node[:drop] + node[drop + 1 :] in known
+            ]
+        candidates.sort(key=lambda node: (sum(node), node))
+        return candidates
 
     def k_anonymous_nodes(
         self, dataset: Dataset, hierarchies: Mapping[str, Hierarchy]

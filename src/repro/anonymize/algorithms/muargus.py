@@ -18,7 +18,6 @@ from typing import Mapping
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
 from ...hierarchy.lattice import Node
-from ...kernels import active as active_kernels
 from ..engine import Anonymization, recode
 from .base import (
     Anonymizer,
@@ -67,12 +66,12 @@ class MuArgus(Anonymizer):
         """Rows appearing in any unsafe (< k) combination up to the checked
         dimension, and per-attribute unsafe-combination involvement.
 
-        A combination's unsafe classes are counted from its class sizes
-        alone; only a combination that has any is partitioned, to find
-        its rows.  ``counted`` memoizes both per (combination, node) for
-        one search: a round raises one attribute, so only the combinations
-        holding it are counted again."""
-        kernels = active_kernels()
+        A combination's unsafe classes are read from its class-size
+        histogram alone, which the table's other searches share; only a
+        combination that has any is partitioned, to find its rows.
+        ``counted`` memoizes both per (combination, node) for one search:
+        a round raises one attribute, so only the combinations holding it
+        are looked up again."""
         qi_names = workspace.qi_names
         unsafe_rows: set[int] = set()
         involvement = {name: 0 for name in qi_names}
@@ -82,8 +81,8 @@ class MuArgus(Anonymizer):
                 node = tuple(levels[name] for name in subset)
                 entry = counted.get((subset, node))
                 if entry is None:
-                    unsafe_classes = kernels.count_less(
-                        workspace.class_sizes(node, subset), self.k
+                    unsafe_classes = workspace.unsafe_class_count(
+                        node, self.k, subset
                     )
                     rows = (
                         workspace.violating_rows(node, self.k, subset)

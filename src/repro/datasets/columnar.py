@@ -90,11 +90,20 @@ class ColumnarView:
     (level tables, per-column histograms) effective.
     """
 
-    __slots__ = ("_dataset", "_columns")
+    __slots__ = ("_dataset", "_columns", "lattice_memo")
 
     def __init__(self, dataset: "Dataset"):
         self._dataset = dataset
         self._columns: dict[str, ColumnCodes] = {}
+        #: Facts about full-domain recodings of this table, shared by every
+        #: ``RecodingWorkspace`` built on it (``anonymize/algorithms/base.py``):
+        #: a node's class-size histogram, keyed by ``(level tables of the
+        #: projection, node)``, and a level's row-order loss sum, keyed by
+        #: ``(level table, level)``.  Each value is a pure function of its
+        #: key, and the level tables in the keys are kept alive by the
+        #: columns above, so no entry can go stale.  Bounded by the number
+        #: of (projection, node) pairs; never pickled, like the view.
+        self.lattice_memo: dict[tuple[Any, Any], Any] = {}
 
     @property
     def dataset(self) -> "Dataset":

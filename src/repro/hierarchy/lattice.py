@@ -140,10 +140,15 @@ class Lattice:
         """The subset of ``nodes`` not dominated by any other member —
         Samarati's k-minimal candidates among a satisfying set."""
         unique = list(dict.fromkeys(nodes))
+        for node in unique:
+            self.check_node(node)
         return [
             node
             for node in unique
-            if not any(other != node and self.dominates(node, other) for other in unique)
+            if not any(
+                other != node and all(u >= l for u, l in zip(node, other))
+                for other in unique
+            )
         ]
 
     def __repr__(self) -> str:

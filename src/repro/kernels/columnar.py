@@ -11,6 +11,9 @@ code arrays:
   representative rows, fresh or folded through a coarsening map;
 * ``key_sizes`` — per-group sizes straight from packed keys, without
   labelling rows: all a k-anonymity verdict reads;
+* ``size_histogram`` — class sizes folded to their distinct values with
+  running row and class totals: the k-independent record a lattice node's
+  k verdicts read (see ``PythonKernels.size_histogram``);
 * ``grouped_value_counts`` — per-class value histograms (the raw material
   of l-diversity / t-closeness) from one grouping pass;
 * ``intern`` — first-occurrence code interning by equality; both
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from itertools import accumulate, chain
 from typing import Any, Sequence
 
 
@@ -185,6 +189,23 @@ class PythonKernels:
     def sum_less(self, values: Sequence[int], bound: int) -> int:
         """Sum of the values strictly below ``bound``."""
         return sum(value for value in values if value < bound)
+
+    def size_histogram(self, sizes: Sequence[int]) -> "array[int]":
+        """Class ``sizes`` as one ``array('q')`` of ``3m + 2`` ints.
+
+        For the ``m`` distinct sizes ``s_1 < .. < s_m``, occurring
+        ``c_1 .. c_m`` times: the sizes, then the ``m + 1`` running sums of
+        ``s_j * c_j`` (rows in the classes below each size, from 0), then
+        the ``m + 1`` running sums of ``c_j`` (classes below each size,
+        from 0).  Under ``i`` sizes below k, ``[m + i]`` is the rows and
+        ``[2m + 1 + i]`` the classes smaller than k.
+        """
+        counts = Counter(sizes)
+        distinct = sorted(counts)
+        multiplicity = [counts[size] for size in distinct]
+        rows = accumulate(map(int.__mul__, distinct, multiplicity), initial=0)
+        classes = accumulate(multiplicity, initial=0)
+        return array("q", chain(distinct, rows, classes))
 
     # -- histograms ----------------------------------------------------------
 
@@ -355,6 +376,22 @@ class NumpyKernels:
     def sum_less(self, values: Any, bound: int) -> int:
         """Sum of the elements strictly below ``bound``."""
         return int(values[values < bound].sum())
+
+    def size_histogram(self, sizes: Any) -> "array[int]":
+        """Class ``sizes`` as one ``array('q')``; the layout is
+        :meth:`PythonKernels.size_histogram`'s."""
+        np = self._np
+        counts = np.bincount(sizes).astype(np.int64, copy=False)
+        distinct = counts.nonzero()[0].astype(np.int64, copy=False)
+        multiplicity = counts[distinct]
+        zero = bytes(8)
+        return array("q", b"".join((
+            distinct.tobytes(),
+            zero,
+            (distinct * multiplicity).cumsum().tobytes(),
+            zero,
+            multiplicity.cumsum().tobytes(),
+        )))
 
     # -- histograms ----------------------------------------------------------
 

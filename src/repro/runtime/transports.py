@@ -13,8 +13,11 @@ a task attempt physically runs is delegated to a
   enforced by tearing the pool down and rebuilding it (a stuck worker
   cannot be interrupted cooperatively); innocent in-flight tasks are
   reported back so the scheduler can resubmit them at no retry cost.
-  A worker that dies mid-task also triggers a rebuild, and every
-  in-flight attempt is reported failed so the retry budget bounds it.
+  Each worker reports which task it starts, so a worker that dies
+  mid-task costs only the attempt it held, and ``Pool`` replaces the
+  worker itself.  A dead worker with no reported task falls back to a
+  rebuild that charges every in-flight attempt, so the retry budget
+  bounds it.
 
 Transports are single-run objects: the scheduler calls ``start()``
 before the first submission and ``stop()`` in a ``finally`` block.
@@ -28,7 +31,7 @@ import dataclasses
 import multiprocessing
 from typing import Any, Mapping
 
-from .worker import pool_entry
+from .worker import pool_entry, pool_initializer
 
 #: Transport registry names accepted by ``repro study --transport``.
 TRANSPORT_NAMES = ("inline", "pool")
@@ -125,23 +128,44 @@ class PoolTransport(WorkerTransport):
         self._pool: Any = None
         self._workers: list[Any] = []
         self._handles: dict[str, Any] = {}
+        self._started: Any = None
+        #: pid -> the task that worker last reported starting.
+        self._running: dict[int, str] = {}
 
     def start(self) -> None:
-        self._pool = self._context.Pool(processes=self.processes)
+        self._started, writer = self._context.Pipe(duplex=False)
+        self._pool = self._context.Pool(
+            processes=self.processes,
+            initializer=pool_initializer,
+            initargs=(writer,),
+        )
+        self._running.clear()
+        self._workers = []
         self._watch_workers()
 
     def _watch_workers(self) -> None:
         # ``Pool`` silently replaces a worker that dies, and the task it
-        # held never becomes ready; watching the processes it started is
-        # the only way to notice.
-        self._workers = list(self._pool._pool)
+        # held never becomes ready; watching the processes it started
+        # (kept here, since ``Pool`` drops exited ones from its own list)
+        # is the only way to notice.
+        for worker in list(self._pool._pool):
+            if worker not in self._workers:
+                self._workers.append(worker)
+
+    def _drain_started(self) -> None:
+        while self._started.poll():
+            task_id, pid = self._started.recv()
+            self._running[pid] = task_id
+
+    def _shutdown(self) -> None:
+        self._pool.terminate()
+        self._pool.join()
+        self._started.close()
 
     def _rebuild(self) -> None:
         self._handles.clear()
-        self._pool.terminate()
-        self._pool.join()
-        self._pool = self._context.Pool(processes=self.processes)
-        self._watch_workers()
+        self._shutdown()
+        self.start()
 
     def submit(self, payload: TaskPayload) -> None:
         if self._pool is None:
@@ -159,8 +183,15 @@ class PoolTransport(WorkerTransport):
                 results.append(
                     TaskResult(task_id, False, None, _describe(exc), 0.0)
                 )
+        self._watch_workers()
         dead = [worker for worker in self._workers if worker.exitcode is not None]
-        if dead:
+        # Drained on every poll, so reporting workers never fill the pipe.
+        # A worker reports its task before running it, so reading the pipe
+        # after seeing a death finds the report of the task it died in.
+        self._drain_started()
+        if not dead:
+            return results
+        if any(worker.pid not in self._running for worker in dead):
             # Which in-flight attempt the dead worker held is unknowable,
             # so every one of them is charged a failed attempt.
             error = "pool worker died mid-task: " + ", ".join(
@@ -171,6 +202,16 @@ class PoolTransport(WorkerTransport):
                 for task_id in self._handles
             )
             self._rebuild()
+            return results
+        for worker in dead:
+            self._workers.remove(worker)
+            task_id = self._running.pop(worker.pid)
+            if self._handles.pop(task_id, None) is not None:
+                error = (
+                    f"pool worker died mid-task: pid {worker.pid} "
+                    f"exit code {worker.exitcode}"
+                )
+                results.append(TaskResult(task_id, False, None, error, 0.0))
         return results
 
     def abandon(self, task_ids: set[str]) -> list[str]:
@@ -183,8 +224,7 @@ class PoolTransport(WorkerTransport):
 
     def stop(self) -> None:
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._shutdown()
             self._pool = None
 
 

@@ -5,11 +5,14 @@ op through the registry, executes it under failure isolation (never
 raises), and — when the coordinator requested observation — records the
 task in a fresh process-local :class:`~repro.obs.Observation`, shipping
 the spans plus a metrics snapshot back with the result.  The
-``multiprocessing`` pool transport calls it through :func:`pool_entry`.
+``multiprocessing`` pool transport calls it through :func:`pool_entry`,
+which first reports ``(task_id, pid)`` to the coordinator so a worker
+that dies mid-task costs only the attempt it held.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Any, Mapping
 
@@ -80,8 +83,30 @@ def execute_task(
     )
 
 
+#: This pool worker's end of the coordinator's attribution pipe (set by
+#: :func:`pool_initializer`; ``None`` outside a pool worker).
+_started: Any = None
+
+
+def pool_initializer(started: Any) -> None:
+    """Pool ``initializer``: keep the write end of the attribution pipe."""
+    global _started
+    _started = started
+
+
 def pool_entry(
     payload: tuple[str, str, Mapping[str, Any], dict[str, Any], int, bool],
 ) -> tuple[str, bool, Any, str | None, float, tuple[Any, ...], dict[str, Any] | None]:
-    """``multiprocessing`` pool entry point over :func:`execute_task`."""
+    """``multiprocessing`` pool entry point over :func:`execute_task`.
+
+    Reports ``(task_id, pid)`` before running the task.  The message is
+    one pipe write far below ``PIPE_BUF``, so workers share the pipe
+    without a lock: a worker killed at any moment leaves either the whole
+    message or none, and never a held lock.
+    """
+    if _started is not None:
+        try:
+            _started.send((payload[0], os.getpid()))
+        except OSError:  # the coordinator closed the pipe; nothing to attribute
+            pass
     return execute_task(*payload)

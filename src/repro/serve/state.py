@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import inspect
 from collections import OrderedDict
-from typing import Any, Hashable, Mapping
+from typing import Any, Callable, Hashable, Mapping
 
 from ..anonymize.engine import Anonymization
 from ..obs import metrics as obs_metrics
@@ -240,11 +240,13 @@ class ServeState:
         key: CacheKey,
         op: str,
         params: Mapping[str, Any],
-        deps: Mapping[str, Any],
+        deps: Callable[[], Mapping[str, Any]],
         counter: str,
     ) -> tuple[Any, str]:
         """Resolve one value through memo → disk cache → registered op.
 
+        ``deps`` builds the op's inputs and is called only when the op
+        must run, so a resident or stored answer resolves no release.
         Returns ``(value, source)`` with ``source`` one of ``"memory"``,
         ``"cache"`` or ``"computed"`` — the per-layer counters behind the
         serve plane's hit-rate metrics.
@@ -261,7 +263,7 @@ class ServeState:
                 obs_metrics().inc(f"{counter}.disk_hit")
                 return value, "cache"
         seed = derive_seed(self.seed, f"serve:{digest}")
-        value = resolve_op(op)(params, deps, seed)
+        value = resolve_op(op)(params, deps(), seed)
         if self.cache is not None:
             self.cache.put(key, value)
         memo.put(digest, value)
@@ -287,7 +289,7 @@ class ServeState:
             "algorithm": cell.as_payload(),
         }
         release, source = self._resolve(
-            self._releases, key, "anonymize", params, {}, "serve.release"
+            self._releases, key, "anonymize", params, dict, "serve.release"
         )
         dataset, _ = dataset_spec.materialize()
         return release.bind(dataset), source
@@ -309,7 +311,7 @@ class ServeState:
             metric="serve.summary",
         )
         return self._resolve(
-            self._derived, key, "serve.summary", {}, {"release": release},
+            self._derived, key, "serve.summary", {}, lambda: {"release": release},
             "serve.summary",
         )
 
@@ -322,7 +324,6 @@ class ServeState:
                 f"unknown property {prop!r}; "
                 f"choose from {sorted(VECTOR_PROPERTIES)}"
             )
-        release, _ = self.release_for(dataset_spec, cell)
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
             algorithm=algorithm_key(cell),
@@ -335,7 +336,8 @@ class ServeState:
             "metric": prop,
         }
         return self._resolve(
-            self._derived, key, "measure", params, {"release": release},
+            self._derived, key, "measure", params,
+            lambda: {"release": self.release_for(dataset_spec, cell)[0]},
             "serve.vector",
         )
 
@@ -348,7 +350,6 @@ class ServeState:
                 f"unknown measure {measure!r}; "
                 f"choose from {sorted(SCALAR_MEASURES)}"
             )
-        release, _ = self.release_for(dataset_spec, cell)
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
             algorithm=algorithm_key(cell),
@@ -361,7 +362,8 @@ class ServeState:
             "metric": measure,
         }
         value, source = self._resolve(
-            self._derived, key, "measure", params, {"release": release},
+            self._derived, key, "measure", params,
+            lambda: {"release": self.release_for(dataset_spec, cell)[0]},
             "serve.scalar",
         )
         return float(value), source
@@ -383,10 +385,6 @@ class ServeState:
         labels = [cell.label for cell in cells]
         if len(set(labels)) != len(labels):
             raise ServeRequestError("compare requires distinct algorithm cells")
-        vectors = {
-            cell.label: self.vector_for(dataset_spec, cell, prop)[0]
-            for cell in cells
-        }
         family_key = canonical_json([cell.as_payload() for cell in cells])
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
@@ -399,7 +397,12 @@ class ServeState:
             "labels": {label: label for label in labels},
         }
         return self._resolve(
-            self._derived, key, "compare", params, vectors, "serve.compare"
+            self._derived, key, "compare", params,
+            lambda: {
+                cell.label: self.vector_for(dataset_spec, cell, prop)[0]
+                for cell in cells
+            },
+            "serve.compare",
         )
 
     def query_for(
@@ -415,14 +418,18 @@ class ServeState:
         cached under the query's canonical JSON, so repeated workload
         passes are pure lookups.
         """
-        release, _ = self.release_for(dataset_spec, cell)
-        deps: dict[str, Any] = {"release": release}
         query_algorithm = algorithm_key(cell)
         if other is not None:
-            deps["other"] = self.release_for(dataset_spec, other)[0]
             query_algorithm = canonical_json(
                 [cell.as_payload(), other.as_payload()]
             )
+
+        def deps() -> dict[str, Any]:
+            releases = {"release": self.release_for(dataset_spec, cell)[0]}
+            if other is not None:
+                releases["other"] = self.release_for(dataset_spec, other)[0]
+            return releases
+
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
             algorithm=query_algorithm,

@@ -7,6 +7,11 @@ metrics snapshot in ``tests/golden/obs_plane.json``.  Any change to span
 names, categories, parentage, metric keys, or either schema shows up as a
 fixture diff instead of silently breaking downstream trace consumers.
 
+The fixture starts from an empty dataset memo, so the study materializes
+a fresh table whose shared verdict store is empty: the payload's
+``workspace.sizes`` then counts every class-size pass, whichever tests ran
+earlier in the process.
+
 Timing-derived values that survive into the fixture (ts/dur microseconds,
 histogram sums) are deterministic *because* of the fake clock; wall-clock
 fields that are not clock-injected (``wall_seconds`` etc.) live in the run
@@ -25,7 +30,13 @@ from typing import Any
 
 from repro.obs import FakeClock, Observation
 from repro.obs.export import chrome_trace_payload
-from repro.runtime.study import AlgorithmSpec, DatasetSpec, StudySpec, run_study
+from repro.runtime.study import (
+    AlgorithmSpec,
+    DatasetSpec,
+    StudySpec,
+    _materialize_dataset,
+    run_study,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "obs_plane.json"
 
@@ -46,6 +57,7 @@ FIXTURE_SPEC = StudySpec(
 
 def compute_fixture() -> dict[str, Any]:
     """The golden payload: trace + metrics of the fixture study."""
+    _materialize_dataset.cache_clear()
     observation = Observation(clock=FakeClock())
     run_study(FIXTURE_SPEC, jobs=1, obs=observation)
     payload = {

@@ -277,6 +277,20 @@ class TestGroupingEquivalence:
         rows, count, total = assert_backends_agree(operation)
         assert count == len(rows)
 
+    @given(st.lists(st.integers(min_value=1, max_value=30), min_size=0, max_size=40))
+    @settings(max_examples=30, deadline=None)
+    def test_size_histogram_identical(self, sizes):
+        def operation(kernels):
+            return kernels.size_histogram(kernels.asarray(sizes)).tolist()
+
+        histogram = assert_backends_agree(operation)
+        distinct = sorted(set(sizes))
+        m = len(distinct)
+        assert histogram[:m] == distinct
+        for i, size in enumerate(distinct + [31]):
+            assert histogram[m + i] == sum(s for s in sizes if s < size)
+            assert histogram[2 * m + 1 + i] == sum(1 for s in sizes if s < size)
+
 
 value_strategy = st.one_of(
     st.text(max_size=6),

@@ -14,6 +14,11 @@ The releases of Datafly, Samarati, Incognito and μ-Argus must equal those
 of that label-based path, and the sizes-only costs (DM, the NSGA-II
 objectives, the cut and genetic penalties) must equal their values from
 the full grouping — they are integer sums, exact in float.
+
+The class-size histograms are shared by every workspace on one table
+object: searches run in sequence on one table must release what each
+releases alone on a fresh copy, and every k must read the histogram
+counted once at another k.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from contextlib import ExitStack
 from unittest import mock
@@ -107,17 +114,26 @@ def projections():
         yield from itertools.combinations(QI_NAMES, size)
 
 
-def group_by_violations(data, names, node, k):
-    """Brute force: rows in generalized-tuple groups smaller than ``k``."""
+def group_by_sizes(data, names, node):
+    """Brute force: the sizes of the generalized-tuple groups at ``node``."""
     positions = [data.schema.index_of(name) for name in names]
-    keys = Counter(
+    return Counter(
         tuple(
             HIERARCHIES[name].generalize(row[position], level)
             for name, position, level in zip(names, positions, node)
         )
         for row in data.rows
-    )
-    return sum(size for size in keys.values() if size < k)
+    ).values()
+
+
+def group_by_violations(data, names, node, k):
+    """Brute force: rows in generalized-tuple groups smaller than ``k``."""
+    return sum(size for size in group_by_sizes(data, names, node) if size < k)
+
+
+def group_by_unsafe_classes(data, names, node, k):
+    """Brute force: generalized-tuple groups smaller than ``k``."""
+    return sum(1 for size in group_by_sizes(data, names, node) if size < k)
 
 
 def generalized_column(workspace, name, level):
@@ -422,3 +438,89 @@ class TestVerdictReuse:
                 for node in workspace.lattice.nodes_at_height(height)
                 if workspace.violation_count(node, k) <= budget
             ]
+
+
+def fresh_copy(data):
+    """The same rows as a new table object, whose verdict store is empty."""
+    return Dataset(data.schema, data.rows)
+
+
+class TestSharedVerdictStore:
+    """Every workspace on one table object reads one class-size store."""
+
+    @common
+    @given(datasets(), st.sampled_from(list(KS)), st.sampled_from([0.0, 0.1, 0.3]))
+    def test_searches_in_sequence_equal_each_search_alone(self, data, k, limit):
+        for backend in BACKENDS:
+            with force_backend(backend):
+                shared = fresh_copy(data)
+                for algorithm in (
+                    Datafly(k, limit),
+                    Samarati(k, limit),
+                    Incognito(k, limit),
+                    MuArgus(k, 2, limit),
+                    Samarati(k + 1, limit),
+                    Incognito(k + 1, limit),
+                ):
+                    alone = release_of(algorithm, fresh_copy(data))
+                    assert release_of(algorithm, shared) == alone, (
+                        backend, algorithm.name,
+                    )
+
+    @common
+    @given(datasets(), st.integers(0, len(KS) - 1))
+    def test_every_k_reads_the_histogram_first_counted_at_another(self, data, shift):
+        ks = list(KS)
+        for backend in BACKENDS:
+            with force_backend(backend):
+                workspace = CountingWorkspace(fresh_copy(data), HIERARCHIES)
+                nodes = 0
+                for names in projections():
+                    lattice = Lattice([HIERARCHIES[name] for name in names])
+                    for index, node in enumerate(lattice.nodes()):
+                        nodes += 1
+                        start = (shift + index) % len(ks)
+                        for k in ks[start:] + ks[:start]:
+                            assert workspace.violation_count(
+                                node, k, names
+                            ) == group_by_violations(data, names, node, k)
+                            assert workspace.unsafe_class_count(
+                                node, k, names
+                            ) == group_by_unsafe_classes(data, names, node, k)
+                calls = workspace.sizes_calls
+                assert len(calls) == nodes
+                assert set(calls.values()) == {1}
+
+    def test_threads_racing_on_one_table_agree(self):
+        """Workspaces on one table in several threads may count a node
+        twice, never answer it wrong."""
+        data = Dataset(
+            SCHEMA,
+            [(n * 7 % 101, "abcdef"[n % 6], "pqrs"[n % 4], "s1") for n in range(60)],
+        )
+        expected = {
+            (names, node, k): group_by_violations(data, names, node, k)
+            for names in projections()
+            for node in Lattice([HIERARCHIES[name] for name in names]).nodes()
+            for k in KS
+        }
+        shared = fresh_copy(data)
+        answers = [{} for _ in range(6)]
+
+        def sweep(answer):
+            workspace = RecodingWorkspace(shared, HIERARCHIES)
+            for names, node, k in expected:
+                answer[(names, node, k)] = workspace.violation_count(node, k, names)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(a,)) for a in answers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(answer == expected for answer in answers)

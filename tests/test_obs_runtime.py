@@ -313,6 +313,15 @@ class TestGoldenObsFixture:
             "`PYTHONPATH=src python -m tests.goldens_obs` and review the diff"
         )
 
+    def test_fixture_is_independent_of_earlier_runs(self):
+        """A second run in the same process finds the table's verdict
+        store warm unless the fixture starts from a fresh table."""
+        from tests.goldens_obs import compute_fixture, load_fixture
+
+        pinned = load_fixture()
+        assert compute_fixture() == pinned
+        assert compute_fixture() == pinned
+
     def test_fixture_is_art011_clean(self, tmp_path):
         from tests.goldens_obs import load_fixture
 

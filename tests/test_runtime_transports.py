@@ -23,6 +23,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.events import RunLog, read_events
 from repro.runtime.executor import StudyExecutor
 from repro.runtime.task import CacheKey, TaskGraph, TaskSpec, register_op
+from repro.runtime import transports
 from repro.runtime.transports import (
     InlineTransport,
     PoolTransport,
@@ -66,6 +67,13 @@ def _op_tx_die_once(params, deps, seed):
         handle.write(f"{os.getpid()}\n")
     if len(pidfile.read_text().split()) == 1:
         os.kill(os.getpid(), signal.SIGKILL)
+    return params["value"]
+
+
+@register_op("tx.sleep")
+def _op_tx_sleep(params, deps, seed):
+    """Sleep ``params['seconds']``, then return the value."""
+    time.sleep(params["seconds"])
     return params["value"]
 
 
@@ -266,6 +274,50 @@ class TestPoolWorkerDeath:
         assert "pool worker died" in outcome.error
         assert report.outcomes["independent"].value == 7
         assert len(cache) == 0
+
+    def test_dead_worker_costs_only_its_own_attempt(self, tmp_path):
+        """An attempt running beside the victim is not charged for its
+        death: it still runs when the victim dies, and succeeds first time."""
+        cache = ResultCache(tmp_path / "cache")
+        pidfile = tmp_path / "pids.txt"
+        key = CacheKey(dataset="sigkill", algorithm="victim")
+        graph = self.victim_graph(pidfile, key, 0)
+        graph.add(
+            TaskSpec(
+                task_id="independent",
+                op="tx.sleep",
+                params={"seconds": 1.0, "value": 7},
+            )
+        )
+        executor = StudyExecutor(jobs=2, transport="pool", cache=cache)
+        report = run_bounded(executor, graph, 60)
+
+        victim = report.outcomes["victim"]
+        assert victim.status == "failed" and victim.attempts == 1
+        assert "pool worker died" in victim.error
+        independent = report.outcomes["independent"]
+        assert independent.value == 7
+        assert independent.attempts == 1
+
+    def test_unattributed_death_charges_every_attempt(self, tmp_path, monkeypatch):
+        """Without a task report from the dead worker, any in-flight
+        attempt might have been its, so each one is charged."""
+        monkeypatch.setattr(transports, "pool_initializer", lambda started: None)
+        pidfile = tmp_path / "pids.txt"
+        graph = self.victim_graph(pidfile, CacheKey(dataset="sigkill", algorithm="v"), 0)
+        graph.add(
+            TaskSpec(
+                task_id="independent",
+                op="tx.sleep",
+                params={"seconds": 1.0, "value": 7},
+            )
+        )
+        report = run_bounded(StudyExecutor(jobs=2, transport="pool"), graph, 60)
+
+        for task_id in ("victim", "independent"):
+            outcome = report.outcomes[task_id]
+            assert outcome.status == "failed" and outcome.attempts == 1
+            assert "pool worker died" in outcome.error
 
 
 class TestResume:
