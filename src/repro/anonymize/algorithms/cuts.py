@@ -37,7 +37,7 @@ from ...lint.redact import redact_value
 from ...hierarchy.categorical import TaxonomyHierarchy
 from ...hierarchy.numeric import Span
 from ...kernels import active as active_kernels, pack_columns
-from ..engine import Anonymization, released_with_local_cells
+from ..engine import Anonymization, released_from_classes
 
 
 class CutError(ValueError):
@@ -413,10 +413,22 @@ class CutCoding:
             )
         return self._rows, self._count
 
-    def released(self) -> list[Hashable]:
-        """The released token of every row, in row order."""
+    def released(self) -> tuple[Any, tuple[Hashable, ...]]:
+        """``(rows, decode)``: per-row codes of the released token objects
+        (a kernel array) and those objects, coded by identity, since a
+        release keys its cells by identity (a numeric cut builds a fresh
+        :class:`Span` per distinct value)."""
         self.tokens()
-        return [self._values[code] for code in self._codes]
+        lookup: dict[int, int] = {}
+        decode: list[Hashable] = []
+        code_of = []
+        for token in self._values:
+            code = lookup.setdefault(id(token), len(decode))
+            if code == len(decode):
+                decode.append(token)
+            code_of.append(code)
+        kernels = self._kernels
+        return kernels.gather(code_of, kernels.from_code_buffer(self._codes)), tuple(decode)
 
     @property
     def loss(self) -> float:
@@ -494,20 +506,28 @@ class CutEvaluator:
 def apply_cuts(
     dataset: Dataset, cuts: Mapping[str, Cut], name: str
 ) -> Anonymization:
-    """Materialize a cut recoding as an Anonymization."""
+    """Materialize a cut recoding as an Anonymization.
+
+    Rows are grouped by the identity of their released tokens (packed
+    per-QI codes), and each class releases its first row's tokens.
+    """
     qi_names = dataset.schema.quasi_identifier_names
     missing = set(qi_names) - set(cuts)
     if missing:
         raise CutError(f"missing cuts for {sorted(missing)}")
-    columns = {
-        coding.attribute: coding.released()
-        for coding in CutEvaluator(dataset, cuts).codings()
-    }
-    qi_cells = [
-        {attr: columns[attr][row] for attr in qi_names}
-        for row in range(len(dataset))
+    kernels = active_kernels()
+    released = [coding.released() for coding in CutEvaluator(dataset, cuts).codings()]
+    keys, _ = pack_columns(
+        kernels, [(codes, len(decode)) for codes, decode in released]
+    )
+    if keys is None:
+        return released_from_classes(dataset, [0] * len(dataset), [()], name=name)
+    reps, labels, _ = kernels.group(keys)
+    columns = [
+        map(decode.__getitem__, kernels.tolist(kernels.gather(codes, reps)))
+        for codes, decode in released
     ]
-    return released_with_local_cells(dataset, qi_cells, name=name)
+    return released_from_classes(dataset, labels, list(zip(*columns)), name=name)
 
 
 def cut_violations(dataset: Dataset, cuts: Mapping[str, Cut], k: int) -> int:

@@ -19,26 +19,46 @@ exactly interned values (``7`` apart from ``7.0``, see
 cut order — numeric attributes by value, categorical ones by ``str`` — and
 values that order as equal share a rank.  A strict cut is then the first
 position of the median's rank in the partition's sorted ranks, and a
-partition's rows are sorted (stably, by rank) only once a cut is accepted,
-so each side keeps the incoming row order among tied values.
+partition's rows are sorted stably by rank, so each side keeps the
+incoming row order among tied values.
+
+The split runs **one tree level at a time** over kernel arrays
+(:mod:`repro.kernels` segment ops).  Every partition is a segment of one
+row permutation.  A pass computes all active partitions' spreads at once:
+a segmented min/max of the rank codes for numeric QIs, turned into
+``(max - min) / extent`` through each rank's first value (values sharing a
+rank are equal, so they give the same float wherever ints beside floats
+stay within 2**53), and a segmented distinct count of equality codes for
+categorical QIs.  Each partition then tries its attributes in stable
+spread order; trying an attribute is one stable segmented sort by its
+rank over all active partitions.  Accepted cuts are applied together and
+sides of at least 2k rows go on to the next level.  The partitions come
+out in the order a depth-first split that visits right halves first
+finishes them, each with its rows in that split's order.  The release
+names one summary row per partition and labels every row with its
+partition (:func:`~repro.anonymize.engine.released_from_classes`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Callable, Mapping, Sequence
+from itertools import accumulate
+from typing import Any, Mapping
 
 from ...datasets.dataset import Dataset
 from ...datasets.schema import AttributeKind, SchemaError
 from ...hierarchy.base import Hierarchy
 from ...hierarchy.numeric import Span
-from ..engine import Anonymization, released_with_local_cells
+from ...kernels import active as active_kernels
+from ..engine import Anonymization, released_from_classes
 from .base import Anonymizer, check_k
 from .cuts import _exact_column
 
 
-def _rank_codes(dataset: Dataset, attribute: str, numeric: bool) -> list[int]:
-    """Per-row rank of one column in Mondrian's cut order.
+def _rank_codes(
+    dataset: Dataset, attribute: str, numeric: bool, kernels: Any
+) -> tuple[Any, list[Any]]:
+    """Per-row rank of one column in Mondrian's cut order, as a kernel
+    array, and each rank's first value.
 
     Numeric values rank by value, categorical ones by ``str(value)``;
     values equal under that order share a rank.  Ranking runs once per
@@ -47,15 +67,15 @@ def _rank_codes(dataset: Dataset, attribute: str, numeric: bool) -> list[int]:
     codes, decode = _exact_column(dataset, attribute)
     keys = decode if numeric else [str(value) for value in decode]
     rank_of = [0] * len(keys)
-    rank = -1
+    firsts: list[Any] = []
     previous: Any = None
     for code in sorted(range(len(keys)), key=keys.__getitem__):
         key = keys[code]
-        if rank < 0 or previous < key:
-            rank += 1
+        if not firsts or previous < key:
+            firsts.append(decode[code])
             previous = key
-        rank_of[code] = rank
-    return list(map(rank_of.__getitem__, codes))
+        rank_of[code] = len(firsts) - 1
+    return kernels.gather(rank_of, kernels.from_code_buffer(codes)), firsts
 
 
 class Mondrian(Anonymizer):
@@ -97,16 +117,13 @@ class Mondrian(Anonymizer):
 
     # -- partitioning ---------------------------------------------------------
 
-    def _diversity_test(
-        self, dataset: Dataset
-    ) -> Callable[[Sequence[int]], bool] | None:
-        """The l-diversity floor a candidate side must meet, or ``None``.
+    def _sensitive_codes(self, dataset: Dataset, kernels: Any) -> Any:
+        """The sensitive column's equality codes (a kernel array) the
+        l-diversity floor counts, or ``None`` without a floor.
 
-        Resolves the sensitive attribute (raising :class:`SchemaError`
-        when it cannot) and counts its equality codes, stopping at ``l``.
+        Raises :class:`SchemaError` when the attribute cannot be resolved.
         """
-        floor = self.l_diversity
-        if floor is None:
+        if self.l_diversity is None:
             return None
         attribute = self.sensitive_attribute
         if attribute is None:
@@ -117,17 +134,7 @@ class Mondrian(Anonymizer):
                     "pass sensitive_attribute explicitly"
                 )
             attribute = names[0]
-        codes = dataset.columns().column(attribute).codes
-
-        def diverse(rows: Sequence[int]) -> bool:
-            distinct: set[int] = set()
-            for code in map(codes.__getitem__, rows):
-                distinct.add(code)
-                if len(distinct) >= floor:
-                    return True
-            return False
-
-        return diverse
+        return kernels.from_code_buffer(dataset.columns().column(attribute).codes)
 
     def partitions(
         self, dataset: Dataset, hierarchies: Mapping[str, Hierarchy] | None = None
@@ -140,16 +147,18 @@ class Mondrian(Anonymizer):
         """
         if not len(dataset):
             return []
-        diverse = self._diversity_test(dataset)
-        # Per QI: (numeric, spread values, extent, rank codes).  Numeric
-        # spreads read the exact column; categorical ones count equality
-        # codes, as ``len(set(values))`` does.
-        qi: list[tuple[bool, Sequence[Any], Any, list[int]]] = []
+        kernels = active_kernels()
+        sensitive = self._sensitive_codes(dataset, kernels)
+        # Per QI: (spread codes, rank codes, extent, each rank's first
+        # value).  Numeric spreads read the min/max rank's value;
+        # categorical ones count equality codes, as ``len(set(values))``
+        # does, and have no rank values.
+        qi: list[tuple[Any, Any, Any, list[Any] | None]] = []
         for attribute in dataset.schema.quasi_identifiers:
             name = attribute.name
             numeric = attribute.kind is AttributeKind.NUMERIC
             if numeric:
-                values: Sequence[Any] = dataset.column(name)
+                values = dataset.column(name)
                 extent = max(values) - min(values)
                 nan_row = next(
                     (row for row, value in enumerate(values) if value != value),
@@ -160,62 +169,131 @@ class Mondrian(Anonymizer):
                         f"numeric quasi-identifier {name!r} holds NaN "
                         f"(first at row {nan_row}); Mondrian cannot order it"
                     )
+                rank, firsts = _rank_codes(dataset, name, numeric, kernels)
+                qi.append((rank, rank, extent, firsts))
             else:
                 interned = dataset.columns().column(name)
-                values = list(interned.codes)
-                extent = interned.domain_size
-            rank = _rank_codes(dataset, name, numeric)
-            qi.append((numeric, values, extent, rank))
+                codes = kernels.from_code_buffer(interned.codes)
+                rank, _ = _rank_codes(dataset, name, numeric, kernels)
+                qi.append((codes, rank, interned.domain_size, None))
 
+        size = len(dataset)
+        perm = kernels.asarray(range(size))
+        # Every segment of ``perm`` is a partition, in tree order left to
+        # right; ``active`` ones (>= 2k rows, some cut may apply) are split
+        # one tree level per pass, the rest are final.
+        active: list[tuple[int, int]] = []
+        final: list[tuple[int, int]] = []
+        (active if qi and size >= 2 * self.k else final).append((0, size))
+        while active:
+            active, final_here = self._split_level(kernels, qi, sensitive, perm, active)
+            final += final_here
+        rows = kernels.tolist(perm)
+        # The last segment first: the order a depth-first split that
+        # visits right halves first finishes partitions in.
+        return [rows[start:start + count] for start, count in sorted(final, reverse=True)]
+
+    def _split_level(
+        self,
+        kernels: Any,
+        qi: list[tuple[Any, Any, Any, list[Any] | None]],
+        sensitive: Any,
+        perm: Any,
+        active: list[tuple[int, int]],
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Cut every active segment of ``perm`` once, in place.
+
+        Each segment tries its attributes by decreasing spread (stable,
+        as ``sorted(..., reverse=True)``) until one admits a cut that
+        leaves both sides with k rows (and l distinct sensitive codes);
+        a strict cut falls before the median's rank, a relaxed one at
+        the middle.  A cut segment is sorted stably by rank, so each side
+        keeps the incoming row order among tied values.  Returns the
+        sides that may be cut again and the segments that are final.
+        """
         k, relaxed = self.k, self.relaxed
-        finished: list[list[int]] = []
-        pending: list[list[int]] = [list(range(len(dataset)))]
-        while pending:
-            rows = pending.pop()
-            size = len(rows)
-            if size < 2 * k:
-                # No cut can leave both sides with k rows.
-                finished.append(rows)
-                continue
-            spreads = []
-            for numeric, values, extent, _ in qi:
-                if numeric:
-                    spreads.append(
-                        0.0 if extent == 0 else (
-                            max(map(values.__getitem__, rows))
-                            - min(map(values.__getitem__, rows))
-                        ) / extent
-                    )
-                else:
-                    spreads.append(
-                        0.0 if extent <= 1 else (
-                            len(set(map(values.__getitem__, rows))) - 1
-                        ) / (extent - 1)
-                    )
-            # Try attributes by decreasing spread until one admits a cut.
-            by_spread = sorted(
-                range(len(qi)), key=spreads.__getitem__, reverse=True
-            )
-            for index in by_spread:
-                rank = qi[index][3]
-                if relaxed:
-                    cut = size // 2
-                else:
-                    # Strict: the cut falls before the median's rank, so
-                    # rows that order as equal stay together.
-                    keys = sorted(map(rank.__getitem__, rows))
-                    cut = bisect_left(keys, keys[size // 2])
-                if cut < k or size - cut < k:
-                    continue
-                ordered = sorted(rows, key=rank.__getitem__)
-                left, right = ordered[:cut], ordered[cut:]
-                if diverse is None or (diverse(left) and diverse(right)):
-                    pending.append(left)
-                    pending.append(right)
-                    break
+        sizes = [count for _, count in active]
+        positions = kernels.ranges([start for start, _ in active], sizes)
+        rows = kernels.gather(perm, positions)
+        starts = list(accumulate(sizes, initial=0))[:-1]
+        segments = kernels.segments(starts, len(rows))
+
+        spreads = []
+        for codes, _, extent, firsts in qi:
+            if firsts is not None and extent != 0:
+                low, high = kernels.segment_bounds(kernels.gather(codes, rows), segments)
+                spreads.append([
+                    (firsts[top] - firsts[bottom]) / extent
+                    for bottom, top in zip(low, high)
+                ])
+            elif firsts is None and extent > 1:
+                distinct = kernels.segment_distinct(kernels.gather(codes, rows), segments)
+                spreads.append([(count - 1) / (extent - 1) for count in distinct])
             else:
-                finished.append(rows)
-        return finished
+                spreads.append([0.0] * len(sizes))
+
+        trials: dict[int, tuple[Any, list[int], list[bool]]] = {}
+
+        def trial(index: int) -> tuple[Any, list[int], list[bool]]:
+            # One stable in-segment sort by the attribute's rank, for
+            # every segment at once; ``allowed[s]`` says whether its cut
+            # keeps both sides at k rows and l sensitive codes.
+            order, below = kernels.segment_split(kernels.gather(qi[index][1], rows), segments)
+            cuts = [count // 2 for count in sizes] if relaxed else below
+            allowed = [k <= cut <= count - k for cut, count in zip(cuts, sizes)]
+            if sensitive is not None and any(allowed):
+                halves = []
+                for start, cut, count in zip(starts, cuts, sizes):
+                    halves += (start, start + min(max(cut, 1), count - 1))
+                distinct = kernels.segment_distinct(
+                    kernels.gather(sensitive, kernels.gather(rows, order)),
+                    kernels.segments(halves, len(rows)),
+                )
+                floor = self.l_diversity
+                allowed = [
+                    ok and distinct[2 * s] >= floor and distinct[2 * s + 1] >= floor
+                    for s, ok in enumerate(allowed)
+                ]
+            return order, cuts, allowed
+
+        by_spread = [
+            sorted(range(len(qi)), key=row.__getitem__, reverse=True)
+            for row in zip(*spreads)
+        ]
+        choice = [-1] * len(sizes)
+        undecided = range(len(sizes))
+        for place in range(len(qi)):
+            left = []
+            for segment in undecided:
+                index = by_spread[segment][place]
+                if index not in trials:
+                    trials[index] = trial(index)
+                if trials[index][2][segment]:
+                    choice[segment] = index
+                else:
+                    left.append(segment)
+            undecided = left
+
+        if max(choice) < 0:
+            return [], active
+        orders = [
+            trials[index][0] if index in trials else None for index in range(len(qi))
+        ]
+        kernels.scatter(
+            perm,
+            positions,
+            kernels.gather(rows, kernels.segment_choose(orders, choice, segments)),
+        )
+        next_active: list[tuple[int, int]] = []
+        final: list[tuple[int, int]] = []
+        for segment, ((start, count), index) in enumerate(zip(active, choice)):
+            if index < 0:
+                final.append((start, count))
+                continue
+            cut = trials[index][1][segment]
+            for side in ((start, cut), (start + cut, count - cut)):
+                (next_active if side[1] >= 2 * k else final).append(side)
+        return next_active, final
 
     # -- release --------------------------------------------------------------
 
@@ -229,25 +307,27 @@ class Mondrian(Anonymizer):
                 f"dataset of {len(dataset)} rows cannot be {self.k}-anonymized"
             )
         columns = [
-            (a.name, dataset.column(a.name), a.kind is AttributeKind.NUMERIC)
+            (dataset.column(a.name), a.kind is AttributeKind.NUMERIC)
             for a in dataset.schema.quasi_identifiers
         ]
-        qi_cells: list[dict[str, Any]] = [{}] * len(dataset)
-        for rows in self.partitions(dataset):
-            # One summary per partition, shared by its rows: each cell is
-            # one of the partition's own objects (or a Span/frozenset of
-            # them), taken in partition order.
-            summary: dict[str, Any] = {}
-            for name, column, numeric in columns:
+        labels = [0] * len(dataset)
+        summaries: list[tuple[Any, ...]] = []
+        for label, rows in enumerate(self.partitions(dataset)):
+            # One summary per partition: each cell is one of the
+            # partition's own objects (or a Span/frozenset of them), taken
+            # in partition order.
+            summary = []
+            for column, numeric in columns:
                 values = list(map(column.__getitem__, rows))
                 if numeric:
                     low, high = min(values), max(values)
-                    summary[name] = (
+                    summary.append(
                         values[0] if low == high else Span(float(low), float(high))
                     )
                 else:
                     distinct = frozenset(values)
-                    summary[name] = values[0] if len(distinct) == 1 else distinct
+                    summary.append(values[0] if len(distinct) == 1 else distinct)
+            summaries.append(tuple(summary))
             for row in rows:
-                qi_cells[row] = summary
-        return released_with_local_cells(dataset, qi_cells, name=self.name)
+                labels[row] = label
+        return released_from_classes(dataset, labels, summaries, name=self.name)

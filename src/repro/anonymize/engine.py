@@ -20,9 +20,10 @@ stores:
 * a full-domain release (:func:`recode`) holds, per QI attribute, the
   ``gather``/``decode`` of its level over the original's interned base codes
   (:mod:`repro.hierarchy.codes`), plus the suppressed rows — nothing per row;
-* a local release (:func:`released_with_local_cells`) holds its distinct
-  released QI rows, keyed by the *identity* of their cells (two objects are
-  never merged by equality), plus one code per row naming its distinct row.
+* a local release (:func:`released_from_classes`, which every local
+  constructor goes through) holds its distinct released QI rows, keyed by
+  the *identity* of their cells (two objects are never merged by
+  equality), plus one code per row naming its distinct row.
 
 The released table is a lazy view, built on first access.  The partition
 groups codes — packed per-column codes for full-domain releases, the distinct
@@ -77,20 +78,27 @@ def _suppression_code(decode: tuple[Any, ...]) -> int:
     return len(decode)
 
 
-def _distinct_rows(
-    qi_rows: Iterable[tuple[Any, ...]],
+def _local_recoding(
+    labels: Sequence[int], class_rows: Sequence[tuple[Any, ...]]
 ) -> tuple[tuple[tuple[Any, ...], ...], array]:
-    """``(rows, codes)``: the distinct QI rows by cell identity, in first
-    occurrence order, and each row's index among them."""
+    """``(rows, codes)`` of a local release: the distinct released QI rows
+    by cell identity, in first-occurrence row order, and each row's index
+    among them.  Row ``i`` releases ``class_rows[labels[i]]``."""
+    kernels = active_kernels()
+    labels = kernels.asarray(labels)
+    reps, grouped, count = kernels.group(labels)
+    class_of_group = kernels.tolist(kernels.gather(labels, reps))
+    first_row = kernels.tolist(reps)
     lookup: dict[tuple[int, ...], int] = {}
     rows: list[tuple[Any, ...]] = []
-    codes = []
-    for cells in qi_rows:
+    code_of_group = [0] * count
+    for group in sorted(range(count), key=first_row.__getitem__):
+        cells = class_rows[class_of_group[group]]
         code = lookup.setdefault(tuple(map(id, cells)), len(rows))
         if code == len(rows):
             rows.append(cells)
-        codes.append(code)
-    return tuple(rows), _compact(codes)
+        code_of_group[group] = code
+    return tuple(rows), _compact(kernels.tolist(kernels.gather(code_of_group, grouped)))
 
 
 class Anonymization:
@@ -149,7 +157,9 @@ class Anonymization:
                 )
         self._setup(
             original, suppressed, levels, name,
-            local=_distinct_rows(released.quasi_identifier_tuples()),
+            local=_local_recoding(
+                range(len(released)), list(released.quasi_identifier_tuples())
+            ),
         )
         self._released = released
 
@@ -572,6 +582,38 @@ def recode_node(
     return recode(dataset, hierarchies, levels, suppress=suppress, name=name)
 
 
+def released_from_classes(
+    dataset: Dataset,
+    labels: Sequence[int],
+    class_rows: Sequence[tuple[Any, ...]],
+    suppressed: Iterable[int] = (),
+    name: str = "local-recoding",
+) -> Anonymization:
+    """Build a local release from per-row class labels.
+
+    Row ``i`` releases ``class_rows[labels[i]]``, a tuple of released cells
+    in QI schema order; ``labels`` is a sequence or a kernel array.  Local
+    recoders (Mondrian, TDS, BUG) name one released row per class instead
+    of one per table row.  Classes are renumbered in first-occurrence row
+    order, and classes whose rows hold the same cell objects merge: the
+    recoding keys rows by the identity of their cells, so it is as small
+    as the number of distinct cell combinations the recoder built.
+    """
+    if len(labels) != len(dataset):
+        raise AnonymizationError(
+            f"released table has {len(labels)} rows, original has {len(dataset)}"
+        )
+    width = len(dataset.schema.quasi_identifier_names)
+    for label, cells in enumerate(class_rows):
+        if len(cells) != width:
+            raise AnonymizationError(
+                f"class {label} releases {len(cells)} cells, "
+                f"expected {width} quasi-identifiers"
+            )
+    local = _local_recoding(labels, class_rows)
+    return Anonymization._of(dataset, suppressed, None, name, local=local)
+
+
 def released_with_local_cells(
     dataset: Dataset,
     qi_cells: Sequence[Mapping[str, Any]],
@@ -581,10 +623,8 @@ def released_with_local_cells(
     """Build an anonymization from per-row generalized QI cells.
 
     ``qi_cells[i]`` maps QI attribute names to the released value for row
-    ``i``.  Used by local recoders (Mondrian) that do not share one level
-    vector across the table; one row map may be shared by many rows.  Rows
-    are keyed by the identity of their cells, so the stored recoding is as
-    small as the number of distinct cell combinations the recoder built.
+    ``i``; one row map may be shared by many rows.  Rows sharing a map
+    form one class of :func:`released_from_classes`.
     """
     qi_names = dataset.schema.quasi_identifier_names
     qi_set = set(qi_names)
@@ -592,12 +632,13 @@ def released_with_local_cells(
         raise AnonymizationError(
             f"released table has {len(qi_cells)} rows, original has {len(dataset)}"
         )
-    cells_of_map: dict[int, tuple[Any, ...]] = {}
-
-    def cells_of(row_index: int, row_map: Mapping[str, Any]) -> tuple[Any, ...]:
-        # ``qi_cells`` keeps every map alive, so a map's id is stable here.
-        cells = cells_of_map.get(id(row_map))
-        if cells is None:
+    # ``qi_cells`` keeps every map alive, so a map's id is stable here.
+    label_of_map: dict[int, int] = {}
+    class_rows: list[tuple[Any, ...]] = []
+    labels = []
+    for row_index, row_map in enumerate(qi_cells):
+        label = label_of_map.setdefault(id(row_map), len(class_rows))
+        if label == len(class_rows):
             if row_map.keys() != qi_set:
                 extra = set(row_map) - qi_set
                 if extra:
@@ -608,11 +649,6 @@ def released_with_local_cells(
                 raise AnonymizationError(
                     f"row {row_index} missing recoded values for {sorted(missing)}"
                 )
-            cells = tuple(row_map[attribute] for attribute in qi_names)
-            cells_of_map[id(row_map)] = cells
-        return cells
-
-    local = _distinct_rows(
-        cells_of(row_index, row_map) for row_index, row_map in enumerate(qi_cells)
-    )
-    return Anonymization._of(dataset, suppressed, None, name, local=local)
+            class_rows.append(tuple(row_map[attribute] for attribute in qi_names))
+        labels.append(label)
+    return released_from_classes(dataset, labels, class_rows, suppressed, name)

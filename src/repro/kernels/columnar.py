@@ -16,6 +16,12 @@ code arrays:
   k verdicts read (see ``PythonKernels.size_histogram``);
 * ``grouped_value_counts`` — per-class value histograms (the raw material
   of l-diversity / t-closeness) from one grouping pass;
+* ``segments`` / ``segment_bounds`` / ``segment_distinct`` /
+  ``segment_split`` / ``segment_choose``, with ``ranges`` / ``scatter`` —
+  per-segment reductions and stable in-segment sorts of non-negative
+  codes over a *segmentation*: consecutive non-empty segments given by
+  their ascending start offsets (the first 0), built once by ``segments``.
+  Mondrian's level-at-a-time split runs on them;
 * ``intern`` — first-occurrence code interning by equality; both
   backends share one dict pass (:func:`intern_values`), which beats a
   vectorized ``np.unique`` on every column shape measured.
@@ -45,6 +51,7 @@ or feeding a public API happens via ``tolist``.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain
 from typing import Any, Sequence
@@ -182,10 +189,6 @@ class PythonKernels:
         """Indices whose value is strictly below ``bound``."""
         return [index for index, value in enumerate(values) if value < bound]
 
-    def count_less(self, values: Sequence[int], bound: int) -> int:
-        """Number of values strictly below ``bound``."""
-        return sum(1 for value in values if value < bound)
-
     def sum_less(self, values: Sequence[int], bound: int) -> int:
         """Sum of the values strictly below ``bound``."""
         return sum(value for value in values if value < bound)
@@ -206,6 +209,76 @@ class PythonKernels:
         rows = accumulate(map(int.__mul__, distinct, multiplicity), initial=0)
         classes = accumulate(multiplicity, initial=0)
         return array("q", chain(distinct, rows, classes))
+
+    # -- segments ------------------------------------------------------------
+
+    def segments(self, starts: Sequence[int], size: int) -> list[tuple[int, int]]:
+        """The segmentation of a length-``size`` array whose segments start
+        at ``starts`` (ascending, the first 0, none empty): an opaque value
+        the ``segment_*`` ops take, built once per segmentation.  Here the
+        ``(start, end)`` pairs."""
+        return list(zip(starts, [*starts[1:], size]))
+
+    def ranges(self, starts: Sequence[int], sizes: Sequence[int]) -> "array[int]":
+        """``range(start, start + size)`` for each pair, concatenated."""
+        positions = array("q")
+        for start, size in zip(starts, sizes):
+            positions.extend(range(start, start + size))
+        return positions
+
+    def scatter(
+        self, values: "array[int]", positions: Sequence[int], source: Sequence[int]
+    ) -> None:
+        """``values[positions] = source`` in place."""
+        for position, value in zip(positions, source):
+            values[position] = value
+
+    def segment_bounds(
+        self, values: Sequence[int], segments: list[tuple[int, int]]
+    ) -> tuple[list[int], list[int]]:
+        """``(minima, maxima)`` of each segment of ``values``."""
+        minima, maxima = [], []
+        for start, end in segments:
+            segment = values[start:end]
+            minima.append(min(segment))
+            maxima.append(max(segment))
+        return minima, maxima
+
+    def segment_distinct(
+        self, codes: Sequence[int], segments: list[tuple[int, int]]
+    ) -> list[int]:
+        """Number of distinct codes in each segment."""
+        return [len(set(codes[start:end])) for start, end in segments]
+
+    def segment_split(
+        self, values: Sequence[int], segments: list[tuple[int, int]]
+    ) -> tuple["array[int]", list[int]]:
+        """``(order, below)``: the positions that sort each segment of
+        ``values`` stably in place, and per segment the number of values
+        below its median (the value at in-segment sorted index
+        ``size // 2``)."""
+        order = array("q")
+        below = []
+        for start, end in segments:
+            segment = sorted(range(start, end), key=values.__getitem__)
+            order.extend(segment)
+            keys = list(map(values.__getitem__, segment))
+            below.append(bisect_left(keys, keys[len(keys) // 2]))
+        return order, below
+
+    def segment_choose(
+        self,
+        orders: Sequence[Any],
+        choice: Sequence[int],
+        segments: list[tuple[int, int]],
+    ) -> "array[int]":
+        """Per segment ``s``, the positions ``orders[choice[s]]`` holds over
+        it, or its own positions where ``choice[s]`` is negative (each
+        order spans the whole segmentation, unused ones may be ``None``)."""
+        chosen = array("q")
+        for pick, (start, end) in zip(choice, segments):
+            chosen.extend(range(start, end) if pick < 0 else orders[pick][start:end])
+        return chosen
 
     # -- histograms ----------------------------------------------------------
 
@@ -369,10 +442,6 @@ class NumpyKernels:
         """Row indices where ``values < bound``, in row order."""
         return self._np.flatnonzero(values < bound).tolist()
 
-    def count_less(self, values: Any, bound: int) -> int:
-        """Number of elements strictly below ``bound``."""
-        return int(self._np.count_nonzero(values < bound))
-
     def sum_less(self, values: Any, bound: int) -> int:
         """Sum of the elements strictly below ``bound``."""
         return int(values[values < bound].sum())
@@ -392,6 +461,94 @@ class NumpyKernels:
             zero,
             multiplicity.cumsum().tobytes(),
         )))
+
+    # -- segments ------------------------------------------------------------
+
+    def segments(self, starts: Sequence[int], size: int) -> tuple[Any, Any, Any]:
+        """The segmentation as ``(ids, starts, ends)`` int64 arrays, ``ids``
+        each position's segment; see :meth:`PythonKernels.segments`."""
+        np = self._np
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:]
+        ends[-1:] = size
+        ids = np.zeros(size, dtype=np.int64)
+        ids[starts[1:]] = 1
+        return ids.cumsum(out=ids), starts, ends
+
+    def ranges(self, starts: Sequence[int], sizes: Sequence[int]) -> Any:
+        """``range(start, start + size)`` for each pair, concatenated."""
+        np = self._np
+        starts = np.asarray(starts, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        shift = starts - (sizes.cumsum() - sizes)
+        return np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(shift, sizes)
+
+    def scatter(self, values: Any, positions: Any, source: Any) -> None:
+        """``values[positions] = source`` in place."""
+        values[positions] = source
+
+    def segment_bounds(
+        self, values: Any, segments: tuple[Any, Any, Any]
+    ) -> tuple[list[int], list[int]]:
+        """``(minima, maxima)`` of each segment of ``values``."""
+        np = self._np
+        _, starts, _ = segments
+        if not starts.size:
+            return [], []
+        return (
+            np.minimum.reduceat(values, starts).tolist(),
+            np.maximum.reduceat(values, starts).tolist(),
+        )
+
+    def segment_distinct(self, codes: Any, segments: tuple[Any, Any, Any]) -> list[int]:
+        """Number of distinct codes in each segment: a ``bincount`` over
+        ``(segment, code)`` keys while their range stays within 8x the
+        length, else a sorted count of the distinct keys."""
+        np = self._np
+        ids, starts, _ = segments
+        if not starts.size:
+            return []
+        domain = int(codes.max()) + 1
+        keys = ids * domain + codes
+        if starts.size * domain <= 8 * keys.size:
+            present = np.bincount(keys, minlength=starts.size * domain)
+            return np.count_nonzero(present.reshape(starts.size, domain), axis=1).tolist()
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return np.bincount(keys[first] // domain, minlength=starts.size).tolist()
+
+    def segment_split(
+        self, values: Any, segments: tuple[Any, Any, Any]
+    ) -> tuple[Any, list[int]]:
+        """``(order, below)`` of :meth:`PythonKernels.segment_split`: one
+        stable sort of ``(segment, value)`` keys, each median read at
+        ``start + size // 2`` and its first position searched."""
+        np = self._np
+        ids, starts, ends = segments
+        if not starts.size:
+            return np.arange(values.size, dtype=np.int64), []
+        keys = ids * (int(values.max()) + 1) + values
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        medians = ordered[(starts + ends) // 2]
+        return order, (np.searchsorted(ordered, medians) - starts).tolist()
+
+    def segment_choose(
+        self, orders: Sequence[Any], choice: Sequence[int], segments: tuple[Any, Any, Any]
+    ) -> Any:
+        """Per segment, the positions of its chosen order (its own where
+        the choice is negative); see :meth:`PythonKernels.segment_choose`."""
+        np = self._np
+        ids = segments[0]
+        pick = np.asarray(choice, dtype=np.int64)[ids]
+        chosen = np.arange(ids.size, dtype=np.int64)
+        for index, order in enumerate(orders):
+            if order is not None:
+                mask = pick == index
+                chosen[mask] = order[mask]
+        return chosen
 
     # -- histograms ----------------------------------------------------------
 

@@ -15,9 +15,11 @@ a task attempt physically runs is delegated to a
   reported back so the scheduler can resubmit them at no retry cost.
   Each worker reports which task it starts, so a worker that dies
   mid-task costs only the attempt it held, and ``Pool`` replaces the
-  worker itself.  A dead worker with no reported task falls back to a
-  rebuild that charges every in-flight attempt, so the retry budget
-  bounds it.
+  worker itself.  A dead worker with no reported task in flight (it died
+  waiting for one, perhaps holding the task queue's read lock) falls back
+  to a rebuild that charges every in-flight attempt, so the retry budget
+  bounds it.  Teardown kills the workers itself and frees any queue lock
+  a dead one left held, so it finishes in bounded time.
 
 Transports are single-run objects: the scheduler calls ``start()``
 before the first submission and ``stop()`` in a ``finally`` block.
@@ -158,8 +160,29 @@ class PoolTransport(WorkerTransport):
             self._running[pid] = task_id
 
     def _shutdown(self) -> None:
-        self._pool.terminate()
-        self._pool.join()
+        # ``Pool.terminate()`` first takes the task queue's read lock,
+        # which an idle worker holds while it waits for a task: a worker
+        # killed there never frees it, and terminate() would wait forever.
+        # So the pool stops respawning, its workers are killed directly,
+        # and a queue lock a dead worker left held is freed before the
+        # pool is torn down.
+        from multiprocessing.pool import TERMINATE
+
+        pool = self._pool
+        handler = pool._worker_handler
+        handler._state = TERMINATE
+        pool._change_notifier.put(None)
+        handler.join()
+        for worker in pool._pool:
+            worker.kill()
+        for worker in pool._pool:
+            worker.join()
+        # Only workers read tasks; the result queue's writers are the
+        # workers and, for one sentinel, the pool's task thread.
+        _free_lock(pool._inqueue._rlock, timeout=0.0)
+        _free_lock(pool._outqueue._wlock, timeout=1.0)
+        pool.terminate()
+        pool.join()
         self._started.close()
 
     def _rebuild(self) -> None:
@@ -191,9 +214,12 @@ class PoolTransport(WorkerTransport):
         self._drain_started()
         if not dead:
             return results
-        if any(worker.pid not in self._running for worker in dead):
-            # Which in-flight attempt the dead worker held is unknowable,
-            # so every one of them is charged a failed attempt.
+        if any(self._running.get(worker.pid) not in self._handles for worker in dead):
+            # A worker that reported no task, or whose last task already
+            # finished, died while waiting for one and may hold the task
+            # queue's read lock, so the pool is rebuilt.  Which in-flight
+            # attempt it held, if any, is unknowable, so every one of them
+            # is charged a failed attempt.
             error = "pool worker died mid-task: " + ", ".join(
                 f"pid {worker.pid} exit code {worker.exitcode}" for worker in dead
             )
@@ -206,12 +232,12 @@ class PoolTransport(WorkerTransport):
         for worker in dead:
             self._workers.remove(worker)
             task_id = self._running.pop(worker.pid)
-            if self._handles.pop(task_id, None) is not None:
-                error = (
-                    f"pool worker died mid-task: pid {worker.pid} "
-                    f"exit code {worker.exitcode}"
-                )
-                results.append(TaskResult(task_id, False, None, error, 0.0))
+            del self._handles[task_id]
+            error = (
+                f"pool worker died mid-task: pid {worker.pid} "
+                f"exit code {worker.exitcode}"
+            )
+            results.append(TaskResult(task_id, False, None, error, 0.0))
         return results
 
     def abandon(self, task_ids: set[str]) -> list[str]:
@@ -226,6 +252,13 @@ class PoolTransport(WorkerTransport):
         if self._pool is not None:
             self._shutdown()
             self._pool = None
+
+
+def _free_lock(lock: Any, timeout: float) -> None:
+    """Leave ``lock`` free: taken and released when it frees up within
+    ``timeout`` seconds, else released for the dead process holding it."""
+    lock.acquire(timeout=timeout)
+    lock.release()
 
 
 def _describe(exc: BaseException) -> str:

@@ -15,6 +15,9 @@ shows) and the error an uncovered value raises.
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from repro.anonymize.algorithms import (
 )
 from repro.anonymize.algorithms.cuts import (
     CutError,
+    _exact_column,
     LevelCut,
     NumericSplitCut,
     TaxonomyCut,
@@ -34,7 +38,8 @@ from repro.anonymize.algorithms.cuts import (
     cut_violations,
     top_cuts,
 )
-from repro.datasets import Dataset, paper_tables
+from repro.anonymize.engine import _compact
+from repro.datasets import Dataset, adult_dataset, adult_hierarchies, paper_tables
 from repro.datasets.schema import (
     AttributeKind,
     Schema,
@@ -46,6 +51,11 @@ from repro.hierarchy.masking import MaskingHierarchy
 from repro.hierarchy.numeric import Banding, IntervalHierarchy
 from repro.kernels import HAVE_NUMPY, force_backend
 from repro.obs import Observation, observing
+from tests.test_mondrian_oracle import AGES as M_AGES
+from tests.test_mondrian_oracle import CODES as M_CODES
+from tests.test_mondrian_oracle import DISEASES as M_DISEASES
+from tests.test_mondrian_oracle import ZIPS as M_ZIPS
+from tests.test_mondrian_oracle import schema_for as mondrian_schema
 
 BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
 
@@ -380,3 +390,90 @@ class TestSearchCounters:
         counters = observation.metrics.snapshot()["counters"]
         assert counters["cuts.steps"] >= 1
         assert counters["cuts.trials"] >= counters["cuts.steps"]
+
+
+# -- releases built from class labels ------------------------------------------
+
+
+def memoize_tokens(cuts):
+    """``cuts`` whose ``map_value`` returns one token object per exactly
+    distinct value, so two constructions over them share cell objects."""
+    for cut in cuts.values():
+        memo = {}
+        original = cut.map_value
+
+        def map_value(value, memo=memo, original=original):
+            key = (type(value), repr(value), value)
+            if key not in memo:
+                memo[key] = original(value)
+            return memo[key]
+
+        cut.map_value = map_value
+    return cuts
+
+
+def per_row_cells_recoding(dataset, cuts):
+    """``(rows, codes)`` as the per-row construction built them: every row
+    releases its values' tokens (one ``map_value`` per exactly distinct
+    value), and rows are keyed by the identity of their cells."""
+    columns = []
+    for name in dataset.schema.quasi_identifier_names:
+        codes, decode = _exact_column(dataset, name)
+        tokens = [cuts[name].map_value(value) for value in decode]
+        columns.append([tokens[code] for code in codes])
+    lookup, rows, codes = {}, [], []
+    for cells in zip(*columns):
+        code = lookup.setdefault(tuple(map(id, cells)), len(rows))
+        if code == len(rows):
+            rows.append(cells)
+        codes.append(code)
+    return tuple(rows), _compact(codes)
+
+
+def mixed_table():
+    """The mixed-type table of the Mondrian oracle (ints, floats and bools
+    beside equal values of other types) with hierarchies a cut can use."""
+    rng = random.Random(7)
+    rows = [
+        tuple(rng.choice(values) for values in (M_AGES, M_CODES, M_DISEASES, M_ZIPS))
+        for _ in range(80)
+    ]
+    numbers = {value: ("number",) for value in M_CODES if not isinstance(value, str)}
+    texts = {value: ("text",) for value in M_CODES if isinstance(value, str)}
+    return Dataset(mondrian_schema(sensitive), rows), {
+        "age": IntervalHierarchy("age", [Banding(5.0), Banding(10.0)], (0.0, 30.0)),
+        "code": TaxonomyHierarchy("code", {**numbers, **texts}),
+        "zip": MaskingHierarchy("zip", 3, domain=M_ZIPS),
+    }
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "algorithm",
+    [
+        TopDownSpecialization(3),
+        TopDownSpecialization(3, flexible_numeric=True),
+        BottomUpGeneralization(3),
+    ],
+    ids=lambda algorithm: algorithm.name,
+)
+@pytest.mark.parametrize("table", ["adult-2k", "mixed"])
+def test_apply_cuts_matches_per_row_cells(backend, algorithm, table):
+    """TDS and BUG releases, built from one token row per class, hold the
+    recoding the per-row construction built: the same codes and the same
+    cell objects, so they pickle byte for byte alike."""
+    if table == "mixed":
+        dataset, hierarchies = mixed_table()
+    else:
+        dataset, hierarchies = adult_dataset(2000, seed=5), adult_hierarchies()
+    with force_backend(backend):
+        cuts = memoize_tokens(algorithm.search_cuts(dataset, hierarchies))
+        release = apply_cuts(dataset, cuts, name=algorithm.name)
+    rows, codes = per_row_cells_recoding(dataset, cuts)
+    local_rows, local_codes = release._local
+    assert (local_codes.typecode, local_codes.tolist()) == (codes.typecode, codes.tolist())
+    assert len(local_rows) == len(rows) > 1
+    for local, expected in zip(local_rows, rows):
+        assert len(local) == len(expected)
+        assert all(a is b for a, b in zip(local, expected))
+    assert pickle.dumps(release._local) == pickle.dumps((rows, codes))

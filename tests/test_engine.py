@@ -7,10 +7,12 @@ from repro.anonymize.engine import (
     AnonymizationError,
     recode,
     recode_node,
+    released_from_classes,
     released_with_local_cells,
 )
 from repro.datasets import adult_dataset, paper_tables
 from repro.hierarchy import SUPPRESSED
+from repro.kernels import HAVE_NUMPY, force_backend
 
 
 @pytest.fixture
@@ -198,3 +200,43 @@ class TestLocalCells:
         ]
         with pytest.raises(AnonymizationError, match="non-QI"):
             released_with_local_cells(table1, qi_cells)
+
+
+class TestReleasedFromClasses:
+    """One released row per class, every row labelled with its class."""
+
+    @pytest.mark.parametrize("backend", ["python"] + (["numpy"] if HAVE_NUMPY else []))
+    def test_first_occurrence_order_and_identity_merge(self, table1, backend):
+        wide = ("1****", 50, "*")
+        # Classes 1 and 2 release the same cell objects, so they merge;
+        # class 0 releases equal cells that are other objects.  Row 0 is
+        # in class 2, so its row comes first.
+        equal = ("".join(["1", "****"]), 50, "*")
+        class_rows = [equal, wide, wide]
+        labels = [2, 1, 0, 1, 2, 0, 1, 2, 0, 1][: len(table1)]
+        with force_backend(backend):
+            release = released_from_classes(table1, labels, class_rows)
+        rows, codes = release._local
+        assert len(rows) == 2 and rows[0] is wide and rows[1] is equal
+        assert list(codes) == [1 if label == 0 else 0 for label in labels]
+        # Classes group by equality, as for every local release.
+        assert release.k() == len(table1)
+
+    def test_matches_the_row_map_adapter(self, table1):
+        maps = [{"Zip Code": z, "Age": a, "Marital Status": "*"}
+                for z, a in (("1****", 50), ("2****", 40))]
+        qi_cells = [maps[row % 2] for row in range(len(table1))]
+        adapted = released_with_local_cells(table1, qi_cells)
+        direct = released_from_classes(
+            table1,
+            [row % 2 for row in range(len(table1))],
+            [tuple(row_map[name] for name in table1.schema.quasi_identifier_names)
+             for row_map in maps],
+        )
+        assert adapted._local == direct._local
+
+    def test_length_and_width_checked(self, table1):
+        with pytest.raises(AnonymizationError, match="rows"):
+            released_from_classes(table1, [0], [("1****", 50, "*")])
+        with pytest.raises(AnonymizationError, match="class 0 releases 2 cells"):
+            released_from_classes(table1, [0] * len(table1), [("1****", 50)])

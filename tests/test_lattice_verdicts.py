@@ -145,7 +145,7 @@ def generalized_column(workspace, name, level):
 def label_violation_count(workspace, node, k, names):
     """The label-based count: partition rows, gather each row's class size."""
     per_row = workspace.class_size_vector(node, names)
-    return active().count_less(per_row, k)
+    return sum(1 for size in per_row if size < k)
 
 
 class LabelWorkspace(RecodingWorkspace):
@@ -366,7 +366,6 @@ class RecountingMuArgus(MuArgus):
     """μ-Argus as it counted every combination afresh in every round."""
 
     def _unsafe_rows_by_attribute(self, workspace, levels, counted=None):
-        kernels = active()
         qi_names = workspace.qi_names
         unsafe_rows = set()
         involvement = {name: 0 for name in qi_names}
@@ -374,8 +373,8 @@ class RecountingMuArgus(MuArgus):
         for size in range(1, dimension + 1):
             for subset in itertools.combinations(qi_names, size):
                 node = tuple(levels[name] for name in subset)
-                unsafe_classes = kernels.count_less(
-                    workspace.class_sizes(node, subset), self.k
+                unsafe_classes = sum(
+                    1 for size in workspace.class_sizes(node, subset) if size < self.k
                 )
                 if not unsafe_classes:
                     continue

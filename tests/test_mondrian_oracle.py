@@ -12,7 +12,8 @@ values collide under ``str`` (``1``/``"1"``) or are equal while their
 are driven through both kernel backends.  The partition lists must be
 equal including order (which pins the relaxed tie distribution), the
 released cells equal under ``==`` and per cell under ``type``/``repr``,
-and the errors equal.
+and the errors equal.  Table 1 and Adult 300 are checked the same way,
+and Adult 30k (a deep tree, split one level per pass) on its partitions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.anonymize.algorithms import Mondrian
-from repro.datasets import Dataset, paper_tables, read_csv, write_csv
+from repro.datasets import Dataset, adult_dataset, paper_tables, read_csv, write_csv
 from repro.datasets.schema import (
     AttributeKind,
     Schema,
@@ -298,6 +299,18 @@ class TestMondrianAgainstOracle:
                     assert list(released.quasi_identifier_tuples()) == (
                         reference_released_qi(algorithm, dataset)
                     )
+
+    @pytest.fixture(scope="class")
+    def adult_30k(self):
+        return adult_dataset(30000, seed=3)
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_adult_30k(self, backend, adult_30k, relaxed):
+        # Deep trees: about a dozen levels split level by level.
+        algorithm = Mondrian(5, relaxed=relaxed)
+        with force_backend(backend):
+            partitions = algorithm.partitions(adult_30k)
+        assert partitions == reference_partitions(algorithm, adult_30k)
 
 
 class TestInputValidation:

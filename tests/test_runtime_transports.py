@@ -11,6 +11,7 @@ pool workers (the default start method on Linux) inherit them.
 
 from __future__ import annotations
 
+import faulthandler
 import os
 import signal
 import threading
@@ -318,6 +319,46 @@ class TestPoolWorkerDeath:
             outcome = report.outcomes[task_id]
             assert outcome.status == "failed" and outcome.attempts == 1
             assert "pool worker died" in outcome.error
+
+
+class TestIdleWorkerDeath:
+    """A worker killed while it waits for a task dies holding the task
+    queue's read lock; the pool must still tear down and run on."""
+
+    @staticmethod
+    def run_one(transport, task_id, value):
+        transport.submit(
+            transports.TaskPayload(task_id, "tx.echo", {"value": value}, {}, 0, False)
+        )
+        results = []
+        while not results:
+            time.sleep(0.01)
+            results = transport.poll()
+        return results
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_next_task_completes_after_idle_worker_is_killed(self, warm):
+        """Killed right after ``start()``, or after it finished a task (its
+        last reported task is then no longer in flight)."""
+        transport = PoolTransport(processes=1)
+        transport.start()
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            if warm:
+                assert [r.value for r in self.run_one(transport, "warm", 1)] == [1]
+            else:
+                time.sleep(0.2)  # let the worker reach its wait for a task
+            victim = transport._pool._pool[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            while victim.exitcode is None:
+                time.sleep(0.01)
+            # Noticing the death rebuilds the pool; nothing was in flight.
+            assert transport.poll() == []
+            results = self.run_one(transport, "next", 5)
+            assert [(r.task_id, r.ok, r.value) for r in results] == [("next", True, 5)]
+            transport.stop()
+        finally:
+            faulthandler.cancel_dump_traceback_later()
 
 
 class TestResume:
