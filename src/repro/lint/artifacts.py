@@ -1,25 +1,20 @@
 """Layer 1 — static validation of anonymization artifacts.
 
-These checkers inspect the *objects* a comparison run is configured with —
-generalization hierarchies, the full-domain lattice, privacy-model
-parameters, quality indices, r-property profiles and property vectors —
-without anonymizing anything.  A malformed hierarchy or an out-of-range
-privacy parameter invalidates every property vector and every ▶-better
-verdict computed downstream (Theorem 1 presumes per-tuple properties are
-measured correctly), so the engine refuses to recode with artifacts that
-fail these checks.
+These checkers inspect artifacts without anonymizing anything.  Two kinds
+are covered:
+
+* the generalization hierarchies a run recodes with — a hierarchy whose
+  chains do not reach the root, or whose levels do not coarsen, yields a
+  wrong release and wrong property vectors downstream, so the recoding
+  engine refuses to run on one (:func:`repro.lint.api.ensure_valid_hierarchies`);
+* the files a run leaves behind — run logs, the result store, traces and
+  metrics, and the committed benchmark trajectories.
 
 Rule ids
 --------
 ========  ====================================================
 ``ART001``  hierarchy completeness (chain to the root)
 ``ART002``  hierarchy monotonicity (levels must coarsen)
-``ART003``  hierarchy loss contract (0 at raw, 1 at top, monotone)
-``ART004``  lattice well-formedness
-``ART005``  privacy-parameter sanity
-``ART006``  unary quality-index contract (Definition 3)
-``ART007``  r-property profile contract (Definition 2)
-``ART008``  property-vector length (Definition 1)
 ``ART009``  runtime run-log contract (manifest + events)
 ``ART010``  content-addressed cache store integrity
 ``ART011``  observability artifact contract (trace + metrics files)
@@ -37,14 +32,10 @@ from __future__ import annotations
 import json
 import pickle
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from ..hierarchy.base import SUPPRESSED, Hierarchy, HierarchyError
-from ..hierarchy.lattice import Lattice
 from .diagnostics import Diagnostic, DiagnosticCollector
-
-#: Cap on the lattice size for the exhaustive reachability walk.
-_REACHABILITY_LIMIT = 50_000
 
 #: Number of probe points sampled from a numeric hierarchy's bounds.
 _NUMERIC_SAMPLE_POINTS = 17
@@ -74,11 +65,9 @@ def domain_sample(hierarchy: Hierarchy, sample: Iterable[Any] | None = None) -> 
 
 
 def check_hierarchy(
-    hierarchy: Hierarchy,
-    sample: Iterable[Any] | None = None,
-    label: str | None = None,
+    hierarchy: Hierarchy, sample: Iterable[Any] | None = None
 ) -> list[Diagnostic]:
-    """Validate one generalization hierarchy (``ART001``–``ART003``).
+    """Validate one generalization hierarchy (``ART001``/``ART002``).
 
     Checks, over a domain sample (see :func:`domain_sample`):
 
@@ -86,13 +75,13 @@ def check_hierarchy(
       without error, is itself at level 0, and reaches the suppression token
       at the top (the chain-to-root requirement of full-domain recoding);
     * **monotonicity** — the partition induced at level ``l+1`` coarsens the
-      one at level ``l``: values mapped together stay together.  A level
-      that coarsens nothing at all is reported as a warning;
-    * **loss contract** — ``loss`` is within ``[0, 1]``, 0 at level 0,
-      1 at the top, and non-decreasing along the chain.
+      one at level ``l``: values mapped together stay together.
+
+    Every finding is an error the engine gate refuses to recode with.  A
+    hierarchy with no discoverable domain gets only the height check.
     """
     out = DiagnosticCollector()
-    where = {"path": label or f"hierarchy:{getattr(hierarchy, 'name', '?')}"}
+    where = {"path": f"hierarchy:{getattr(hierarchy, 'name', '?')}"}
 
     height = getattr(hierarchy, "height", None)
     if not isinstance(height, int) or height < 1:
@@ -104,18 +93,8 @@ def check_hierarchy(
         )
         return out.findings
 
-    values = domain_sample(hierarchy, sample)
-    if not values:
-        out.info(
-            "ART001",
-            "no domain sample available; value-level checks skipped",
-            hint="pass sample= with representative domain values",
-            **where,
-        )
-        return out.findings
-
-    chains: dict[int, tuple[Any, ...]] = {}
-    for position, value in enumerate(values):
+    chains: list[tuple[Any, ...]] = []
+    for value in domain_sample(hierarchy, sample):
         try:
             chain = tuple(
                 hierarchy.generalize(value, level) for level in range(height + 1)
@@ -128,7 +107,7 @@ def check_hierarchy(
                 **where,
             )
             continue
-        chains[position] = chain
+        chains.append(chain)
         if chain[0] != value:
             out.error(
                 "ART001",
@@ -150,8 +129,7 @@ def check_hierarchy(
     # exactly one level-(l+1) token across the whole sample.
     for level in range(height):
         parent_of: dict[Any, Any] = {}
-        coarsened = False
-        for chain in chains.values():
+        for chain in chains:
             token, parent = chain[level], chain[level + 1]
             seen = parent_of.setdefault(token, parent)
             if seen != parent:
@@ -162,393 +140,6 @@ def check_hierarchy(
                     hint="values grouped at a level must stay grouped above it",
                     **where,
                 )
-            if token != parent:
-                coarsened = True
-        if chains and not coarsened:
-            out.warning(
-                "ART002",
-                f"level {level + 1} coarsens nothing over level {level}",
-                hint="drop the redundant level or merge it with its neighbor",
-                **where,
-            )
-
-    for position, value in enumerate(values):
-        if position not in chains:
-            continue
-        try:
-            losses = [hierarchy.loss(value, level) for level in range(height + 1)]
-        except (HierarchyError, ValueError, KeyError, TypeError) as exc:
-            out.error(
-                "ART003",
-                f"loss of value {value!r} is not computable at all levels: {exc}",
-                hint="loss(value, level) must accept every level 0..height",
-                **where,
-            )
-            continue
-        if any(not 0.0 <= loss <= 1.0 for loss in losses):
-            out.error(
-                "ART003",
-                f"loss of value {value!r} leaves [0, 1]: {losses}",
-                hint="normalize the loss metric to the unit interval",
-                **where,
-            )
-        if losses and losses[0] != 0.0:
-            out.error(
-                "ART003",
-                f"loss({value!r}, 0) = {losses[0]}; raw values must cost 0",
-                **where,
-            )
-        if losses and losses[-1] != 1.0:
-            out.error(
-                "ART003",
-                f"loss({value!r}, {height}) = {losses[-1]}; suppression must cost 1",
-                **where,
-            )
-        if any(b < a for a, b in zip(losses, losses[1:])):
-            out.error(
-                "ART003",
-                f"loss of value {value!r} decreases along the chain: {losses}",
-                hint="generalizing further can never recover information",
-                **where,
-            )
-    return out.findings
-
-
-def check_hierarchies(
-    hierarchies: Mapping[str, Hierarchy],
-    samples: Mapping[str, Iterable[Any]] | None = None,
-) -> list[Diagnostic]:
-    """Validate a per-attribute hierarchy mapping (``ART001``–``ART003``).
-
-    Also reports a mapping whose key disagrees with the hierarchy's own
-    ``name`` — a config-splicing smell that silently recodes the wrong
-    attribute.
-    """
-    out = DiagnosticCollector()
-    for attribute, hierarchy in hierarchies.items():
-        label = f"hierarchy:{attribute}"
-        name = getattr(hierarchy, "name", attribute)
-        if name != attribute:
-            out.warning(
-                "ART001",
-                f"mapping key {attribute!r} does not match hierarchy name {name!r}",
-                hint="keep the mapping key and Hierarchy.name in sync",
-                path=label,
-            )
-        sample = None if samples is None else samples.get(attribute)
-        out.extend(check_hierarchy(hierarchy, sample=sample, label=label))
-    return out.findings
-
-
-def check_lattice(lattice: Lattice, label: str = "lattice") -> list[Diagnostic]:
-    """Validate a full-domain generalization lattice (``ART004``).
-
-    Checks height consistency against the per-attribute DGH depths, the
-    node count against the product of ``height + 1``, the bottom/top
-    elements, and — for lattices up to a size cap — that every node is
-    reachable from the bottom through immediate generalizations.
-    """
-    out = DiagnosticCollector()
-    where = {"path": label}
-
-    hierarchies = tuple(getattr(lattice, "hierarchies", ()))
-    heights = tuple(getattr(lattice, "heights", ()))
-    if len(hierarchies) != len(heights):
-        out.error(
-            "ART004",
-            f"lattice has {len(hierarchies)} hierarchies but "
-            f"{len(heights)} heights",
-            **where,
-        )
-        return out.findings
-    for hierarchy, height in zip(hierarchies, heights):
-        if hierarchy.height != height:
-            out.error(
-                "ART004",
-                f"lattice height {height} disagrees with DGH depth "
-                f"{hierarchy.height} of hierarchy {hierarchy.name!r}",
-                hint="rebuild the lattice after changing a hierarchy",
-                **where,
-            )
-    expected_size = 1
-    for height in heights:
-        expected_size *= height + 1
-    actual_size = len(lattice)
-    if actual_size != expected_size:
-        out.error(
-            "ART004",
-            f"lattice reports {actual_size} nodes; the heights imply "
-            f"{expected_size}",
-            **where,
-        )
-    bottom = lattice.bottom
-    top = lattice.top
-    if bottom != (0,) * len(heights):
-        out.error("ART004", f"lattice bottom {bottom!r} is not the all-raw node", **where)
-    if top != heights:
-        out.error(
-            "ART004",
-            f"lattice top {top!r} disagrees with the heights {heights!r}",
-            **where,
-        )
-    if lattice.max_height != sum(heights):
-        out.error(
-            "ART004",
-            f"lattice max height {lattice.max_height} is not the height sum "
-            f"{sum(heights)}",
-            **where,
-        )
-
-    if expected_size > _REACHABILITY_LIMIT:
-        out.info(
-            "ART004",
-            f"lattice has {expected_size} nodes; reachability walk skipped "
-            f"(limit {_REACHABILITY_LIMIT})",
-            **where,
-        )
-        return out.findings
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        node = frontier.pop()
-        for successor in lattice.successors(node):
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    if len(seen) != actual_size:
-        out.error(
-            "ART004",
-            f"only {len(seen)} of {actual_size} nodes are reachable from the "
-            "bottom via immediate generalizations",
-            hint="successors() must raise every attribute one level at a time",
-            **where,
-        )
-    return out.findings
-
-
-def _distinct_count(values: Iterable[Any] | None) -> int | None:
-    if values is None:
-        return None
-    return len(set(values))
-
-
-def check_privacy_parameters(
-    models: Iterable[Any],
-    rows: int | None = None,
-    sensitive_values: Iterable[Any] | None = None,
-) -> list[Diagnostic]:
-    """Validate privacy-model parameters against the workload (``ART005``).
-
-    Duck-typed over the parameter attributes the models expose:
-
-    * ``k`` — must satisfy ``1 <= k <= N`` (a k above the table size can
-      only be met by total suppression);
-    * ``l`` — must satisfy ``l >= 1`` and ``l <=`` the number of distinct
-      sensitive values (``l == 1`` is flagged as vacuous);
-    * ``t`` — must lie in ``[0, 1]``;
-    * ``p`` — must satisfy ``1 <= p <= min(k, distinct sensitive values)``
-      (a class of k tuples cannot hold more than k distinct values);
-    * ``c`` — recursive-(c, l) constant, must be positive.
-    """
-    out = DiagnosticCollector()
-    distinct = _distinct_count(sensitive_values)
-    for model in models:
-        label = f"privacy:{getattr(model, 'name', type(model).__name__)}"
-        where = {"path": label}
-        k = getattr(model, "k", None)
-        l = getattr(model, "l", None)
-        t = getattr(model, "t", None)
-        p = getattr(model, "p", None)
-        c = getattr(model, "c", None)
-        if k is not None:
-            if not isinstance(k, int) or k < 1:
-                out.error("ART005", f"k must be a positive integer, got {k!r}", **where)
-            elif rows is not None and k > rows:
-                out.error(
-                    "ART005",
-                    f"k={k} exceeds the table size N={rows}",
-                    hint="no release can satisfy k > N without suppressing everything",
-                    **where,
-                )
-        if l is not None:
-            if l < 1:
-                out.error("ART005", f"l must be at least 1, got {l!r}", **where)
-            elif l == 1:
-                out.warning(
-                    "ART005",
-                    "l=1 is vacuous: every class trivially has one sensitive value",
-                    **where,
-                )
-            if distinct is not None and l > distinct:
-                out.error(
-                    "ART005",
-                    f"l={l} exceeds the {distinct} distinct sensitive values",
-                    hint="no class can contain more distinct values than the domain has",
-                    **where,
-                )
-        if t is not None and not 0.0 <= float(t) <= 1.0:
-            out.error("ART005", f"t must lie in [0, 1], got {t!r}", **where)
-        if p is not None:
-            if not isinstance(p, int) or p < 1:
-                out.error("ART005", f"p must be a positive integer, got {p!r}", **where)
-            else:
-                if isinstance(k, int) and p > k:
-                    out.error(
-                        "ART005",
-                        f"p={p} exceeds k={k}: a class of k tuples cannot "
-                        f"contain {p} distinct sensitive values",
-                        **where,
-                    )
-                if distinct is not None and p > distinct:
-                    out.error(
-                        "ART005",
-                        f"p={p} exceeds the {distinct} distinct sensitive values",
-                        **where,
-                    )
-        if c is not None and not c > 0:
-            out.error("ART005", f"recursive-(c, l) constant must be positive, got {c!r}", **where)
-    return out.findings
-
-
-def check_unary_index(index: Any, label: str | None = None) -> list[Diagnostic]:
-    """Validate a unary quality index against Definition 3 (``ART006``).
-
-    The contract is structural: a non-empty ``name``, a boolean
-    ``larger_is_better`` orientation, and callable ``value`` / ``prefers``
-    members.
-    """
-    out = DiagnosticCollector()
-    where = {"path": label or f"index:{getattr(index, 'name', type(index).__name__)}"}
-    name = getattr(index, "name", None)
-    if not isinstance(name, str) or not name:
-        out.error(
-            "ART006",
-            f"unary index {type(index).__name__} lacks a non-empty name",
-            hint="set the class attribute `name`",
-            **where,
-        )
-    orientation = getattr(index, "larger_is_better", None)
-    if not isinstance(orientation, bool):
-        out.error(
-            "ART006",
-            f"unary index {type(index).__name__} must declare boolean "
-            f"larger_is_better, got {orientation!r}",
-            hint="comparators cannot orient an index without it",
-            **where,
-        )
-    for member in ("value", "prefers"):
-        if not callable(getattr(index, member, None)):
-            out.error(
-                "ART006",
-                f"unary index {type(index).__name__} lacks callable {member}()",
-                **where,
-            )
-    return out.findings
-
-
-def check_index_registry(registry: Mapping[str, Any]) -> list[Diagnostic]:
-    """Validate a name->index registry (``ART006``).
-
-    Each entry must satisfy :func:`check_unary_index`; a key that differs
-    from the index's own ``name`` is reported, since lookups and reports
-    would then disagree about what was measured.
-    """
-    out = DiagnosticCollector()
-    for key, index in registry.items():
-        label = f"index:{key}"
-        out.extend(check_unary_index(index, label=label))
-        name = getattr(index, "name", None)
-        if isinstance(name, str) and name and name != key:
-            out.warning(
-                "ART006",
-                f"registry key {key!r} does not match index name {name!r}",
-                hint="register indices under their own name",
-                path=label,
-            )
-    return out.findings
-
-
-def check_profile(
-    profile: Any,
-    declared_properties: Iterable[str] | None = None,
-    label: str = "profile",
-) -> list[Diagnostic]:
-    """Validate an r-property profile against Definition 2 (``ART007``).
-
-    The profile must expose at least one property name; when the study
-    declares its property universe, every profile property must be a member
-    of it — an undeclared property means the Υ sets would silently carry a
-    vector no comparator was configured for.
-    """
-    out = DiagnosticCollector()
-    where = {"path": label}
-    names = tuple(getattr(profile, "names", ()))
-    r = getattr(profile, "r", len(names))
-    if r < 1 or not names:
-        out.error(
-            "ART007",
-            "r-property profile must declare at least one property",
-            **where,
-        )
-        return out.findings
-    if len(set(names)) != len(names):
-        out.error(
-            "ART007",
-            f"profile property names are not unique: {list(names)}",
-            **where,
-        )
-    if r != len(names):
-        out.error(
-            "ART007",
-            f"profile reports r={r} but declares {len(names)} properties",
-            **where,
-        )
-    if declared_properties is not None:
-        declared = set(declared_properties)
-        unknown = [name for name in names if name not in declared]
-        if unknown:
-            out.error(
-                "ART007",
-                f"profile references undeclared properties {unknown}; "
-                f"declared: {sorted(declared)}",
-                hint="declare every property the r-property set references",
-                **where,
-            )
-    return out.findings
-
-
-def check_property_vectors(
-    vectors: Sequence[Any],
-    rows: int,
-    label: str = "vectors",
-) -> list[Diagnostic]:
-    """Validate property vectors against Definition 1 (``ART008``).
-
-    Every vector must have exactly one measurement per tuple of the data
-    set (length N); a mixed-orientation family is reported as a warning
-    because comparators require explicit negation first.
-    """
-    out = DiagnosticCollector()
-    where = {"path": label}
-    orientations = set()
-    for position, vector in enumerate(vectors):
-        size = len(vector)
-        if size != rows:
-            out.error(
-                "ART008",
-                f"property vector #{position} ({getattr(vector, 'name', '?')!r}) "
-                f"has {size} measurements for a data set of {rows} tuples",
-                hint="property vectors are N-dimensional by Definition 1",
-                **where,
-            )
-        orientations.add(getattr(vector, "higher_is_better", True))
-    if len(orientations) > 1:
-        out.warning(
-            "ART008",
-            "vectors mix orientations; negate the lower-is-better ones "
-            "before comparing",
-            **where,
-        )
     return out.findings
 
 
@@ -1161,12 +752,6 @@ def check_bench_artifacts(path: str | Path, label: str | None = None) -> list[Di
 ARTIFACT_RULES: dict[str, str] = {
     "ART001": "hierarchy completeness (chain to the root)",
     "ART002": "hierarchy monotonicity (levels must coarsen)",
-    "ART003": "hierarchy loss contract (0 at raw, 1 at top, monotone)",
-    "ART004": "lattice well-formedness",
-    "ART005": "privacy-parameter sanity",
-    "ART006": "unary quality-index contract (Definition 3)",
-    "ART007": "r-property profile contract (Definition 2)",
-    "ART008": "property-vector length (Definition 1)",
     "ART009": "runtime run-log contract (manifest + events)",
     "ART010": "content-addressed cache store integrity",
     "ART011": "observability artifact contract (trace + metrics files)",

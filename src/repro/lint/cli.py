@@ -48,14 +48,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="run only these rule ids (e.g. REP001 REP003)",
     )
     parser.add_argument(
-        "--artifacts",
-        action="store_true",
-        help="also run artifact analysis on the shipped paper/Adult artifacts",
-    )
-    parser.add_argument(
         "--no-code",
         action="store_true",
-        help="skip the codebase rules (artifact analysis only)",
+        help="skip the codebase rules (runtime artifact checks only)",
     )
     parser.add_argument(
         "--runtime",
@@ -105,8 +100,6 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as exc:  # unknown rule id or nonexistent path
         print(exc)
         return 2
-    if args.artifacts:
-        findings.extend(api.check_shipped_artifacts())
     for runtime_path in args.runtime or ():
         target = Path(runtime_path)
         if not target.exists():

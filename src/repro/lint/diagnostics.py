@@ -47,7 +47,8 @@ class Diagnostic:
     ----------
     rule:
         Stable rule id (``REP001`` .. ``REP005`` for codebase rules,
-        ``ART001`` .. ``ART008`` for artifact checkers).
+        ``ART001``, ``ART002`` and ``ART009`` .. ``ART012`` for artifact
+        checkers).
     message:
         Human-readable statement of the defect.
     severity:

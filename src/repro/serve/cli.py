@@ -56,7 +56,7 @@ def configure_serve_parser(parser: argparse.ArgumentParser) -> None:
         "--max-resident",
         type=int,
         default=256,
-        help="in-memory result objects kept resident per memo (default: 256)",
+        help="resident results kept in memory (default: 256)",
     )
     parser.add_argument(
         "--trace",

@@ -421,7 +421,7 @@ class ServeServer:
             "version": __version__,
             "uptime_s": time.monotonic() - self._start_monotonic,
             "requests": self.requests_served,
-            "resident": self.state.resident_counts(),
+            "resident": self.state.resident_count(),
         }
 
     def _handle_metrics(self, body: dict[str, Any]) -> tuple[int, dict[str, Any]]:

@@ -172,9 +172,9 @@ class ServeState:
         Study seed for the serve plane; algorithm seeds derive from it
         exactly as ``repro study`` derives them.
     max_resident:
-        Bound on each in-memory memo (releases; summaries, vectors and
-        query/compare results); least-recently-used results fall back to
-        the disk cache.
+        Bound on the resident results held in memory (releases,
+        summaries, vectors and query/compare results); least-recently-used
+        results fall back to the disk cache.
     """
 
     def __init__(
@@ -187,8 +187,9 @@ class ServeState:
         self.cache = cache
         self.seed = seed
         self._default_dataset = default_dataset
-        self._releases = _ResidentLRU(max_resident)
-        self._derived = _ResidentLRU(max_resident)
+        # One memo for every resolved value: release keys carry no metric
+        # and every derived key carries one, so no two kinds collide.
+        self._resident = _ResidentLRU(max_resident)
         # Materialize and fingerprint the default workload now: startup pays
         # the build cost once, requests find the table resident.  Its
         # columnar view is interned by the first release that needs it.
@@ -236,7 +237,6 @@ class ServeState:
 
     def _resolve(
         self,
-        memo: _ResidentLRU,
         key: CacheKey,
         op: str,
         params: Mapping[str, Any],
@@ -252,21 +252,21 @@ class ServeState:
         serve plane's hit-rate metrics.
         """
         digest = key.digest()
-        value = memo.get(digest)
+        value = self._resident.get(digest)
         if value is not MISS:
             obs_metrics().inc(f"{counter}.memory_hit")
             return value, "memory"
         if self.cache is not None:
             value = self.cache.get(key)
             if value is not MISS:
-                memo.put(digest, value)
+                self._resident.put(digest, value)
                 obs_metrics().inc(f"{counter}.disk_hit")
                 return value, "cache"
         seed = derive_seed(self.seed, f"serve:{digest}")
         value = resolve_op(op)(params, deps(), seed)
         if self.cache is not None:
             self.cache.put(key, value)
-        memo.put(digest, value)
+        self._resident.put(digest, value)
         obs_metrics().inc(f"{counter}.computed")
         return value, "computed"
 
@@ -288,9 +288,7 @@ class ServeState:
             "dataset": dataset_spec.as_payload(),
             "algorithm": cell.as_payload(),
         }
-        release, source = self._resolve(
-            self._releases, key, "anonymize", params, dict, "serve.release"
-        )
+        release, source = self._resolve(key, "anonymize", params, dict, "serve.release")
         dataset, _ = dataset_spec.materialize()
         return release.bind(dataset), source
 
@@ -311,8 +309,7 @@ class ServeState:
             metric="serve.summary",
         )
         return self._resolve(
-            self._derived, key, "serve.summary", {}, lambda: {"release": release},
-            "serve.summary",
+            key, "serve.summary", {}, lambda: {"release": release}, "serve.summary"
         )
 
     def vector_for(
@@ -336,7 +333,7 @@ class ServeState:
             "metric": prop,
         }
         return self._resolve(
-            self._derived, key, "measure", params,
+            key, "measure", params,
             lambda: {"release": self.release_for(dataset_spec, cell)[0]},
             "serve.vector",
         )
@@ -362,7 +359,7 @@ class ServeState:
             "metric": measure,
         }
         value, source = self._resolve(
-            self._derived, key, "measure", params,
+            key, "measure", params,
             lambda: {"release": self.release_for(dataset_spec, cell)[0]},
             "serve.scalar",
         )
@@ -397,7 +394,7 @@ class ServeState:
             "labels": {label: label for label in labels},
         }
         return self._resolve(
-            self._derived, key, "compare", params,
+            key, "compare", params,
             lambda: {
                 cell.label: self.vector_for(dataset_spec, cell, prop)[0]
                 for cell in cells
@@ -436,15 +433,11 @@ class ServeState:
             metric=f"serve.query:{canonical_json(dict(query))}",
         )
         return self._resolve(
-            self._derived, key, "serve.query", {"query": dict(query)}, deps,
-            "serve.query",
+            key, "serve.query", {"query": dict(query)}, deps, "serve.query"
         )
 
     # -- introspection -----------------------------------------------------
 
-    def resident_counts(self) -> dict[str, int]:
-        """How many objects each in-memory memo currently holds."""
-        return {
-            "releases": len(self._releases),
-            "derived": len(self._derived),
-        }
+    def resident_count(self) -> int:
+        """How many resolved results the in-memory memo currently holds."""
+        return len(self._resident)

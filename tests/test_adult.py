@@ -63,6 +63,13 @@ class TestHierarchies:
                 for level in range(hierarchy.height + 1):
                     hierarchy.generalize(value, level)  # must not raise
 
+    def test_keys_are_hierarchy_names(self, adult_h):
+        # save_hierarchies writes each hierarchy's own name while
+        # load_hierarchies keys by the mapping key: a key that disagrees
+        # with the name makes a saved map name two attributes at once.
+        for key, hierarchy in adult_h.items():
+            assert hierarchy.name == key
+
     def test_heights(self, adult_h):
         assert adult_h["age"].height == 5
         assert adult_h["sex"].height == 1

@@ -1,4 +1,4 @@
-"""Tests for Layer 1 of repro.lint: artifact analysis (ART001-ART008, ART012)."""
+"""Tests for Layer 1 of repro.lint: artifact analysis (ART001, ART002, ART012)."""
 
 import json
 from pathlib import Path
@@ -7,35 +7,17 @@ from types import SimpleNamespace
 import pytest
 
 from repro.anonymize.engine import recode
-from repro.core.indices import MinimumIndex
-from repro.core.rproperty import privacy_profile
-from repro.core.vector import PropertyVector
 from repro.datasets import paper_tables
 from repro.hierarchy.base import SUPPRESSED, Hierarchy
 from repro.hierarchy.categorical import TaxonomyHierarchy
-from repro.hierarchy.lattice import Lattice
 from repro.lint import api
 from repro.lint.artifacts import (
     BENCH_SCHEMA,
     check_bench_artifacts,
-    check_hierarchies,
     check_hierarchy,
-    check_index_registry,
-    check_lattice,
-    check_privacy_parameters,
-    check_profile,
-    check_property_vectors,
-    check_unary_index,
     domain_sample,
 )
 from repro.lint.diagnostics import LintError, Severity
-from repro.privacy import (
-    DistinctLDiversity,
-    KAnonymity,
-    PSensitiveKAnonymity,
-    RecursiveCLDiversity,
-    TCloseness,
-)
 
 
 class StubHierarchy(Hierarchy):
@@ -141,10 +123,6 @@ class TestCheckHierarchy:
         assert rule_ids(findings) == ["ART001"]
         assert errors_of(findings)
 
-    def test_missing_domain_is_info_only(self):
-        findings = check_hierarchy(SimpleNamespace(height=2, name="opaque"))
-        assert [d.severity for d in findings] == [Severity.INFO]
-
     def test_incomplete_chain_is_art001(self):
         hierarchy = clean_stub()
         findings = check_hierarchy(hierarchy, sample=["a", "zzz"])
@@ -185,252 +163,10 @@ class TestCheckHierarchy:
         assert "monotonicity broken" in findings[0].message
         assert errors_of(findings)
 
-    def test_redundant_level_is_art002_warning(self):
-        hierarchy = StubHierarchy(
-            "h",
-            {"a": ("a", "a", SUPPRESSED), "b": ("b", "b", SUPPRESSED)},
-            losses={v: (0.0, 0.0, 1.0) for v in "ab"},
-        )
-        findings = check_hierarchy(hierarchy)
-        assert rule_ids(findings) == ["ART002"]
-        assert all(d.severity is Severity.WARNING for d in findings)
-        assert "coarsens nothing" in findings[0].message
-
     def test_broken_marital_taxonomy_reports_art002(self):
         findings = check_hierarchy(broken_marital_hierarchy())
         assert "ART002" in rule_ids(errors_of(findings))
         assert any("Married" in d.message for d in findings)
-
-    def test_nonzero_raw_loss_is_art003(self):
-        hierarchy = StubHierarchy(
-            "h",
-            {"a": ("a", "X", SUPPRESSED), "b": ("b", "X", SUPPRESSED)},
-            losses={v: (0.2, 0.5, 1.0) for v in "ab"},
-        )
-        findings = check_hierarchy(hierarchy)
-        assert rule_ids(findings) == ["ART003"]
-        assert "cost 0" in findings[0].message
-
-    def test_top_loss_below_one_is_art003(self):
-        hierarchy = StubHierarchy(
-            "h",
-            {"a": ("a", "X", SUPPRESSED), "b": ("b", "X", SUPPRESSED)},
-            losses={v: (0.0, 0.5, 0.9) for v in "ab"},
-        )
-        findings = check_hierarchy(hierarchy)
-        assert rule_ids(findings) == ["ART003"]
-
-    def test_out_of_range_loss_is_art003(self):
-        hierarchy = StubHierarchy(
-            "h",
-            {"a": ("a", "X", SUPPRESSED), "b": ("b", "X", SUPPRESSED)},
-            losses={v: (0.0, 1.5, 1.0) for v in "ab"},
-        )
-        findings = check_hierarchy(hierarchy)
-        assert rule_ids(findings) == ["ART003"]
-        assert any("[0, 1]" in d.message for d in findings)
-
-    def test_decreasing_loss_is_art003(self):
-        hierarchy = StubHierarchy(
-            "h",
-            {
-                "a": ("a", "X", "Y", SUPPRESSED),
-                "b": ("b", "X", "Y", SUPPRESSED),
-            },
-            losses={v: (0.0, 0.6, 0.3, 1.0) for v in "ab"},
-        )
-        findings = check_hierarchy(hierarchy)
-        assert rule_ids(findings) == ["ART003"]
-        assert any("decreases" in d.message for d in findings)
-
-
-class TestCheckHierarchies:
-    def test_matching_names_are_clean(self):
-        assert check_hierarchies({"city": clean_stub()}) == []
-
-    def test_key_name_mismatch_is_warned(self):
-        findings = check_hierarchies({"town": clean_stub()})
-        assert rule_ids(findings) == ["ART001"]
-        assert all(d.severity is Severity.WARNING for d in findings)
-        assert "does not match" in findings[0].message
-
-
-class TestCheckLattice:
-    def test_well_formed_lattice_is_clean(self):
-        lattice = Lattice(
-            [paper_tables.marital_hierarchy(), paper_tables.age_hierarchy(10, 5)]
-        )
-        assert check_lattice(lattice) == []
-
-    def test_disagreeing_heights_are_art004(self):
-        class WrongHeights(Lattice):
-            """Lattice reporting every height one level too deep."""
-
-            @property
-            def heights(self):
-                """Deliberately inconsistent heights."""
-                return tuple(h + 1 for h in super().heights)
-
-        findings = check_lattice(WrongHeights([clean_stub()]))
-        assert rule_ids(findings) == ["ART004"]
-        assert any("disagrees with DGH depth" in d.message for d in findings)
-
-    def test_unreachable_nodes_are_art004(self):
-        class DeadEnd(Lattice):
-            """Lattice whose successor relation is empty."""
-
-            def successors(self, node):
-                """Yield nothing: only the bottom is reachable."""
-                return iter(())
-
-        findings = check_lattice(DeadEnd([clean_stub(), clean_stub()]))
-        assert rule_ids(findings) == ["ART004"]
-        assert any("reachable" in d.message for d in findings)
-
-    def test_oversized_lattice_skips_reachability(self):
-        chains = {
-            i: (i,) + tuple(f"L{level}" for level in range(1, 36)) + (SUPPRESSED,)
-            for i in range(2)
-        }
-        deep = StubHierarchy("deep", chains)
-        findings = check_lattice(Lattice([deep, deep, deep]))
-        assert [d.severity for d in findings] == [Severity.INFO]
-        assert "skipped" in findings[0].message
-
-
-class TestCheckPrivacyParameters:
-    def test_stock_models_are_clean(self):
-        findings = check_privacy_parameters(
-            [
-                KAnonymity(5),
-                DistinctLDiversity(2),
-                TCloseness(0.3),
-                PSensitiveKAnonymity(2, 5),
-                RecursiveCLDiversity(1.0, 2),
-            ],
-            rows=10,
-            sensitive_values=["x", "y", "z", "x"],
-        )
-        assert findings == []
-
-    def test_k_above_table_size_is_art005(self):
-        findings = check_privacy_parameters(
-            [SimpleNamespace(name="k", k=500)], rows=10
-        )
-        assert rule_ids(findings) == ["ART005"]
-        assert "exceeds the table size" in findings[0].message
-
-    def test_non_integer_k_is_art005(self):
-        findings = check_privacy_parameters([SimpleNamespace(name="k", k=2.5)])
-        assert rule_ids(errors_of(findings)) == ["ART005"]
-
-    def test_l_above_distinct_is_art005(self):
-        findings = check_privacy_parameters(
-            [SimpleNamespace(name="l", l=9)],
-            sensitive_values=["x", "y"],
-        )
-        assert rule_ids(findings) == ["ART005"]
-        assert "distinct sensitive values" in findings[0].message
-
-    def test_vacuous_l_is_warned(self):
-        findings = check_privacy_parameters([SimpleNamespace(name="l", l=1)])
-        assert [d.severity for d in findings] == [Severity.WARNING]
-        assert "vacuous" in findings[0].message
-
-    def test_t_out_of_unit_interval_is_art005(self):
-        findings = check_privacy_parameters([SimpleNamespace(name="t", t=1.5)])
-        assert rule_ids(findings) == ["ART005"]
-
-    def test_p_above_k_is_art005(self):
-        findings = check_privacy_parameters(
-            [SimpleNamespace(name="p", p=7, k=3)], rows=100
-        )
-        assert rule_ids(findings) == ["ART005"]
-        assert any("exceeds k" in d.message for d in findings)
-
-    def test_nonpositive_c_is_art005(self):
-        findings = check_privacy_parameters([SimpleNamespace(name="c", c=0.0)])
-        assert rule_ids(findings) == ["ART005"]
-
-
-class TestCheckIndices:
-    def test_stock_index_is_clean(self):
-        assert check_unary_index(MinimumIndex()) == []
-
-    def test_contractless_object_is_art006(self):
-        findings = check_unary_index(SimpleNamespace(name=""))
-        assert rule_ids(findings) == ["ART006"]
-        messages = " ".join(d.message for d in findings)
-        assert "larger_is_better" in messages
-        assert "value" in messages and "prefers" in messages
-
-    def test_registry_key_mismatch_is_warned(self):
-        findings = check_index_registry({"min": MinimumIndex()})
-        assert rule_ids(findings) == ["ART006"]
-        assert all(d.severity is Severity.WARNING for d in findings)
-
-    def test_registry_under_own_name_is_clean(self):
-        assert check_index_registry({"minimum": MinimumIndex()}) == []
-
-
-class TestCheckProfile:
-    DECLARED = {
-        "equivalence-class-size",
-        "sensitive-value-count",
-        "tuple-utility",
-        "breach-probability",
-    }
-
-    def test_stock_profile_is_clean(self):
-        profile = privacy_profile("occupation")
-        assert check_profile(profile, declared_properties=self.DECLARED) == []
-
-    def test_empty_profile_is_art007(self):
-        findings = check_profile(SimpleNamespace(names=(), r=0))
-        assert rule_ids(findings) == ["ART007"]
-
-    def test_duplicate_names_are_art007(self):
-        findings = check_profile(SimpleNamespace(names=("a", "a"), r=2))
-        assert rule_ids(findings) == ["ART007"]
-        assert "not unique" in findings[0].message
-
-    def test_r_mismatch_is_art007(self):
-        findings = check_profile(SimpleNamespace(names=("a",), r=2))
-        assert rule_ids(findings) == ["ART007"]
-
-    def test_undeclared_property_is_art007(self):
-        findings = check_profile(
-            SimpleNamespace(names=("mystery",), r=1),
-            declared_properties={"known"},
-        )
-        assert rule_ids(findings) == ["ART007"]
-        assert "undeclared" in findings[0].message
-
-
-class TestCheckPropertyVectors:
-    def test_matching_length_is_clean(self):
-        assert check_property_vectors([PropertyVector([1, 2, 3])], rows=3) == []
-
-    def test_wrong_length_is_art008(self):
-        findings = check_property_vectors([PropertyVector([1, 2, 3])], rows=4)
-        assert rule_ids(findings) == ["ART008"]
-        assert "3 measurements" in findings[0].message
-
-    def test_mixed_orientation_is_warned(self):
-        findings = check_property_vectors(
-            [
-                PropertyVector([1, 2], higher_is_better=True),
-                PropertyVector([1, 2], higher_is_better=False),
-            ],
-            rows=2,
-        )
-        assert rule_ids(findings) == ["ART008"]
-        assert all(d.severity is Severity.WARNING for d in findings)
-
-
-class TestShippedArtifacts:
-    def test_everything_the_package_ships_is_clean(self):
-        assert api.check_shipped_artifacts() == []
 
 
 class TestEngineGate:
@@ -448,8 +184,8 @@ class TestEngineGate:
         assert "refusing to recode" in str(excinfo.value)
         assert "ART002" in {d.rule for d in excinfo.value.diagnostics}
 
-    def test_gate_diagnostics_exclude_advisory_rules(self):
-        findings = api.gate_diagnostics(broken_marital_hierarchy())
+    def test_check_hierarchy_findings_are_all_blocking(self):
+        findings = check_hierarchy(broken_marital_hierarchy())
         assert findings
         assert {d.rule for d in findings} <= {"ART001", "ART002"}
         assert all(d.severity is Severity.ERROR for d in findings)

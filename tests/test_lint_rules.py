@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lint import api
 from repro.lint import engine as lint_engine
 from repro.lint.diagnostics import (
     Diagnostic,
@@ -654,7 +653,7 @@ class TestDiagnosticsAndReport:
 
     def test_worst_severity_and_blocking_policy(self):
         warning = Diagnostic("REP004", "w", Severity.WARNING)
-        info = Diagnostic("ART004", "i", Severity.INFO)
+        info = Diagnostic("ART010", "i", Severity.INFO)
         assert worst_severity([]) is None
         assert worst_severity([info, warning]) is Severity.WARNING
         assert not has_blocking([info, warning])
@@ -810,10 +809,6 @@ class TestLintCli:
         assert main(["lint", str(missing)]) == 2
         assert "does not exist" in capsys.readouterr().out
 
-    def test_artifacts_only_run_is_clean(self, capsys):
-        assert main(["lint", "--no-code", "--artifacts"]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
-
     def test_repo_source_tree_is_strict_clean(self, capsys):
         assert main(["lint", str(REPO_SRC), "--strict"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
@@ -828,18 +823,3 @@ class TestLintCli:
             if "disable=REP30" in path.read_text(encoding="utf-8")
         ]
         assert waived == []
-
-
-class TestApiSurface:
-    def test_summarize_rules_covers_every_rep_rule(self):
-        summary = api.summarize_rules()
-        for rule_id in (
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP302", "REP303",
-        ):
-            assert summary[rule_id]["title"]
-            assert summary[rule_id]["severity"] in {"error", "warning", "info"}
-
-    def test_select_artifact_errors_filters(self):
-        error = Diagnostic("ART001", "e", Severity.ERROR)
-        warning = Diagnostic("ART002", "w", Severity.WARNING)
-        assert api.select_artifact_errors([warning, error]) == [error]

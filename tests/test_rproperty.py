@@ -10,6 +10,7 @@ from repro.core.rproperty import (
 )
 from repro.core.vector import PropertyVectorError
 from repro.datasets import paper_tables
+from repro.runtime.study import VECTOR_PROPERTIES
 
 
 class TestPropertyProfile:
@@ -57,3 +58,13 @@ class TestBuiltinProfiles:
         assert vectors[0].higher_is_better
         assert vectors[1].higher_is_better
         assert len(vectors[1]) == 10
+
+    def test_profile_properties_are_study_vector_properties(self):
+        # A profile property the study runtime cannot induce by name would
+        # never reach a comparator configured through VECTOR_PROPERTIES.
+        hierarchies = {"Age": paper_tables.age_hierarchy(10, 5)}
+        for profile in (
+            privacy_profile(paper_tables.SENSITIVE_ATTRIBUTE),
+            privacy_utility_profile(hierarchies),
+        ):
+            assert set(profile.names) <= set(VECTOR_PROPERTIES)

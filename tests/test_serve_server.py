@@ -258,6 +258,28 @@ class TestHttpContract:
         assert first[0] == specs[0].materialize()[0].fingerprint()
         assert len(set(first)) == 4
 
+    def test_one_resident_memo_bounds_releases_and_derived_results(self):
+        state = ServeState(
+            DatasetSpec.of("adult", rows=20, seed=1), seed=SEED, max_resident=2
+        )
+        spec = state.dataset_spec(None)
+        cell = state.algorithm_spec(CELL)
+        release, _ = state.release_for(spec, cell)
+        state.summary_for(spec, cell, release)
+        assert state.resident_count() == 2
+        # The vector's resolution touches the release, so the summary is
+        # now the least recent result and the one the bound evicts.
+        state.vector_for(spec, cell, "equivalence-class-size")
+        assert state.resident_count() == 2
+        assert state.release_for(spec, cell)[1] == "memory"
+        assert state.summary_for(spec, cell, release)[1] == "computed"
+
+    def test_health_reports_one_resident_count(self, server):
+        _request(server, "POST", "/anonymize", {"algorithm": CELL})
+        status, body = _request(server, "GET", "/health")
+        assert status == 200
+        assert type(body["resident"]) is int and body["resident"] >= 2
+
     def test_malformed_json_body_is_400(self, server):
         connection = http.client.HTTPConnection(
             server.host, server.port, timeout=30
