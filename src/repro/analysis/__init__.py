@@ -16,7 +16,6 @@ from .individuals import (
 from .matrix import (
     format_relation_matrix,
     index_matrix,
-    index_matrix_serial,
     relation_matrix,
     relation_matrix_serial,
     win_counts,
@@ -41,7 +40,6 @@ __all__ = [
     "scatter_plot",
     "format_relation_matrix",
     "index_matrix",
-    "index_matrix_serial",
     "relation_matrix",
     "relation_matrix_serial",
     "win_counts",

@@ -5,18 +5,16 @@ algorithm family across k values and track privacy, bias and utility
 measures side by side.  Returns plain row dicts so callers can print,
 plot or assert on them.
 
-Sweeps execute through :mod:`repro.runtime`: each k value becomes one task
-on a :class:`~repro.runtime.executor.StudyExecutor`, so sweeps share the
-runtime's event log, retry policy and failure isolation.  Because the
-factory and measures here are arbitrary callables, the sweep op is
-*inline-only* (it runs in the coordinating process); for process-parallel,
-memoized sweeps express the grid as a :class:`~repro.runtime.study.StudySpec`
-with named algorithms and run it with ``jobs > 1`` (``repro study``).
+The measure table :data:`SCALAR_MEASURES` is shared with the study
+runtime, whose ``measure`` op evaluates the same columns per grid cell; for
+process-parallel, memoized sweeps express the grid as a
+:class:`~repro.runtime.study.StudySpec` with named algorithms and run it
+with ``jobs > 1`` (``repro study``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..anonymize.algorithms.base import Anonymizer
 from ..anonymize.engine import Anonymization
@@ -24,8 +22,6 @@ from ..core.indices.unary import GiniIndex
 from ..core.properties import equivalence_class_size
 from ..datasets.dataset import Dataset
 from ..hierarchy.base import Hierarchy
-from ..runtime.executor import StudyExecutor
-from ..runtime.task import TaskGraph, TaskSpec, register_op
 from ..utility.discernibility import discernibility
 from ..utility.loss_metric import general_loss
 
@@ -33,31 +29,22 @@ from ..utility.loss_metric import general_loss
 Measure = Callable[[Anonymization, Mapping[str, Hierarchy]], float]
 
 
+_GINI = GiniIndex()
+
+#: Privacy + bias + utility measures of a standard sweep, by column id.
+#: The study runtime evaluates the same table (``--scalar``).
+SCALAR_MEASURES: dict[str, Measure] = {
+    "k_achieved": lambda release, _h: float(release.k()),
+    "suppressed": lambda release, _h: float(len(release.suppressed)),
+    "class_gini": lambda release, _h: _GINI.value(equivalence_class_size(release)),
+    "lm": lambda release, hierarchies: general_loss(release, hierarchies),
+    "dm": lambda release, _h: float(discernibility(release)),
+}
+
+
 def default_measures() -> dict[str, Measure]:
-    """Privacy + bias + utility measures for a standard sweep."""
-    gini = GiniIndex()
-    return {
-        "k_achieved": lambda release, _h: float(release.k()),
-        "suppressed": lambda release, _h: float(len(release.suppressed)),
-        "class_gini": lambda release, _h: gini.value(
-            equivalence_class_size(release)
-        ),
-        "lm": lambda release, hierarchies: general_loss(release, hierarchies),
-        "dm": lambda release, _h: float(discernibility(release)),
-    }
-
-
-@register_op("analysis.sweep-cell", inline_only=True)
-def _op_sweep_cell(
-    params: Mapping[str, Any], deps: Mapping[str, Any], seed: int
-) -> dict[str, float]:
-    """One sweep cell: anonymize at k, evaluate every measure."""
-    k = params["k"]
-    release = params["factory"](k).anonymize(params["dataset"], params["hierarchies"])
-    row: dict[str, float] = {"k": float(k)}
-    for name, measure in params["measures"].items():
-        row[name] = measure(release, params["hierarchies"])
-    return row
+    """A fresh copy of :data:`SCALAR_MEASURES`."""
+    return dict(SCALAR_MEASURES)
 
 
 def k_sweep(
@@ -66,40 +53,23 @@ def k_sweep(
     hierarchies: Mapping[str, Hierarchy],
     ks: Sequence[int],
     measures: Mapping[str, Measure] | None = None,
-    executor: StudyExecutor | None = None,
 ) -> list[dict[str, float]]:
     """Run ``algorithm_factory(k)`` for each k and measure the releases.
 
-    Returns one row dict per k: ``{"k": k, <measure>: value, ...}``.  Cells
-    execute as tasks on ``executor`` (a fresh serial
-    :class:`~repro.runtime.executor.StudyExecutor` by default), inheriting
-    its run log and retry policy.
+    Returns one row dict per k: ``{"k": k, <measure>: value, ...}``.  An
+    anonymizer's own error (e.g. an invalid k) propagates unchanged.
     """
     if not ks:
         raise ValueError("sweep needs at least one k")
-    chosen = dict(measures) if measures is not None else default_measures()
-    graph = TaskGraph()
-    task_ids = []
-    for position, k in enumerate(ks):
-        task_id = f"sweep:{position}:k={k}"
-        task_ids.append(task_id)
-        graph.add(
-            TaskSpec(
-                task_id=task_id,
-                op="analysis.sweep-cell",
-                params={
-                    "k": k,
-                    "factory": algorithm_factory,
-                    "dataset": dataset,
-                    "hierarchies": hierarchies,
-                    "measures": chosen,
-                },
-            )
-        )
-    runner = executor if executor is not None else StudyExecutor(jobs=1)
-    report = runner.run(graph)
-    report.raise_on_failure()
-    return [report.value(task_id) for task_id in task_ids]
+    chosen = SCALAR_MEASURES if measures is None else measures
+    rows = []
+    for k in ks:
+        release = algorithm_factory(k).anonymize(dataset, hierarchies)
+        row: dict[str, float] = {"k": float(k)}
+        for name, measure in chosen.items():
+            row[name] = measure(release, hierarchies)
+        rows.append(row)
+    return rows
 
 
 def format_sweep(rows: Sequence[Mapping[str, float]]) -> str:

@@ -8,76 +8,39 @@ This module ranks whole families:
 * :func:`hypervolume_ranking` — by (log) dominated hypervolume, the direct
   tournament score;
 * :func:`copeland_ranking` — by pairwise wins under any ▶-better comparator.
-
-Both rankings accept an optional
-:class:`~repro.runtime.executor.StudyExecutor` and then evaluate their
-per-candidate (hypervolume) or per-pair (Copeland) scores as runtime
-tasks, sharing the executor's cache, run log and worker pool.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Mapping
 
 from ..core.comparators import MetricComparator
 from ..core.indices.binary import log_dominated_hypervolume
 from ..core.vector import PropertyVector
-from ..runtime.executor import StudyExecutor
-from ..runtime.task import TaskGraph, TaskSpec, register_op
 from .matrix import relation_matrix, win_counts
-
-
-@register_op("analysis.hypervolume-score")
-def _op_hypervolume_score(
-    params: Mapping[str, Any], deps: Mapping[str, Any], seed: int
-) -> float:
-    """One candidate's log dominated hypervolume."""
-    return log_dominated_hypervolume(params["vector"], params["reference"])
 
 
 def hypervolume_ranking(
     vectors: Mapping[str, PropertyVector],
     reference: float = 0.0,
-    executor: StudyExecutor | None = None,
 ) -> list[tuple[str, float]]:
-    """Names with log dominated hypervolume, best first.
-
-    With ``executor`` each candidate's score is computed as a runtime task.
-    """
-    if executor is not None:
-        graph = TaskGraph()
-        for name, vector in vectors.items():
-            graph.add(
-                TaskSpec(
-                    task_id=f"hypervolume:{name}",
-                    op="analysis.hypervolume-score",
-                    params={"vector": vector, "reference": reference},
-                )
-            )
-        report = executor.run(graph)
-        report.raise_on_failure()
-        scores = [
-            (name, report.value(f"hypervolume:{name}")) for name in vectors
-        ]
-    else:
-        scores = [
-            (name, log_dominated_hypervolume(vector, reference))
-            for name, vector in vectors.items()
-        ]
+    """Names with log dominated hypervolume, best first."""
+    scores = [
+        (name, log_dominated_hypervolume(vector, reference))
+        for name, vector in vectors.items()
+    ]
     return sorted(scores, key=lambda item: item[1], reverse=True)
 
 
 def copeland_ranking(
     vectors: Mapping[str, PropertyVector],
     comparator: MetricComparator,
-    executor: StudyExecutor | None = None,
 ) -> list[tuple[str, int]]:
     """Names with pairwise win counts under ``comparator``, best first.
 
-    Ties in win count preserve insertion order of ``vectors``.  With
-    ``executor`` the pairwise relations run as runtime tasks.
+    Ties in win count preserve insertion order of ``vectors``.
     """
-    matrix = relation_matrix(vectors, comparator, executor=executor)
+    matrix = relation_matrix(vectors, comparator)
     counts = win_counts(matrix)
     return sorted(
         ((name, counts[name]) for name in vectors),

@@ -88,13 +88,6 @@ class OptimalLattice(Anonymizer):
         self.cost = cost
         self.name = f"optimal[k={k}]"
 
-    def minimal_satisfying_nodes(
-        self, dataset: Dataset, hierarchies: Mapping[str, Hierarchy]
-    ) -> list[Node]:
-        """The minimal satisfying frontier of the lattice."""
-        workspace = RecodingWorkspace(dataset, hierarchies)
-        return self._frontier(workspace)
-
     def _sweep(self, workspace: RecodingWorkspace) -> tuple[list[Node], set[Node]]:
         """Bottom-up sweep; returns (minimal frontier, all satisfying)."""
         budget = int(self.suppression_limit * len(workspace.dataset))
@@ -115,9 +108,6 @@ class OptimalLattice(Anonymizer):
                     satisfying.add(node)
                     frontier.append(node)
         return frontier, satisfying
-
-    def _frontier(self, workspace: RecodingWorkspace) -> list[Node]:
-        return self._sweep(workspace)[0]
 
     def anonymize(
         self, dataset: Dataset, hierarchies: Mapping[str, Hierarchy]

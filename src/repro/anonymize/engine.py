@@ -473,13 +473,6 @@ def resolve_sensitive_column(
     return attribute, anonymization.original.column(attribute)
 
 
-def generalize_cell(
-    hierarchy: Hierarchy, value: Any, level: int
-) -> Any:
-    """Generalize one cell; kept as a function hook for local recoders."""
-    return hierarchy.generalize(value, level)
-
-
 def _validate_recode(
     dataset: Dataset,
     hierarchies: Mapping[str, Hierarchy],

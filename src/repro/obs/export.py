@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..utility.atomic import atomic_writer
 from .trace import Span
@@ -131,9 +131,3 @@ def read_metrics_snapshot(path: str | Path) -> dict[str, Any]:
         raise ValueError(f"{path}: not a metrics snapshot (not an object)")
     return payload
 
-
-def iter_complete_events(
-    events: Iterable[Mapping[str, Any]],
-) -> Iterable[Mapping[str, Any]]:
-    """Only the ``ph == "X"`` (complete-span) events of a trace."""
-    return (event for event in events if event.get("ph") == "X")

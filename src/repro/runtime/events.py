@@ -4,10 +4,10 @@ A run directory holds two artifacts:
 
 * ``events.jsonl`` — an append-only JSON-lines log, one event per task
   state transition (``cache-hit``, ``submitted``, ``finished``, ``failed``,
-  ``timeout``, ``retry``, ``blocked``, ``inline-fallback``) and
-  run-level ``run-start`` / ``run-finish`` records.  Appending is
-  crash-safe: a killed run leaves a readable prefix, never a torn file
-  (at worst one truncated final line, which readers skip).
+  ``timeout``, ``retry``, ``blocked``) and run-level ``run-start`` /
+  ``run-finish`` records.  Appending is crash-safe: a killed run leaves a
+  readable prefix, never a torn file (at worst one truncated final line,
+  which readers skip).
 * ``manifest.json`` — the run's identity and final tallies, written
   atomically at start (``status: "running"``) and rewritten at the end, so
   an interrupted run is recognizable by its stale ``running`` status.
@@ -50,7 +50,6 @@ EVENT_KINDS = frozenset(
         "timeout",
         "retry",
         "blocked",
-        "inline-fallback",
     }
 )
 

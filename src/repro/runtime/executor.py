@@ -39,7 +39,7 @@ from ..obs.export import write_chrome_trace, write_metrics_snapshot
 from ..obs.trace import TASK_CATEGORY
 from .cache import MISS, ResultCache
 from .events import METRICS_FILENAME, TRACE_FILENAME, RunLog
-from .task import TaskGraph, TaskSpec, derive_seed, op_is_inline_only, resolve_op
+from .task import TaskGraph, TaskSpec, derive_seed, resolve_op
 from .transports import (
     TaskPayload,
     WorkerTransport,
@@ -323,8 +323,7 @@ class StudyExecutor:
 
         This is byte-for-byte the body of the historical serial loop —
         same spans, same clock reads, same event order — so the inline
-        transport (and the inline fallback of the pool) preserve
-        the pinned observability goldens.
+        transport preserves the pinned observability goldens.
         """
         tracer = observation.trace
         metrics = observation.metrics
@@ -458,16 +457,12 @@ class StudyExecutor:
             self._event("submitted", spec.task_id, attempt=attempts[spec.task_id])
 
         def dispatch(spec: TaskSpec) -> None:
-            if not transport.synchronous:
-                if not op_is_inline_only(spec.op):
-                    submit_remote(spec)
-                    return
-                # Parameters may hold arbitrary callables; run in the
-                # coordinating process.
-                self._event("inline-fallback", spec.task_id, reason="inline-only")
-            self._run_local(
-                graph, spec, values, outcomes, completed, attempts, observation
-            )
+            if transport.synchronous:
+                self._run_local(
+                    graph, spec, values, outcomes, completed, attempts, observation
+                )
+            else:
+                submit_remote(spec)
 
         while len(outcomes) < len(graph):
             progressed = False

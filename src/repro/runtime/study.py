@@ -21,6 +21,8 @@ import functools
 import inspect
 from typing import Any, Callable, Mapping, Sequence
 
+from ..analysis.matrix import relation_matrix, win_counts
+from ..analysis.sweep import SCALAR_MEASURES
 from ..anonymize.algorithms import (
     BottomUpGeneralization,
     Datafly,
@@ -36,13 +38,10 @@ from ..anonymize.algorithms import (
 )
 from ..anonymize.engine import Anonymization
 from ..core import properties as props
-from ..core.indices.unary import GiniIndex
 from ..datasets.adult import adult_dataset, adult_hierarchies
 from ..datasets.dataset import Dataset
 from ..datasets.hospital import hospital_dataset, hospital_hierarchies
 from ..hierarchy.base import Hierarchy
-from ..utility.discernibility import discernibility
-from ..utility.loss_metric import general_loss
 from .cache import ResultCache
 from .events import RunLog
 from .executor import ExecutionReport, StudyExecutor
@@ -80,20 +79,6 @@ ALGORITHM_FACTORIES: dict[str, Callable[..., Any]] = {
     "clustering": KMemberClustering,
     "genetic": GeneticAnonymizer,
     "random-recoding": RandomRecoding,
-}
-
-_GINI = GiniIndex()
-
-#: scalar measure id -> fn(release, hierarchies) -> float.  The ids match
-#: the columns of :func:`repro.analysis.sweep.default_measures`.
-SCALAR_MEASURES: dict[str, Callable[[Anonymization, Mapping[str, Hierarchy]], float]] = {
-    "k_achieved": lambda release, _h: float(release.k()),
-    "suppressed": lambda release, _h: float(len(release.suppressed)),
-    "class_gini": lambda release, _h: _GINI.value(
-        props.equivalence_class_size(release)
-    ),
-    "lm": lambda release, hierarchies: general_loss(release, hierarchies),
-    "dm": lambda release, _h: float(discernibility(release)),
 }
 
 #: vector property id -> fn(release, hierarchies) -> PropertyVector.
@@ -294,13 +279,9 @@ def _op_measure(params: Mapping[str, Any], deps: Mapping[str, Any], seed: int) -
 @register_op("compare")
 def _op_compare(params: Mapping[str, Any], deps: Mapping[str, Any], seed: int) -> dict[str, Any]:
     """Pairwise strict-dominance comparison of upstream property vectors."""
-    # Late import: repro.analysis imports the runtime for its own
-    # parallel paths; binding at call time keeps the layering acyclic.
-    from ..analysis.matrix import relation_matrix_serial, win_counts
-
     labels: Mapping[str, str] = params["labels"]
     vectors = {labels[task_id]: deps[task_id] for task_id in params["order"]}
-    matrix = relation_matrix_serial(vectors)
+    matrix = relation_matrix(vectors)
     return {
         "property": params["property"],
         "relations": {pair: relation for pair, relation in matrix.items()},
@@ -549,16 +530,4 @@ def run_release_grid(
         compare=False,
         seed=seed,
     )
-    graph = build_study(spec)
-    report = StudyExecutor(jobs=jobs, cache=cache, study_seed=seed).run(graph)
-    report.raise_on_failure()
-    original, _ = dataset.materialize()
-    releases = []
-    seen_labels: dict[str, int] = {}
-    for cell in (c.with_seed(seed) for c in algorithms):
-        count = seen_labels.get(cell.label, 0)
-        seen_labels[cell.label] = count + 1
-        suffix = f"#{count}" if count else ""
-        release = report.value(f"anonymize:{cell.label}{suffix}")
-        releases.append(release.bind(original))
-    return releases
+    return list(run_study(spec, jobs=jobs, cache=cache).releases.values())

@@ -92,25 +92,20 @@ class CacheKey:
 
 # -- operation registry ------------------------------------------------------
 
-#: name -> (callable, inline_only).  Operations run as
-#: ``fn(params, deps, seed)`` where ``deps`` maps dependency task id to the
-#: dependency's result value.
-_OPERATIONS: dict[str, tuple[Callable[[Mapping[str, Any], Mapping[str, Any], int], Any], bool]] = {}
+#: name -> callable.  Operations run as ``fn(params, deps, seed)`` where
+#: ``deps`` maps dependency task id to the dependency's result value.
+_OPERATIONS: dict[str, Callable[[Mapping[str, Any], Mapping[str, Any], int], Any]] = {}
 
 
-def register_op(
-    name: str, inline_only: bool = False
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+def register_op(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Register an operation under ``name`` (decorator).
 
-    ``inline_only`` marks operations whose parameters may hold arbitrary
-    Python callables (and therefore cannot cross a process boundary); the
-    executor always runs those in the coordinating process.  Re-registering
-    a name replaces the previous operation — convenient for tests.
+    Re-registering a name replaces the previous operation — convenient for
+    tests.
     """
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        _OPERATIONS[name] = (fn, inline_only)
+        _OPERATIONS[name] = fn
         return fn
 
     return decorate
@@ -119,15 +114,7 @@ def register_op(
 def resolve_op(name: str) -> Callable[[Mapping[str, Any], Mapping[str, Any], int], Any]:
     """The operation registered under ``name``."""
     try:
-        return _OPERATIONS[name][0]
-    except KeyError:
-        raise TaskError(f"unknown operation {name!r}") from None
-
-
-def op_is_inline_only(name: str) -> bool:
-    """Whether the named operation must run in the coordinating process."""
-    try:
-        return _OPERATIONS[name][1]
+        return _OPERATIONS[name]
     except KeyError:
         raise TaskError(f"unknown operation {name!r}") from None
 

@@ -133,6 +133,8 @@ class PoolTransport(WorkerTransport):
         self._started: Any = None
         #: pid -> the task that worker last reported starting.
         self._running: dict[int, str] = {}
+        #: Dead workers already accounted for, never to be watched again.
+        self._handled: set[Any] = set()
 
     def start(self) -> None:
         self._started, writer = self._context.Pipe(duplex=False)
@@ -143,15 +145,18 @@ class PoolTransport(WorkerTransport):
         )
         self._running.clear()
         self._workers = []
+        self._handled = set()
         self._watch_workers()
 
     def _watch_workers(self) -> None:
         # ``Pool`` silently replaces a worker that dies, and the task it
         # held never becomes ready; watching the processes it started
         # (kept here, since ``Pool`` drops exited ones from its own list)
-        # is the only way to notice.
+        # is the only way to notice.  A dead worker stays in ``Pool``'s list
+        # until its handler thread reaps it, so one already accounted for
+        # is skipped rather than adopted, and charged, a second time.
         for worker in list(self._pool._pool):
-            if worker not in self._workers:
+            if worker not in self._workers and worker not in self._handled:
                 self._workers.append(worker)
 
     def _drain_started(self) -> None:
@@ -231,6 +236,7 @@ class PoolTransport(WorkerTransport):
             return results
         for worker in dead:
             self._workers.remove(worker)
+            self._handled.add(worker)
             task_id = self._running.pop(worker.pid)
             del self._handles[task_id]
             error = (

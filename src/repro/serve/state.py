@@ -37,7 +37,6 @@ from ..runtime.cache import MISS, ResultCache
 from ..runtime.study import (
     ALGORITHM_FACTORIES,
     DATASET_PROVIDERS,
-    SCALAR_MEASURES,
     VECTOR_PROPERTIES,
     AlgorithmSpec,
     DatasetSpec,
@@ -337,33 +336,6 @@ class ServeState:
             lambda: {"release": self.release_for(dataset_spec, cell)[0]},
             "serve.vector",
         )
-
-    def scalar_for(
-        self, dataset_spec: DatasetSpec, cell: AlgorithmSpec, measure: str
-    ) -> tuple[float, str]:
-        """One scalar measure of one release (grid-cell summary)."""
-        if measure not in SCALAR_MEASURES:
-            raise ServeRequestError(
-                f"unknown measure {measure!r}; "
-                f"choose from {sorted(SCALAR_MEASURES)}"
-            )
-        key = CacheKey(
-            dataset=self.fingerprint(dataset_spec),
-            algorithm=algorithm_key(cell),
-            metric=measure,
-        )
-        params = {
-            "dataset": dataset_spec.as_payload(),
-            "release_task": "release",
-            "kind": "scalar",
-            "metric": measure,
-        }
-        value, source = self._resolve(
-            key, "measure", params,
-            lambda: {"release": self.release_for(dataset_spec, cell)[0]},
-            "serve.scalar",
-        )
-        return float(value), source
 
     def compare_for(
         self,

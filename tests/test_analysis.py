@@ -1,10 +1,14 @@
 """Tests for the analysis layer: bias summaries, matrices, tournaments,
 reports."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.analysis
 from repro.analysis import (
     benefit_counts,
     bias_summary,
@@ -20,7 +24,6 @@ from repro.analysis import (
 )
 from repro.core.comparators import CoverageBetter, Relation
 from repro.core.indices.binary import coverage
-from repro.core.properties import equivalence_class_size
 from repro.core.rproperty import privacy_profile
 from repro.core.vector import PropertyVector
 from repro.datasets import paper_tables
@@ -148,3 +151,24 @@ class TestReports:
         assert "Subjects: T3a, T3b, T4" in text
         assert "equivalence-class-size" in text
         assert "sensitive-value-count" in text
+
+
+class TestLayering:
+    def test_analysis_imports_nothing_from_runtime(self):
+        """The comparison machinery is pure: the study runtime calls into
+        it, never the reverse."""
+        offenders = []
+        for path in sorted(Path(repro.analysis.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    # Relative imports are anchored at repro.analysis.
+                    parts = ["repro", "analysis"][: 3 - node.level] if node.level else []
+                    module = ".".join(parts + ([node.module] if node.module else []))
+                    names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(n == "repro.runtime" or n.startswith("repro.runtime.") for n in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []

@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.runtime.cache import ResultCache
-from repro.runtime.events import RunLog, read_events
 from repro.runtime.executor import StudyExecutor
 from repro.runtime.task import CacheKey, TaskGraph, TaskSpec, register_op
 from repro.runtime import transports
@@ -76,12 +75,6 @@ def _op_tx_sleep(params, deps, seed):
     """Sleep ``params['seconds']``, then return the value."""
     time.sleep(params["seconds"])
     return params["value"]
-
-
-@register_op("tx.local", inline_only=True)
-def _op_tx_local(params, deps, seed):
-    """An op declared coordinator-local; returns the executing pid."""
-    return os.getpid()
 
 
 @register_op("tx.touch")
@@ -173,18 +166,6 @@ class TestTransportParity:
         assert "worker boom" in report.outcomes["boom"].error
         assert report.outcomes["child"].status == "blocked"
         assert report.outcomes["independent"].value == 7
-
-    def test_scheduler_falls_back_inline_for_inline_only_ops(self, tmp_path):
-        log = RunLog(tmp_path / "run")
-        graph = TaskGraph()
-        graph.add(tx_task("local", 0, op="tx.local"))
-        graph.add(tx_task("remote", 0, op="tx.pid"))
-        report = StudyExecutor(transport=PoolTransport(processes=1), log=log).run(graph)
-        report.raise_on_failure()
-        assert report.outcomes["local"].value == os.getpid()
-        assert report.outcomes["remote"].value != os.getpid()
-        fallbacks = [e for e in read_events(log.events_path) if e["event"] == "inline-fallback"]
-        assert [(e["task"], e["reason"]) for e in fallbacks] == [("local", "inline-only")]
 
 
 class TestStudyParityAcrossTransports:
@@ -319,6 +300,55 @@ class TestPoolWorkerDeath:
             outcome = report.outcomes[task_id]
             assert outcome.status == "failed" and outcome.attempts == 1
             assert "pool worker died" in outcome.error
+
+
+    def test_reaped_late_dead_worker_is_not_charged_twice(self, tmp_path):
+        """A dead worker still listed by ``Pool`` on the next poll (its
+        handler thread has not reaped it yet) is not accounted for again:
+        the attempt running beside it is not charged and the pool is not
+        rebuilt."""
+        transport = PoolTransport(processes=2)
+        transport.start()
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            pool = transport._pool
+            originals = list(pool._pool)
+            pidfile = tmp_path / "pids.txt"
+            transport.submit(
+                transports.TaskPayload(
+                    "victim", "tx.die-once",
+                    {"pidfile": str(pidfile), "value": 42}, {}, 0, False,
+                )
+            )
+            transport.submit(
+                transports.TaskPayload(
+                    "innocent", "tx.sleep", {"seconds": 2.0, "value": 7}, {}, 0, False
+                )
+            )
+            results = []
+            while not results:
+                time.sleep(0.01)
+                results = transport.poll()
+            assert [(r.task_id, r.ok) for r in results] == [("victim", False)]
+            assert "pool worker died" in results[0].error
+            (victim,) = [w for w in originals if w.pid == int(pidfile.read_text())]
+            # Wait for the stdlib to reap and replace it, then list it again
+            # as if the reaping had not happened yet.
+            while victim in pool._pool or len(pool._pool) < 2:
+                time.sleep(0.01)
+            time.sleep(0.1)
+            pool._pool.append(victim)
+            assert transport.poll() == []
+            assert transport._pool is pool
+            pool._pool.remove(victim)
+            results = []
+            while not results:
+                time.sleep(0.01)
+                results = transport.poll()
+            assert [(r.task_id, r.ok, r.value) for r in results] == [("innocent", True, 7)]
+            transport.stop()
+        finally:
+            faulthandler.cancel_dump_traceback_later()
 
 
 class TestIdleWorkerDeath:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Datafly, Mondrian
 from repro.analysis import default_measures, format_sweep, gini_coefficient, k_sweep
+from repro.anonymize.algorithms.base import AlgorithmError
 from repro.core.comparators import LeastBiasedBetter, Relation
 from repro.core.indices.unary import GiniIndex
 from repro.core.vector import PropertyVector, PropertyVectorError
@@ -94,6 +95,10 @@ class TestKSweep:
     def test_empty_ks_rejected(self, adult_small, adult_h):
         with pytest.raises(ValueError):
             k_sweep(lambda k: Datafly(k), adult_small, adult_h, ks=[])
+
+    def test_anonymizer_error_propagates_unwrapped(self, adult_small, adult_h):
+        with pytest.raises(AlgorithmError, match="k must be >= 1"):
+            k_sweep(lambda k: Mondrian(k), adult_small, adult_h, ks=[2, 0])
 
     def test_format(self, adult_small, adult_h):
         rows = k_sweep(lambda k: Mondrian(k), adult_small, adult_h, ks=[5])
