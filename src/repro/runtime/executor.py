@@ -7,9 +7,14 @@
   logging; and
 * a :class:`~repro.runtime.transports.WorkerTransport` that decides
   *where* a task attempt physically runs — ``inline`` (the coordinating
-  process, byte-for-byte the old ``jobs=1`` loop) or ``pool`` (a
+  process, running each attempt as it is submitted) or ``pool`` (a
   ``multiprocessing`` pool with timeout-via-rebuild and innocent-task
   resubmission).
+
+Both transports take one path through the scheduler: an attempt is
+submitted, and the transport is polled until it has no finished attempt
+left; each result is then settled (cache store, outcome, events, retry or
+failure) in one place.
 
 Before a task executes its content-addressed cache key is consulted, so
 finished work is never repeated — this is also the resume mechanism: a
@@ -31,20 +36,15 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import traceback
 from typing import Any
 
 from ..obs import Observation, current as current_observation, observing
 from ..obs.export import write_chrome_trace, write_metrics_snapshot
-from ..obs.trace import TASK_CATEGORY
 from .cache import MISS, ResultCache
 from .events import METRICS_FILENAME, TRACE_FILENAME, RunLog
-from .task import TaskGraph, TaskSpec, derive_seed, resolve_op
-from .transports import (
-    TaskPayload,
-    WorkerTransport,
-    create_transport,
-)
+from .task import TaskGraph, TaskSpec, derive_seed
+from .transports import WorkerTransport, create_transport
+from .worker import TaskPayload, TaskResult
 
 
 class ExecutionError(RuntimeError):
@@ -147,10 +147,8 @@ class ExecutionReport:
             )
 
 
-def _format_error(exc: BaseException) -> str:
-    """A compact, picklable rendering of a worker-side exception."""
-    trace = traceback.format_exc(limit=8)
-    return f"{type(exc).__name__}: {exc}\n{trace}"
+#: Scheduler sleep between polls while attempts are in flight elsewhere.
+_POLL_SECONDS = 0.02
 
 
 class StudyExecutor:
@@ -161,7 +159,7 @@ class StudyExecutor:
     jobs:
         Worker count for the chosen transport; ``1`` with the default
         transport executes inline in the calling process (no
-        subprocesses, identical to a plain serial loop).
+        subprocesses, tasks in submission order).
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache` for
         content-addressed memoization and resume.
@@ -174,8 +172,6 @@ class StudyExecutor:
         Fallback per-attempt timeout for specs that set none.
     default_retries:
         Fallback retry budget for specs that set none (spec value wins).
-    poll_interval:
-        Scheduler poll period in seconds (asynchronous transports).
     obs:
         Optional :class:`repro.obs.Observation` receiving spans and
         metrics.  Defaults to the process-current observation
@@ -196,7 +192,6 @@ class StudyExecutor:
         study_seed: int = 0,
         default_timeout: float | None = None,
         default_retries: int = 0,
-        poll_interval: float = 0.02,
         obs: Observation | None = None,
         transport: str | WorkerTransport | None = None,
     ):
@@ -208,7 +203,6 @@ class StudyExecutor:
         self.study_seed = study_seed
         self.default_timeout = default_timeout
         self.default_retries = default_retries
-        self.poll_interval = poll_interval
         self.obs = obs
         self.transport = transport
 
@@ -307,78 +301,6 @@ class StudyExecutor:
             manifest["obs"] = observation.metrics.delta_since(obs_mark)
         self.log.write_manifest(manifest)
 
-    # -- local (coordinator-side) execution ----------------------------------
-
-    def _run_local(
-        self,
-        graph: TaskGraph,
-        spec: TaskSpec,
-        values: dict[str, Any],
-        outcomes: dict[str, TaskOutcome],
-        completed: set[str],
-        attempts: dict[str, int],
-        observation: Any,
-    ) -> None:
-        """Execute one task to a terminal state in the calling process.
-
-        This is byte-for-byte the body of the historical serial loop —
-        same spans, same clock reads, same event order — so the inline
-        transport preserves the pinned observability goldens.
-        """
-        tracer = observation.trace
-        metrics = observation.metrics
-        deps = {dep: values[dep] for dep in spec.deps}
-        budget = self._retries_for(spec)
-        attempt = attempts.get(spec.task_id, 0)
-        while True:
-            attempt += 1
-            attempts[spec.task_id] = attempt
-            self._event("submitted", spec.task_id, attempt=attempt)
-            start = time.perf_counter()
-            span = tracer.span(
-                spec.task_id, category=TASK_CATEGORY, op=spec.op, attempt=attempt
-            )
-            try:
-                with span:
-                    value = resolve_op(spec.op)(
-                        spec.params,
-                        deps,
-                        derive_seed(self.study_seed, spec.task_id),
-                    )
-            except Exception as exc:  # noqa: BLE001 — retry policy boundary
-                error = _format_error(exc)
-                if attempt <= budget:
-                    self._event("retry", spec.task_id, attempt=attempt)
-                    metrics.inc("task.retry")
-                    continue
-                outcomes[spec.task_id] = TaskOutcome(
-                    spec.task_id,
-                    "failed",
-                    error=error,
-                    attempts=attempt,
-                    duration=time.perf_counter() - start,
-                )
-                self._event("failed", spec.task_id, attempts=attempt)
-                metrics.inc("executor.tasks.failed")
-                self._block_dependents(graph, spec.task_id, outcomes)
-                return
-            duration = time.perf_counter() - start
-            self._cache_store(spec, value)
-            outcomes[spec.task_id] = TaskOutcome(
-                spec.task_id,
-                "done",
-                value=value,
-                attempts=attempt,
-                duration=duration,
-            )
-            values[spec.task_id] = value
-            completed.add(spec.task_id)
-            self._event("finished", spec.task_id, seconds=round(duration, 6))
-            metrics.inc("executor.tasks.executed")
-            metrics.observe("task.exec_seconds", span.duration)
-            metrics.observe(f"task.exec_seconds.{spec.op}", span.duration)
-            return
-
     # -- the scheduler -------------------------------------------------------
 
     def _run_scheduled(
@@ -395,7 +317,7 @@ class StudyExecutor:
         scheduled: set[str] = set()
         attempts: dict[str, int] = {}
         in_flight: set[str] = set()
-        # task_id -> absolute deadline (asynchronous transports only).
+        # task_id -> absolute deadline of its in-flight attempt.
         deadlines: dict[str, float] = {}
         # task_id -> submission instant, for queue-latency histograms
         # (tracked only under observation; the untraced path pays nothing).
@@ -418,7 +340,7 @@ class StudyExecutor:
                 spec.task_id,
                 "done",
                 value=value,
-                attempts=attempts.get(spec.task_id, 0),
+                attempts=attempts[spec.task_id],
                 duration=duration,
             )
             values[spec.task_id] = value
@@ -426,120 +348,117 @@ class StudyExecutor:
             self._event("finished", spec.task_id, seconds=round(duration, 6))
             metrics.inc("executor.tasks.executed")
 
-        def fail(spec: TaskSpec, error: str) -> None:
+        def retry_or_fail(spec: TaskSpec, error: str, duration: float = 0.0) -> None:
+            attempt = attempts[spec.task_id]
+            if attempt <= self._retries_for(spec):
+                self._event("retry", spec.task_id, attempt=attempt)
+                metrics.inc("task.retry")
+                submit(spec)
+                return
             outcomes[spec.task_id] = TaskOutcome(
-                spec.task_id,
-                "failed",
-                error=error,
-                attempts=attempts.get(spec.task_id, 0),
+                spec.task_id, "failed", error=error, attempts=attempt, duration=duration
             )
-            self._event("failed", spec.task_id, attempts=attempts.get(spec.task_id, 0))
+            self._event("failed", spec.task_id, attempts=attempt)
             metrics.inc("executor.tasks.failed")
             self._block_dependents(graph, spec.task_id, outcomes)
 
-        def submit_remote(spec: TaskSpec) -> None:
-            attempts[spec.task_id] = attempts.get(spec.task_id, 0) + 1
-            payload = TaskPayload(
-                spec.task_id,
-                spec.op,
-                spec.params,
-                {dep: values[dep] for dep in spec.deps},
-                derive_seed(self.study_seed, spec.task_id),
-                observation.enabled,
-            )
-            transport.submit(payload)
-            in_flight.add(spec.task_id)
+        def submit(spec: TaskSpec) -> None:
+            attempt = attempts[spec.task_id] = attempts.get(spec.task_id, 0) + 1
+            self._event("submitted", spec.task_id, attempt=attempt)
             timeout = self._timeout_for(spec)
             if timeout is not None:
                 deadlines[spec.task_id] = time.monotonic() + timeout
             if observation.enabled:
                 submitted_at[spec.task_id] = time.monotonic()
-            self._event("submitted", spec.task_id, attempt=attempts[spec.task_id])
-
-        def dispatch(spec: TaskSpec) -> None:
-            if transport.synchronous:
-                self._run_local(
-                    graph, spec, values, outcomes, completed, attempts, observation
+            in_flight.add(spec.task_id)
+            transport.submit(
+                TaskPayload(
+                    spec.task_id,
+                    spec.op,
+                    spec.params,
+                    {dep: values[dep] for dep in spec.deps},
+                    derive_seed(self.study_seed, spec.task_id),
+                    observation.enabled,
+                    attempt,
                 )
+            )
+
+        def land(task_id: str) -> float | None:
+            """Forget an attempt's in-flight state; return its submission instant."""
+            in_flight.discard(task_id)
+            deadlines.pop(task_id, None)
+            return submitted_at.pop(task_id, None)
+
+        def settle(result: TaskResult) -> None:
+            queued_since = land(result.task_id)
+            spec = graph.task(result.task_id)
+            if result.spans:
+                # An attempt observed in another process.  Its clock has
+                # its own epoch: shift the shipped spans so the latest one
+                # ends "now" on the coordinator's axis, adopt them under
+                # the current (run) span, and fold in its counters.
+                shift = tracer.now() - max(span.end for span in result.spans)
+                tracer.graft(result.spans, shift=shift)
+                metrics.merge(result.snapshot)
+                waited = time.monotonic() - queued_since
+                metrics.observe(
+                    "task.queue_seconds", max(waited - result.duration, 0.0)
+                )
+            if result.ok:
+                complete(spec, result.value, result.duration)
             else:
-                submit_remote(spec)
+                retry_or_fail(
+                    spec, result.error or "unknown worker failure", result.duration
+                )
+
+        def collect() -> bool:
+            """Settle finished attempts until the transport has none left."""
+            progressed = False
+            while results := transport.poll():
+                progressed = True
+                for result in results:
+                    settle(result)
+            return progressed
 
         while len(outcomes) < len(graph):
             progressed = False
 
             # Schedule everything whose dependencies are satisfied.
             for spec in graph.ready(completed, scheduled | set(outcomes)):
+                progressed = True
                 cached = self._cache_lookup(spec)
                 if cached is not MISS:
                     settle_cached(spec, cached)
-                    progressed = True
                     continue
                 scheduled.add(spec.task_id)
-                dispatch(spec)
+                submit(spec)
+                collect()
+
+            if collect():
                 progressed = True
 
-            if not transport.synchronous:
-                # Collect finished attempts.
-                for result in transport.poll():
+            # Enforce deadlines through the transport; innocents lost
+            # as collateral (a pool rebuild) are resubmitted free.
+            if deadlines:
+                now = time.monotonic()
+                expired = [t for t, d in deadlines.items() if now > d]
+                if expired:
                     progressed = True
-                    task_id = result.task_id
-                    in_flight.discard(task_id)
-                    deadlines.pop(task_id, None)
-                    spec = graph.task(task_id)
-                    if result.spans:
-                        # Worker clocks have their own epoch; shift the
-                        # shipped spans so the latest one ends "now" on the
-                        # coordinator's axis, then adopt them under the
-                        # current (run) span.
-                        shift = tracer.now() - max(span.end for span in result.spans)
-                        tracer.graft(result.spans, shift=shift)
-                    if result.snapshot is not None:
-                        metrics.merge(result.snapshot)
-                    if observation.enabled and task_id in submitted_at:
-                        waited = time.monotonic() - submitted_at.pop(task_id)
-                        metrics.observe(
-                            "task.queue_seconds", max(waited - result.duration, 0.0)
+                    innocents = transport.abandon(set(expired))
+                    for task_id in expired:
+                        land(task_id)
+                        spec = graph.task(task_id)
+                        self._event("timeout", task_id, attempt=attempts[task_id])
+                        metrics.inc("task.timeout")
+                        retry_or_fail(
+                            spec,
+                            f"timed out after {self._timeout_for(spec)}s "
+                            f"({attempts[task_id]} attempt(s))",
                         )
-                    if result.ok:
-                        complete(spec, result.value, result.duration)
-                    elif attempts[task_id] <= self._retries_for(spec):
-                        self._event("retry", task_id, attempt=attempts[task_id])
-                        metrics.inc("task.retry")
-                        submit_remote(spec)
-                    else:
-                        fail(spec, result.error or "unknown worker failure")
-
-                # Enforce deadlines through the transport; innocents lost
-                # as collateral (a pool rebuild) are resubmitted free.
-                if deadlines:
-                    now = time.monotonic()
-                    expired = [t for t, d in deadlines.items() if now > d]
-                    if expired:
-                        progressed = True
-                        innocents = transport.abandon(set(expired))
-                        for task_id in expired:
-                            in_flight.discard(task_id)
-                            deadlines.pop(task_id, None)
-                            submitted_at.pop(task_id, None)
-                            spec = graph.task(task_id)
-                            self._event("timeout", task_id, attempt=attempts[task_id])
-                            metrics.inc("task.timeout")
-                            if attempts[task_id] <= self._retries_for(spec):
-                                self._event("retry", task_id, attempt=attempts[task_id])
-                                metrics.inc("task.retry")
-                                submit_remote(spec)
-                            else:
-                                fail(
-                                    spec,
-                                    f"timed out after {self._timeout_for(spec)}s "
-                                    f"({attempts[task_id]} attempt(s))",
-                                )
-                        for task_id in innocents:
-                            attempts[task_id] -= 1
-                            in_flight.discard(task_id)
-                            deadlines.pop(task_id, None)
-                            submitted_at.pop(task_id, None)
-                            submit_remote(graph.task(task_id))
+                    for task_id in innocents:
+                        attempts[task_id] -= 1
+                        land(task_id)
+                        submit(graph.task(task_id))
 
             if progressed:
                 continue
@@ -556,7 +475,7 @@ class StudyExecutor:
                                 spec.task_id, "blocked", error="unreachable"
                             )
                 continue
-            time.sleep(self.poll_interval)
+            time.sleep(_POLL_SECONDS)
 
         return outcomes
 

@@ -3,12 +3,15 @@
 The scheduler half of :class:`~repro.runtime.executor.StudyExecutor`
 owns the DAG frontier, cache, retries, timeouts and event log; *where*
 a task attempt physically runs is delegated to a
-:class:`WorkerTransport`:
+:class:`WorkerTransport`.  The scheduler drives every transport the same
+way: it submits an attempt, then drains :meth:`~WorkerTransport.poll`
+until it is empty.
 
-* :class:`InlineTransport` — the coordinating process itself.  Marked
-  ``synchronous``: the scheduler runs the op in its own loop,
-  byte-for-byte the old ``jobs=1`` behavior (same spans, same clock
-  reads, same event order).
+* :class:`InlineTransport` — the coordinating process itself.  ``submit``
+  runs the attempt on the spot, under the run's observation (the task
+  span is recorded in place), and queues its result for the next
+  ``poll``; so an inline run keeps the serial order "submitted, then
+  finished", task by task.  Attempts run to completion: no timeouts.
 * :class:`PoolTransport` — a ``multiprocessing`` pool.  Timeouts are
   enforced by tearing the pool down and rebuilding it (a stuck worker
   cannot be interrupted cooperatively); innocent in-flight tasks are
@@ -23,17 +26,18 @@ a task attempt physically runs is delegated to a
 
 Transports are single-run objects: the scheduler calls ``start()``
 before the first submission and ``stop()`` in a ``finally`` block.
-A transport never interprets results — it moves payloads and result
-tuples, nothing else, which is what keeps both paths bit-identical.
+Both run an attempt with :func:`~repro.runtime.worker.execute_task` and
+never interpret results — they move payloads and results, nothing else,
+which is what keeps both paths bit-identical.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
-from typing import Any, Mapping
+import os
+from typing import Any
 
-from .worker import pool_entry, pool_initializer
+from .worker import TaskPayload, TaskResult, execute_task, pool_entry, pool_initializer
 
 #: Transport registry names accepted by ``repro study --transport``.
 TRANSPORT_NAMES = ("inline", "pool")
@@ -43,48 +47,11 @@ class TransportError(RuntimeError):
     """A transport-level fault (not a task failure)."""
 
 
-@dataclasses.dataclass(frozen=True)
-class TaskPayload:
-    """One task attempt, as shipped to a worker."""
-
-    task_id: str
-    op: str
-    params: Mapping[str, Any]
-    deps: dict[str, Any]
-    seed: int
-    observe: bool
-
-    def as_tuple(self) -> tuple[str, str, Mapping[str, Any], dict[str, Any], int, bool]:
-        """The positional form consumed by the worker-side runner."""
-        return (self.task_id, self.op, self.params, self.deps, self.seed, self.observe)
-
-
-@dataclasses.dataclass(frozen=True)
-class TaskResult:
-    """One task attempt's outcome, as shipped back from a worker."""
-
-    task_id: str
-    ok: bool
-    value: Any
-    error: str | None
-    duration: float
-    spans: tuple[Any, ...] = ()
-    snapshot: dict[str, Any] | None = None
-
-    @classmethod
-    def from_tuple(cls, raw: tuple[Any, ...]) -> "TaskResult":
-        """Rehydrate from the worker-side runner's result tuple."""
-        task_id, ok, value, error, duration, spans, snapshot = raw
-        return cls(task_id, ok, value, error, duration, tuple(spans), snapshot)
-
-
 class WorkerTransport:
     """Interface between the scheduler and a task-execution substrate."""
 
     #: Registry name (``inline`` / ``pool``).
     name = "abstract"
-    #: ``True`` when the scheduler should execute tasks itself, inline.
-    synchronous = False
 
     def start(self) -> None:
         """Bring up workers; called once before the first submission."""
@@ -111,10 +78,19 @@ class WorkerTransport:
 
 
 class InlineTransport(WorkerTransport):
-    """Run tasks in the coordinating process (the scheduler's own loop)."""
+    """Run each attempt in the coordinating process as it is submitted."""
 
     name = "inline"
-    synchronous = True
+
+    def __init__(self) -> None:
+        self._results: list[TaskResult] = []
+
+    def submit(self, payload: TaskPayload) -> None:
+        self._results.append(execute_task(payload))
+
+    def poll(self) -> list[TaskResult]:
+        results, self._results = self._results, []
+        return results
 
 
 class PoolTransport(WorkerTransport):
@@ -186,6 +162,11 @@ class PoolTransport(WorkerTransport):
         # workers and, for one sentinel, the pool's task thread.
         _free_lock(pool._inqueue._rlock, timeout=0.0)
         _free_lock(pool._outqueue._wlock, timeout=1.0)
+        # A worker killed between a task message's length header and its
+        # body leaves the body in the pipe, where terminate() would read it
+        # as the next header and fail.  No worker reads tasks any more, so
+        # the pipe is emptied.
+        _drain(pool._inqueue)
         pool.terminate()
         pool.join()
         self._started.close()
@@ -198,7 +179,7 @@ class PoolTransport(WorkerTransport):
     def submit(self, payload: TaskPayload) -> None:
         if self._pool is None:
             raise TransportError("pool transport not started")
-        handle = self._pool.apply_async(pool_entry, (payload.as_tuple(),))
+        handle = self._pool.apply_async(pool_entry, (payload,))
         self._handles[payload.task_id] = handle
 
     def poll(self) -> list[TaskResult]:
@@ -206,7 +187,7 @@ class PoolTransport(WorkerTransport):
         for task_id in [t for t, h in self._handles.items() if h.ready()]:
             handle = self._handles.pop(task_id)
             try:
-                results.append(TaskResult.from_tuple(handle.get()))
+                results.append(handle.get())
             except Exception as exc:  # noqa: BLE001 — pool-level fault
                 results.append(
                     TaskResult(task_id, False, None, _describe(exc), 0.0)
@@ -265,6 +246,19 @@ def _free_lock(lock: Any, timeout: float) -> None:
     ``timeout`` seconds, else released for the dead process holding it."""
     lock.acquire(timeout=timeout)
     lock.release()
+
+
+def _drain(queue: Any) -> None:
+    """Empty ``queue``'s pipe, ending between two whole messages: its
+    bytes are read until none are left while its writer lock is held."""
+    reader = queue._reader
+    while True:
+        held = queue._wlock.acquire(timeout=0.01)
+        while reader.poll():
+            os.read(reader.fileno(), 1 << 16)
+        if held:
+            queue._wlock.release()
+            return
 
 
 def _describe(exc: BaseException) -> str:

@@ -48,7 +48,7 @@ from .. import __version__
 from ..obs import NULL_OBSERVATION, Observation, metrics as obs_metrics
 from ..obs import observing, tracer as obs_tracer
 from ..obs.export import write_chrome_trace, write_metrics_snapshot
-from ..runtime.study import StudyError, VECTOR_PROPERTIES
+from ..runtime.study import StudyError
 from .query import QueryError, render_cell
 from .state import ServeRequestError, ServeState
 
@@ -166,9 +166,8 @@ class ServeServer:
     drain_timeout:
         Seconds shutdown waits for in-flight requests before closing
         connections.
-    run_dir, trace_path, metrics_path:
-        Where to flush trace/metrics artifacts on shutdown.  ``run_dir``
-        is shorthand for ``trace.json`` + ``metrics.json`` inside it.
+    trace_path, metrics_path:
+        Where to flush trace/metrics artifacts on shutdown.
     handle_signals:
         Install ``SIGINT``/``SIGTERM`` handlers that trigger graceful
         shutdown (main thread only; ignored on a background thread).
@@ -183,7 +182,6 @@ class ServeServer:
         port: int = 0,
         observation: Any = NULL_OBSERVATION,
         drain_timeout: float = 5.0,
-        run_dir: str | Path | None = None,
         trace_path: str | Path | None = None,
         metrics_path: str | Path | None = None,
         handle_signals: bool = True,
@@ -194,12 +192,8 @@ class ServeServer:
         self.port = port
         self.observation = observation
         self.drain_timeout = drain_timeout
-        self.trace_path = Path(trace_path) if trace_path else (
-            Path(run_dir) / "trace.json" if run_dir else None
-        )
-        self.metrics_path = Path(metrics_path) if metrics_path else (
-            Path(run_dir) / "metrics.json" if run_dir else None
-        )
+        self.trace_path = Path(trace_path) if trace_path else None
+        self.metrics_path = Path(metrics_path) if metrics_path else None
         self.handle_signals = handle_signals
         self.quiet = quiet
         self.requests_served = 0
@@ -491,11 +485,6 @@ class ServeServer:
             )
         cells = tuple(self.state.algorithm_spec(item) for item in algorithms)
         prop = body.get("property", "equivalence-class-size")
-        if prop not in VECTOR_PROPERTIES:
-            raise ServeRequestError(
-                f"unknown property {prop!r}; "
-                f"choose from {sorted(VECTOR_PROPERTIES)}"
-            )
         result, source = self.state.compare_for(dataset_spec, cells, prop)
         relations = sorted(
             [first, second, relation.value]

@@ -27,6 +27,7 @@ bit-compatible with ``repro study --seed`` runs.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Mapping
@@ -40,7 +41,6 @@ from ..runtime.study import (
     VECTOR_PROPERTIES,
     AlgorithmSpec,
     DatasetSpec,
-    StudyError,
     algorithm_key,
 )
 from ..runtime.task import (
@@ -91,38 +91,72 @@ class _ResidentLRU:
         return len(self._items)
 
 
-def _canonical_items(params: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
-    return tuple(sorted(params.items()))
+#: A constructor annotation's type name -> the JSON-decoded types a request
+#: may send for it.  ``bool`` is never an integer; an integer is a float.
+_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "int": (int,),
+    "float": (float, int),
+    "bool": (bool,),
+    "str": (str,),
+    "None": (type(None),),
+}
 
 
-def _checked_dataset_params(
-    provider: str, params: Mapping[str, Any]
+def _json_types(parameter: inspect.Parameter) -> tuple[type, ...]:
+    """The types a request may send for ``parameter``: read off its
+    annotation (``int | None`` allows both), else off its default's type.
+    Empty when no JSON value fits, such as a callable."""
+    annotation = parameter.annotation
+    if annotation is inspect.Parameter.empty:
+        annotation = type(parameter.default)
+    text = annotation.__name__ if isinstance(annotation, type) else str(annotation)
+    allowed: tuple[type, ...] = ()
+    for part in text.split("|"):
+        allowed += _JSON_TYPES.get(part.strip(), ())
+    return allowed
+
+
+@functools.lru_cache(maxsize=None)
+def _param_types(factory: Callable[..., Any]) -> dict[str, tuple[type, ...]]:
+    """``factory``'s param names -> their JSON types (inspected once each)."""
+    parameters = inspect.signature(factory).parameters
+    return {name: _json_types(parameter) for name, parameter in parameters.items()}
+
+
+def _checked_params(
+    field: str, factory: Callable[..., Any], params: Mapping[str, Any]
 ) -> dict[str, Any]:
-    """A request's dataset params, rejected unless the provider can build
-    them: known names only, each a plain ``int`` (the providers take only
-    ``rows`` and ``seed``; ``bool`` is refused), and ``rows`` within
-    ``1..MAX_DATASET_ROWS``.
-    """
-    known = inspect.signature(DATASET_PROVIDERS[provider]).parameters
+    """A request's constructor params, rejected unless ``factory`` takes
+    them: known names only, each of a JSON type its signature allows."""
+    known = _param_types(factory)
     unknown = sorted(set(params) - set(known))
     if unknown:
         raise ServeRequestError(
-            f"unknown dataset params {unknown} for provider {provider!r}; "
-            f"choose from {sorted(known)}"
+            f"unknown {field} params {unknown}; choose from {sorted(known)}"
         )
     for name, value in params.items():
-        if type(value) is not int:
+        allowed = known[name]
+        if type(value) not in allowed:
+            expected = " or ".join(kind.__name__ for kind in allowed) or "nothing"
             raise ServeRequestError(
-                f"dataset.params.{name} must be an integer, "
+                f"{field}.params.{name} must be {expected}, "
                 f"got {type(value).__name__}"
             )
-    rows = params.get("rows", 1)
-    if not 1 <= rows <= MAX_DATASET_ROWS:
-        raise ServeRequestError(
-            f"dataset.params.rows must be from 1 to {MAX_DATASET_ROWS}, "
-            f"got {rows}"
-        )
     return dict(params)
+
+
+def _checked_range(field: str, value: int, top: int) -> None:
+    if not 1 <= value <= top:
+        raise ServeRequestError(f"{field} must be from 1 to {top}, got {value}")
+
+
+def _checked_name(field: str, name: Any, known: Mapping[str, Any]) -> str:
+    """``name`` when it is one of ``known``'s keys, else a client error."""
+    if not isinstance(name, str) or name not in known:
+        raise ServeRequestError(
+            f"unknown {field} {name!r}; choose from {sorted(known)}"
+        )
+    return name
 
 
 def _spec_payload(spec: Mapping[str, Any] | None, field: str) -> dict[str, Any]:
@@ -201,32 +235,28 @@ class ServeState:
         if payload is None:
             return self._default_dataset
         spec = _spec_payload(payload, "dataset")
-        provider = spec.get("provider")
-        if provider not in DATASET_PROVIDERS:
-            raise ServeRequestError(
-                f"unknown dataset provider {provider!r}; "
-                f"choose from {sorted(DATASET_PROVIDERS)}"
-            )
-        params = _checked_dataset_params(provider, spec.get("params", {}))
-        try:
-            return DatasetSpec.of(provider, **params)
-        except StudyError as exc:
-            raise ServeRequestError(str(exc)) from None
+        provider = _checked_name("dataset provider", spec.get("provider"), DATASET_PROVIDERS)
+        params = _checked_params(
+            "dataset", DATASET_PROVIDERS[provider], spec.get("params", {})
+        )
+        _checked_range("dataset.params.rows", params.get("rows", 1), MAX_DATASET_ROWS)
+        return DatasetSpec.of(provider, **params)
 
     def algorithm_spec(self, payload: Mapping[str, Any] | None) -> AlgorithmSpec:
         """Resolve a request's ``algorithm`` object, seeded serve-style."""
         spec = _spec_payload(payload, "algorithm")
-        name = spec.get("algorithm")
-        if name not in ALGORITHM_FACTORIES:
-            raise ServeRequestError(
-                f"unknown algorithm {name!r}; "
-                f"choose from {sorted(ALGORITHM_FACTORIES)}"
-            )
+        name = _checked_name("algorithm", spec.get("algorithm"), ALGORITHM_FACTORIES)
+        params = _checked_params(
+            "algorithm", ALGORITHM_FACTORIES[name], spec.get("params", {})
+        )
+        if "k" in params:
+            _checked_range("algorithm.params.k", params["k"], MAX_DATASET_ROWS)
+        cell = AlgorithmSpec.of(name, **params).with_seed(self.seed)
         try:
-            cell = AlgorithmSpec.of(name, **dict(spec.get("params", {})))
-        except StudyError as exc:
-            raise ServeRequestError(str(exc)) from None
-        return cell.with_seed(self.seed)
+            cell.build()
+        except (TypeError, ValueError) as exc:
+            raise ServeRequestError(f"algorithm {cell.label}: {exc}") from None
+        return cell
 
     def fingerprint(self, dataset_spec: DatasetSpec) -> str:
         """The content fingerprint of a named dataset (memoized on its table)."""
@@ -277,8 +307,15 @@ class ServeState:
         Key-compatible with the study runtime's ``anonymize`` tasks: a
         cache directory warmed by ``repro study`` serves these requests
         without recomputation, and vice versa.  The release comes back
-        bound to the resident dataset.
+        bound to the resident dataset.  A ``k`` above the table's row count
+        is a client error.
         """
+        dataset, _ = dataset_spec.materialize()
+        k = dict(cell.params).get("k", 1)
+        if k > len(dataset):
+            raise ServeRequestError(
+                f"algorithm.params.k={k} exceeds the dataset's {len(dataset)} rows"
+            )
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
             algorithm=algorithm_key(cell),
@@ -288,7 +325,6 @@ class ServeState:
             "algorithm": cell.as_payload(),
         }
         release, source = self._resolve(key, "anonymize", params, dict, "serve.release")
-        dataset, _ = dataset_spec.materialize()
         return release.bind(dataset), source
 
     def summary_for(
@@ -315,11 +351,7 @@ class ServeState:
         self, dataset_spec: DatasetSpec, cell: AlgorithmSpec, prop: str
     ) -> tuple[Any, str]:
         """One per-tuple property vector of one release (Definition 1)."""
-        if prop not in VECTOR_PROPERTIES:
-            raise ServeRequestError(
-                f"unknown property {prop!r}; "
-                f"choose from {sorted(VECTOR_PROPERTIES)}"
-            )
+        _checked_name("property", prop, VECTOR_PROPERTIES)
         key = CacheKey(
             dataset=self.fingerprint(dataset_spec),
             algorithm=algorithm_key(cell),
@@ -349,6 +381,7 @@ class ServeState:
         dominance relations plus win counts — cached under the same
         family key a study's compare tasks use.
         """
+        _checked_name("property", prop, VECTOR_PROPERTIES)
         if len(cells) < 2:
             raise ServeRequestError("compare requires at least two algorithms")
         labels = [cell.label for cell in cells]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import Observation
 from repro.runtime.cache import ResultCache
 from repro.runtime.events import RunLog, read_events, read_manifest, summarize_events
 from repro.runtime.executor import ExecutionError, StudyExecutor
@@ -155,6 +156,71 @@ class TestSerialExecution:
         )
         report = StudyExecutor(jobs=1, default_retries=1).run(graph)
         assert report.value("flaky") == "recovered"
+
+    def test_events_keep_serial_order(self, tmp_path):
+        """Each inline attempt is submitted and settled before the next."""
+        graph = TaskGraph()
+        graph.add(
+            TaskSpec(
+                task_id="flaky",
+                op="test.flaky",
+                params={"marker": str(tmp_path / "marker")},
+                retries=1,
+            )
+        )
+        graph.add(echo("after", 1))
+        log = RunLog(tmp_path / "run")
+        StudyExecutor(jobs=1, log=log).run(graph).raise_on_failure()
+        transitions = [
+            (event["event"], event["task"])
+            for event in read_events(log.events_path)
+            if "task" in event
+        ]
+        assert transitions == [
+            ("submitted", "flaky"),
+            ("retry", "flaky"),
+            ("submitted", "flaky"),
+            ("finished", "flaky"),
+            ("submitted", "after"),
+            ("finished", "after"),
+        ]
+
+    def test_every_attempt_is_traced_in_place(self, tmp_path):
+        graph = TaskGraph()
+        graph.add(
+            TaskSpec(
+                task_id="flaky",
+                op="test.flaky",
+                params={"marker": str(tmp_path / "marker")},
+                retries=1,
+            )
+        )
+        observation = Observation()
+        StudyExecutor(jobs=1, obs=observation).run(graph).raise_on_failure()
+        spans = [span for span in observation.trace.spans if span.name == "flaky"]
+        assert [span.args.get("attempt") for span in spans] == [1, 2]
+        assert spans[0].args["error"] == "RuntimeError"
+        run = next(span for span in observation.trace.spans if span.name == "run")
+        assert {span.parent_id for span in spans} == {run.span_id}
+        histograms = observation.metrics.snapshot()["histograms"]
+        assert histograms["task.exec_seconds.test.flaky"]["count"] == 2
+        assert "task.queue_seconds" not in histograms
+
+    def test_inline_attempts_run_past_their_timeout(self, tmp_path):
+        graph = TaskGraph()
+        graph.add(
+            TaskSpec(
+                task_id="slow",
+                op="test.slow-once",
+                params={"marker": str(tmp_path / "marker"), "sleep": 0.3},
+                timeout=0.05,
+            )
+        )
+        log = RunLog(tmp_path / "run")
+        report = StudyExecutor(jobs=1, log=log).run(graph)
+        assert report.value("slow") == "fast"
+        assert report.outcomes["slow"].attempts == 1
+        assert "timeout" not in summarize_events(read_events(log.events_path))
 
 
 class TestParallelExecution:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import faulthandler
 import os
+import pickle
 import signal
 import threading
 import time
@@ -68,6 +69,12 @@ def _op_tx_die_once(params, deps, seed):
     if len(pidfile.read_text().split()) == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     return params["value"]
+
+
+@register_op("tx.exit")
+def _op_tx_exit(params, deps, seed):
+    """Raise ``SystemExit``, which no attempt runner turns into a result."""
+    raise SystemExit(3)
 
 
 @register_op("tx.sleep")
@@ -281,6 +288,19 @@ class TestPoolWorkerDeath:
         assert independent.value == 7
         assert independent.attempts == 1
 
+    def test_system_exit_in_an_op_costs_its_attempt(self):
+        """An op that raises ``SystemExit`` ends its pool worker, which is
+        charged like any other worker death."""
+        graph = TaskGraph()
+        graph.add(tx_task("exit", 0, op="tx.exit"))
+        graph.add(tx_task("independent", 7))
+        report = run_bounded(StudyExecutor(jobs=2, transport="pool"), graph, 60)
+
+        outcome = report.outcomes["exit"]
+        assert outcome.status == "failed" and outcome.attempts == 1
+        assert "pool worker died" in outcome.error and "exit code 3" in outcome.error
+        assert report.outcomes["independent"].value == 7
+
     def test_unattributed_death_charges_every_attempt(self, tmp_path, monkeypatch):
         """Without a task report from the dead worker, any in-flight
         attempt might have been its, so each one is charged."""
@@ -386,6 +406,32 @@ class TestIdleWorkerDeath:
             assert transport.poll() == []
             results = self.run_one(transport, "next", 5)
             assert [(r.task_id, r.ok, r.value) for r in results] == [("next", True, 5)]
+            transport.stop()
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+
+
+class TestTornTaskMessage:
+    def test_stop_survives_a_task_body_left_without_its_header(self, monkeypatch):
+        """A worker killed between reading a task message's length header
+        and its body leaves the body in the task pipe; teardown must not
+        read it as the next message."""
+        transport = PoolTransport(processes=1)
+        transport.start()
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            pool = transport._pool
+            free_lock = transports._free_lock
+
+            def free_then_tear(lock, timeout):
+                free_lock(lock, timeout)
+                if lock is pool._inqueue._rlock:  # the workers are dead by now
+                    os.write(pool._inqueue._writer.fileno(), pickle.dumps(None))
+
+            monkeypatch.setattr(transports, "_free_lock", free_then_tear)
+            # terminate() reads the task pipe only while the pool's task
+            # thread runs, as it may still do when teardown reaches it.
+            monkeypatch.setattr(pool._task_handler, "is_alive", lambda: True)
             transport.stop()
         finally:
             faulthandler.cancel_dump_traceback_later()

@@ -9,6 +9,7 @@ through the public HTTP surface only.
 """
 
 import http.client
+import inspect
 import json
 import os
 import signal
@@ -19,13 +20,22 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Observation
 from repro.runtime.cache import ResultCache
-from repro.runtime.study import AlgorithmSpec, DatasetSpec, algorithm_key
+from repro.runtime.study import (
+    ALGORITHM_FACTORIES,
+    VECTOR_PROPERTIES,
+    AlgorithmSpec,
+    DatasetSpec,
+    algorithm_key,
+)
 from repro.runtime.task import CacheKey
 from repro.serve import ServeServer, ServerThread, ServeState
-from repro.serve.query import render_cell
+from repro.serve.query import QUERY_SHAPES, render_cell
+from repro.serve.server import HttpRequest
 from repro.serve.state import MAX_DATASET_ROWS, ServeRequestError
 
 ROWS = 80
@@ -316,6 +326,199 @@ class TestHttpContract:
                 response.read()
         finally:
             connection.close()
+
+
+class TestMalformedRequests:
+    """Whatever a client sends to a data endpoint, the answer is 200 or a
+    client error, never a 500.
+
+    ``_dispatch`` is driven directly (no socket) over one Adult 200-row
+    server.  Each field is drawn from the valid values plus junk: wrong
+    JSON types, unknown names, out-of-range numbers.  ``/shutdown`` reads
+    no body field, so it is not among the endpoints.  Numeric algorithm
+    params other than ``k`` stay small so that the requests that are valid
+    compute quickly.
+    """
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"k": 0},
+            {"k": "5"},
+            {"kk": 5},
+            {"k": [5]},
+            {"k": 5, "suppression_limit": 2},
+            {"k": 5.5},
+            {"k": True},
+            {"k": 201},
+        ],
+        ids=["zero", "str", "unknown", "list", "limit", "float", "bool", "above-rows"],
+    )
+    def test_malformed_algorithm_params_are_400(self, fuzz_server, params):
+        status, body = self._post(
+            fuzz_server, "/anonymize",
+            {"algorithm": {"algorithm": "datafly", "params": params}},
+        )
+        assert status == 400, body
+
+    def test_malformed_names_are_400(self, fuzz_server):
+        cell = {"algorithm": "datafly", "params": {"k": 5}}
+        for path, body in [
+            ("/anonymize", {"algorithm": {"algorithm": "mondrian", "params": {"k": 10**30}}}),
+            ("/anonymize", {"algorithm": {"algorithm": ["datafly"], "params": {"k": 5}}}),
+            ("/anonymize", {"algorithm": cell, "dataset": {"provider": ["adult"]}}),
+            ("/properties", {"algorithm": cell, "property": ["x"]}),
+            ("/compare", {"algorithms": [cell, OTHER_CELL], "property": ["x"]}),
+        ]:
+            status, payload = self._post(fuzz_server, path, body)
+            assert status == 400, (path, body, payload)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(request=st.data())
+    def test_generated_bodies_never_500(self, fuzz_server, request):
+        path = request.draw(
+            st.sampled_from(["/anonymize", "/properties", "/compare", "/query"])
+        )
+        body = request.draw(_request_bodies(path))
+        status, payload = self._post(fuzz_server, path, body)
+        assert status < 500, (path, body, payload)
+
+    @staticmethod
+    def _post(server, path, body):
+        return server._dispatch(
+            HttpRequest("POST", path, body=json.dumps(body).encode("utf-8"))
+        )
+
+
+@pytest.fixture(scope="module")
+def fuzz_server():
+    state = ServeState(DatasetSpec.of("adult", rows=200, seed=SEED), seed=SEED)
+    return ServeServer(state, port=0, observation=Observation())
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+#: Values for an algorithm's optional params, whatever their type.
+_PARAM_VALUES = (
+    st.integers(-2, 12)
+    | st.floats(-0.5, 1.5)
+    | st.booleans()
+    | st.none()
+    | st.sampled_from(["sex", "age", "nope"])
+)
+
+
+def _param_values(parameter):
+    """Mostly values of the type of the param's default, in and out of range."""
+    default = parameter.default
+    if isinstance(default, bool):
+        typed = st.booleans()
+    elif isinstance(default, int):
+        typed = st.integers(-2, 12)
+    elif isinstance(default, float):
+        typed = st.floats(-0.5, 1.5)
+    else:
+        typed = _PARAM_VALUES
+    return st.integers(0, 3).flatmap(lambda pick: typed if pick else _PARAM_VALUES)
+
+
+def _field(valid):
+    """A body field: one of the ``valid`` values, one time in eight any JSON."""
+    return st.integers(0, 7).flatmap(lambda pick: valid if pick else _JSON)
+
+
+@st.composite
+def _cells(draw):
+    """An algorithm cell: a name, ``k`` and some of the factory's own
+    params, now and then an unknown param, or any JSON instead."""
+    name = draw(_field(st.sampled_from(sorted(ALGORITHM_FACTORIES))))
+    params = {}
+    if isinstance(name, str) and name in ALGORITHM_FACTORIES:
+        signature = inspect.signature(ALGORITHM_FACTORIES[name])
+        for param, parameter in signature.parameters.items():
+            if param == "k":
+                if draw(st.integers(0, 9)):
+                    params["k"] = draw(
+                        _field(st.integers(1, 12) | st.integers(-2, 260)
+                               | st.integers(-(10**30), 10**30))
+                    )
+            elif not draw(st.integers(0, 3)):
+                params[param] = draw(_param_values(parameter))
+    if not draw(st.integers(0, 9)):
+        params[draw(st.text(max_size=4))] = draw(_JSON_SCALARS)
+    cell = {"algorithm": name, "params": draw(_field(st.just(params)))}
+    return draw(_field(st.just(cell)))
+
+
+def _datasets():
+    params = st.fixed_dictionaries(
+        {},
+        optional={
+            "rows": _field(st.integers(-2, 250)),
+            "seed": _field(st.integers(0, 3)),
+            "bogus": _JSON_SCALARS,
+        },
+    )
+    named = _field(
+        st.fixed_dictionaries(
+            {"provider": _field(st.sampled_from(["adult", "hospital"]))},
+            optional={"params": _field(params)},
+        )
+    )
+    # Mostly the server's default dataset, so most cells compute once.
+    return st.integers(0, 3).flatmap(lambda pick: st.none() if pick else named)
+
+
+def _queries():
+    columns = st.sampled_from(["age", "sex", "race", "education", "nope"])
+    return _field(st.fixed_dictionaries(
+        {"shape": _field(st.sampled_from(QUERY_SHAPES))},
+        optional={
+            name: _field(columns)
+            for name in ("column", "group_by", "target", "on")
+        } | {
+            "value": _field(st.integers(0, 90) | st.sampled_from(["Male", "*"])),
+            "low": _field(st.integers(0, 90)),
+            "high": _field(st.integers(0, 90)),
+            "agg": _field(st.sampled_from(["count", "sum", "avg"])),
+            "k": _field(st.integers(-1, 6)),
+        },
+    ))
+
+
+def _request_bodies(path):
+    optional = {
+        "dataset": _datasets(),
+        "property": _field(st.sampled_from(sorted(VECTOR_PROPERTIES))),
+    }
+    if path == "/anonymize":
+        optional["include_rows"] = _JSON_SCALARS
+    if path == "/properties":
+        optional["indices"] = _field(st.lists(st.integers(-3, 205), max_size=4))
+    if path == "/compare":
+        required = {"algorithms": _field(st.lists(_cells(), max_size=3))}
+    else:
+        required = {"algorithm": _cells()}
+    if path == "/query":
+        required["query"] = _queries()
+        optional["other"] = _cells()
+    return st.fixed_dictionaries(required, optional=optional)
 
 
 class TestConcurrency:
