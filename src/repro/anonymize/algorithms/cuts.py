@@ -15,10 +15,9 @@ The searches score cuts with :class:`CutEvaluator` over the columnar plane
 (:meth:`Dataset.columns`): a :class:`CutCoding` maps each *distinct* value
 of one column once, gathers token codes per row, and sums the per-distinct
 loss table over the rows in row order, which reproduces the row-by-row
-float sum exactly.  "Distinct" is exact, not mere equality: a column whose
-values are not all of one plain type is re-interned so that ``7`` and
-``7.0`` (or ``0.0`` and ``-0.0``) keep separate codes, since a cut may
-release them differently (masking works on ``str(value)``).  A trial
+float sum exactly.  "Distinct" is exact, not mere equality: the plane's
+codes keep ``7`` apart from ``7.0`` (and ``0.0`` from ``-0.0``), since a
+cut may release them differently (masking works on ``str(value)``).  A trial
 re-codes only the attribute it changes; violations are packed, grouped
 and counted by the kernel layer.  The
 module-level helpers (:func:`apply_cuts`, :func:`cut_violations`, ...) are
@@ -27,10 +26,10 @@ thin wrappers over the evaluator.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Mapping
 
+from ...datasets.columnar import ColumnCodes
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import SUPPRESSED, Hierarchy
 from ...lint.redact import redact_value
@@ -329,43 +328,13 @@ def _make_cut(hierarchy: Hierarchy, at_top: bool) -> Cut:
     return LevelCut(hierarchy, hierarchy.height if at_top else 0)
 
 
-#: Types whose equal values also share their type and ``repr``: a column of
-#: one of them is interned exactly by the columnar plane's equality codes.
-_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
-
-
-def _exact_column(dataset: Dataset, attribute: str) -> tuple[Any, tuple]:
-    """``(codes, decode)`` of one column, with values a cut could release
-    differently under separate codes.
-
-    The columnar plane interns by equality, which merges ``7`` with
-    ``7.0``, ``True`` with ``1`` and ``0.0`` with ``-0.0``.  A column of
-    one plain type reuses the plane's codes; any other column is interned
-    here on ``(type, repr, value)``, in first-occurrence order, with
-    ``decode`` holding each key's first object.
-    """
-    values = dataset.column(attribute)
-    kinds = set(map(type, values))
-    if len(kinds) <= 1 and kinds <= _PLAIN_TYPES:
-        column = dataset.columns().column(attribute)
-        return column.codes, column.decode
-    lookup: dict[tuple, int] = {}
-    codes = array("q", bytes(8 * len(values)))
-    for row, value in enumerate(values):
-        codes[row] = lookup.setdefault(
-            (type(value), repr(value), value), len(lookup)
-        )
-    return codes, tuple(key[2] for key in lookup)
-
-
 class CutCoding:
     """One attribute's cut over its exactly interned column.
 
-    ``map_value`` and ``loss`` run once per *distinct* value (the decode
-    table of :func:`_exact_column`, first-occurrence order), each on first
-    use: a coding that is only grouped never scores loss and vice versa,
-    so the first value that raises is the one a row-by-row pass would
-    raise on.
+    ``map_value`` and ``loss`` run once per *distinct* value (the column's
+    exact decode table, first-occurrence order), each on first use: a
+    coding that is only grouped never scores loss and vice versa, so the
+    first value that raises is the one a row-by-row pass would raise on.
 
     Attributes
     ----------
@@ -382,12 +351,12 @@ class CutCoding:
         self,
         attribute: str,
         cut: Cut,
-        column: tuple[Any, tuple],
+        column: ColumnCodes,
         kernels: Any,
     ):
         self.attribute = attribute
         self.cut = cut
-        self._codes, self._decode = column
+        self._codes, self._decode = column.codes, column.decode
         self._kernels = kernels
         self._values: tuple[Hashable, ...] = ()
         self._rows: Any = None
@@ -421,14 +390,14 @@ class CutCoding:
         self.tokens()
         lookup: dict[int, int] = {}
         decode: list[Hashable] = []
-        code_of = []
+        identity_code = []
         for token in self._values:
             code = lookup.setdefault(id(token), len(decode))
             if code == len(decode):
                 decode.append(token)
-            code_of.append(code)
+            identity_code.append(code)
         kernels = self._kernels
-        return kernels.gather(code_of, kernels.from_code_buffer(self._codes)), tuple(decode)
+        return kernels.gather(identity_code, kernels.from_code_buffer(self._codes)), tuple(decode)
 
     @property
     def loss(self) -> float:
@@ -453,9 +422,9 @@ class CutEvaluator:
 
     def __init__(self, dataset: Dataset, cuts: Mapping[str, Cut]):
         self._kernels = active_kernels()
+        view = dataset.columns()
         self._columns = {
-            name: _exact_column(dataset, name)
-            for name in dataset.schema.quasi_identifier_names
+            name: view.column(name) for name in dataset.schema.quasi_identifier_names
         }
         self._current: dict[str, CutCoding] = {
             name: self.coding(name, cuts[name])

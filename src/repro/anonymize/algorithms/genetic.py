@@ -31,11 +31,11 @@ from typing import Any, Mapping, Sequence
 
 from ...datasets.dataset import Dataset
 from ...datasets.schema import AttributeKind
-from ...hierarchy.base import Hierarchy
+from ...hierarchy.base import SUPPRESSED, Hierarchy
 from ...hierarchy.codes import level_table
 from ...hierarchy.numeric import Span
 from ...kernels import active as active_kernels, pack_columns
-from ..engine import Anonymization, released_with_local_cells
+from ..engine import Anonymization, released_from_classes
 from .base import AlgorithmError, Anonymizer, check_k
 
 
@@ -341,28 +341,27 @@ class GeneticAnonymizer(Anonymizer):
     def _materialize(
         self, dataset: Dataset, plan: list, chromosome: _Chromosome
     ) -> Anonymization:
+        """The release of ``chromosome``: rows of classes below k are
+        suppressed, and every row is labelled by the identity of its
+        released cells, the suppressed ones by one all-``SUPPRESSED`` row."""
         columns = self._decode_columns(dataset, plan, chromosome)
-        qi_names = [attribute for attribute, _, _ in plan]
-        keys = list(zip(*(columns[name] for name in qi_names)))
+        rows = list(zip(*(columns[attribute] for attribute, _, _ in plan)))
         counts: dict[Any, int] = {}
-        for key in keys:
-            counts[key] = counts.get(key, 0) + 1
-        suppressed = [
-            row_index for row_index, key in enumerate(keys) if counts[key] < self.k
-        ]
-        qi_cells = []
-        for row_index in range(len(dataset)):
-            qi_cells.append({name: columns[name][row_index] for name in qi_names})
-        anonymization = released_with_local_cells(
-            dataset, qi_cells, suppressed=suppressed, name=self.name
+        for cells in rows:
+            counts[cells] = counts.get(cells, 0) + 1
+        suppressed_row = (SUPPRESSED,) * len(plan)
+        suppressed = []
+        label_of: dict[tuple[int, ...], int] = {}
+        class_rows: list[tuple[Any, ...]] = []
+        labels = []
+        for row_index, cells in enumerate(rows):
+            if counts[cells] < self.k:
+                suppressed.append(row_index)
+                cells = suppressed_row
+            label = label_of.setdefault(tuple(map(id, cells)), len(class_rows))
+            if label == len(class_rows):
+                class_rows.append(cells)
+            labels.append(label)
+        return released_from_classes(
+            dataset, labels, class_rows, suppressed=suppressed, name=self.name
         )
-        if suppressed:
-            # Re-release with the suppressed rows fully generalized.
-            from ...hierarchy.base import SUPPRESSED
-
-            for row_index in suppressed:
-                qi_cells[row_index] = {name: SUPPRESSED for name in qi_names}
-            anonymization = released_with_local_cells(
-                dataset, qi_cells, suppressed=suppressed, name=self.name
-            )
-        return anonymization

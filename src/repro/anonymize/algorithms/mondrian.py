@@ -15,9 +15,9 @@ median are distributed to balance the halves) are provided.
 
 Cuts run over per-row integer *rank codes*, built once per QI: the column's
 exactly interned values (``7`` apart from ``7.0``, see
-:func:`~repro.anonymize.algorithms.cuts._exact_column`) are ranked in the
-cut order — numeric attributes by value, categorical ones by ``str`` — and
-values that order as equal share a rank.  A strict cut is then the first
+:mod:`repro.datasets.columnar`) are ranked in the cut order — numeric
+attributes by value, categorical ones by ``str`` — and values that order
+as equal share a rank.  A strict cut is then the first
 position of the median's rank in the partition's sorted ranks, and a
 partition's rows are sorted stably by rank, so each side keeps the
 incoming row order among tied values.
@@ -29,14 +29,17 @@ a segmented min/max of the rank codes for numeric QIs, turned into
 ``(max - min) / extent`` through each rank's first value (values sharing a
 rank are equal, so they give the same float wherever ints beside floats
 stay within 2**53), and a segmented distinct count of equality codes for
-categorical QIs.  Each partition then tries its attributes in stable
-spread order; trying an attribute is one stable segmented sort by its
-rank over all active partitions.  Accepted cuts are applied together and
-sides of at least 2k rows go on to the next level.  The partitions come
-out in the order a depth-first split that visits right halves first
-finishes them, each with its rows in that split's order.  The release
-names one summary row per partition and labels every row with its
-partition (:func:`~repro.anonymize.engine.released_from_classes`).
+categorical QIs (the exact codes folded over their decode table,
+:meth:`~repro.datasets.columnar.ColumnCodes.equality_codes`), which the
+l-diversity floor counts on the sensitive column too.  Each partition then
+tries its attributes in stable spread order; trying an attribute is one
+stable segmented sort by its rank over all active partitions.  Accepted
+cuts are applied together and sides of at least 2k rows go on to the next
+level.  The partitions come out in the order a depth-first split that
+visits right halves first finishes them, each with its rows in that
+split's order.  The release names one summary row per partition and
+labels every row with its partition
+(:func:`~repro.anonymize.engine.released_from_classes`).
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from ...hierarchy.numeric import Span
 from ...kernels import active as active_kernels
 from ..engine import Anonymization, released_from_classes
 from .base import Anonymizer, check_k
-from .cuts import _exact_column
 
 
 def _rank_codes(
@@ -64,7 +66,8 @@ def _rank_codes(
     values equal under that order share a rank.  Ranking runs once per
     exactly interned value, then gathers per row.
     """
-    codes, decode = _exact_column(dataset, attribute)
+    column = dataset.columns().column(attribute)
+    codes, decode = column.codes, column.decode
     keys = decode if numeric else [str(value) for value in decode]
     rank_of = [0] * len(keys)
     firsts: list[Any] = []
@@ -117,7 +120,7 @@ class Mondrian(Anonymizer):
 
     # -- partitioning ---------------------------------------------------------
 
-    def _sensitive_codes(self, dataset: Dataset, kernels: Any) -> Any:
+    def _sensitive_codes(self, dataset: Dataset) -> Any:
         """The sensitive column's equality codes (a kernel array) the
         l-diversity floor counts, or ``None`` without a floor.
 
@@ -134,7 +137,7 @@ class Mondrian(Anonymizer):
                     "pass sensitive_attribute explicitly"
                 )
             attribute = names[0]
-        return kernels.from_code_buffer(dataset.columns().column(attribute).codes)
+        return dataset.columns().column(attribute).equality_codes()[0]
 
     def partitions(
         self, dataset: Dataset, hierarchies: Mapping[str, Hierarchy] | None = None
@@ -148,7 +151,7 @@ class Mondrian(Anonymizer):
         if not len(dataset):
             return []
         kernels = active_kernels()
-        sensitive = self._sensitive_codes(dataset, kernels)
+        sensitive = self._sensitive_codes(dataset)
         # Per QI: (spread codes, rank codes, extent, each rank's first
         # value).  Numeric spreads read the min/max rank's value;
         # categorical ones count equality codes, as ``len(set(values))``
@@ -172,10 +175,9 @@ class Mondrian(Anonymizer):
                 rank, firsts = _rank_codes(dataset, name, numeric, kernels)
                 qi.append((rank, rank, extent, firsts))
             else:
-                interned = dataset.columns().column(name)
-                codes = kernels.from_code_buffer(interned.codes)
+                codes, count = dataset.columns().column(name).equality_codes()
                 rank, _ = _rank_codes(dataset, name, numeric, kernels)
-                qi.append((codes, rank, interned.domain_size, None))
+                qi.append((codes, rank, count, None))
 
         size = len(dataset)
         perm = kernels.asarray(range(size))

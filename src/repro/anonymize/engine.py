@@ -18,8 +18,11 @@ the original plus its *recoding*, and that is all an :class:`Anonymization`
 stores:
 
 * a full-domain release (:func:`recode`) holds, per QI attribute, the
-  ``gather``/``decode`` of its level over the original's interned base codes
-  (:mod:`repro.hierarchy.codes`), plus the suppressed rows — nothing per row;
+  ``gather``/``decode`` of its level over the original's exactly interned
+  base codes (:mod:`repro.hierarchy.codes`), plus the suppressed rows —
+  nothing per row.  Where equal base values of other types generalize to
+  cells of other types or ``repr`` (a ``mixed`` level), the entry also
+  holds each base code's own released cell;
 * a local release (:func:`released_from_classes`, which every local
   constructor goes through) holds its distinct released QI rows, keyed by
   the *identity* of their cells (two objects are never merged by
@@ -69,13 +72,22 @@ def _compact(values: Sequence[int]) -> array:
 
 
 def _suppression_code(decode: tuple[Any, ...]) -> int:
-    """The code suppressed rows take in a level's ``decode``: the
-    suppression token's own code, or the next fresh code without one
-    (see :meth:`repro.hierarchy.codes.LevelTable.suppression_code`)."""
+    """The code suppressed rows take in a level's ``decode``: suppression
+    is maximal generalization, so they group with cells that generalize to
+    the suppression token, and take the next fresh code without one."""
     for code, value in enumerate(decode):
         if isinstance(value, str) and value == SUPPRESSED:
             return code
     return len(decode)
+
+
+def _cells(entry: tuple[Any, ...]) -> Sequence[Any]:
+    """Per base code, the released cell of a full-domain column entry:
+    its own cell where the level is mixed, else ``decode[gather[base]]``."""
+    if len(entry) > 2:
+        return entry[2]
+    gather, decode = entry
+    return [decode[code] for code in gather]
 
 
 def _local_recoding(
@@ -170,7 +182,7 @@ class Anonymization:
         suppressed: Iterable[int],
         levels: Levels | None,
         name: str,
-        columns: tuple[tuple[array, tuple[Any, ...]], ...] | None = None,
+        columns: tuple[tuple[Any, ...], ...] | None = None,
         local: tuple[tuple[tuple[Any, ...], ...], array] | None = None,
     ) -> "Anonymization":
         """A release from its recoding (the engine's own constructors)."""
@@ -184,7 +196,7 @@ class Anonymization:
         suppressed: Iterable[int],
         levels: Levels | None,
         name: str,
-        columns: tuple[tuple[array, tuple[Any, ...]], ...] | None = None,
+        columns: tuple[tuple[Any, ...], ...] | None = None,
         local: tuple[tuple[tuple[Any, ...], ...], array] | None = None,
     ) -> None:
         self.suppressed = frozenset(suppressed)
@@ -304,10 +316,10 @@ class Anonymization:
             return [[per_distinct[code] for code in codes] for per_distinct in zip(*rows)]
         view = original.columns()
         columns = []
-        for attribute, (gather, decode) in zip(
+        for attribute, entry in zip(
             original.schema.quasi_identifier_names, self._columns
         ):
-            values = [decode[code] for code in gather]
+            values = _cells(entry)
             cells = [values[code] for code in view.column(attribute).codes]
             for row_index in self.suppressed:
                 cells[row_index] = SUPPRESSED
@@ -349,10 +361,11 @@ class Anonymization:
         suppressed = self.suppressed
         suppressed_rows = kernels.asarray(sorted(suppressed)) if suppressed else None
         packed: list[tuple[Any, int]] = []
-        key_columns: list[tuple[Sequence[int], list[Any]]] = []
-        for attribute, (gather, decode) in zip(
+        key_columns: list[tuple[Sequence[int], Sequence[Any]]] = []
+        for attribute, entry in zip(
             original.schema.quasi_identifier_names, self._columns
         ):
+            gather, decode = entry[:2]
             base = view.column(attribute).codes
             codes = kernels.gather(gather, kernels.from_code_buffer(base))
             radix = len(decode)
@@ -361,7 +374,7 @@ class Anonymization:
                 radix = max(radix, code + 1)
                 kernels.scatter_fill(codes, suppressed_rows, code)
             packed.append((codes, radix))
-            key_columns.append((base, [decode[code] for code in gather]))
+            key_columns.append((base, _cells(entry)))
         labels, _ = pack_columns(kernels, packed)
         suppressed_key = (SUPPRESSED,) * len(key_columns)
 
@@ -378,9 +391,10 @@ class Anonymization:
         Returns ``(labels, rows, decodes)``: ``rows[labels[i]]`` holds row
         ``i``'s per-QI codes in QI schema order, and ``decodes[q][code]`` is
         the exact released object.  A full-domain release has one distinct
-        row per equivalence class; a local release one per identity-distinct
-        row.  Measures score each distinct code once through this instead
-        of re-reading the released table.
+        row per equivalence class (per row where a level is mixed); a local
+        release one per identity-distinct row.  Measures score each
+        distinct code once through this instead of re-reading the released
+        table.
         """
         if self._codes is None:
             if self._local is not None:
@@ -414,12 +428,18 @@ class Anonymization:
         original = self.original
         view = original.columns()
         suppressed = self.suppressed
-        reps = [members[0] for members in classes]
+        qi_names = original.schema.quasi_identifier_names
+        labels: Sequence[int] = classes.class_labels()
+        reps: Sequence[int] = [members[0] for members in classes]
+        if any(len(entry) > 2 for entry in self._columns):
+            # A class may release equal cells of other types: a row each.
+            labels = reps = range(len(self))
         per_qi: list[list[int]] = []
         decodes: list[tuple[Any, ...]] = []
-        for attribute, (gather, decode) in zip(
-            original.schema.quasi_identifier_names, self._columns
-        ):
+        for attribute, entry in zip(qi_names, self._columns):
+            gather, decode = entry[:2]
+            if len(entry) > 2:
+                gather, decode = range(len(entry[2])), entry[2]
             base = view.column(attribute).codes
             code = _suppression_code(decode)
             if suppressed and code == len(decode):
@@ -428,7 +448,7 @@ class Anonymization:
                 [code if rep in suppressed else gather[base[rep]] for rep in reps]
             )
             decodes.append(decode)
-        return classes.class_labels(), list(zip(*per_qi)), decodes
+        return labels, list(zip(*per_qi)), decodes
 
     # -- measures -------------------------------------------------------------
 
@@ -511,8 +531,9 @@ def recode(
     """Apply a full-domain recoding (columnar plane).
 
     Stores each QI level's ``gather``/``decode`` from the per-(column,
-    hierarchy) level tables of :mod:`repro.hierarchy.codes`; rows are
-    released only when read.
+    hierarchy) level tables of :mod:`repro.hierarchy.codes`, and its
+    per-base ``values`` where the level is mixed; rows are released only
+    when read.
 
     Parameters
     ----------
@@ -545,7 +566,11 @@ def recode(
         for attribute in qi_names:
             table = level_table(view.column(attribute), hierarchies[attribute])
             built = table.level(levels[attribute])
-            columns.append((built.gather, built.decode))
+            columns.append(
+                (built.gather, built.decode, built.values)
+                if built.mixed
+                else (built.gather, built.decode)
+            )
         label = name or "recode[" + ",".join(
             f"{attribute}={levels[attribute]}" for attribute in qi_names
         ) + "]"

@@ -26,18 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Sequence
 
-
-def _kernel_histogram_column(values: Sequence[Any]) -> bool:
-    """Whether ``values`` takes the kernel histogram path.
-
-    Single-type ``str``, ``int``/``bool`` and NaN-free ``float`` columns
-    do; mixed columns (``7`` with ``7.0``), NaN and other objects keep the
-    row loop, whose keys are each class's own first objects.
-    """
-    kinds = set(map(type, values))
-    if kinds == {str} or (kinds and kinds <= {int, bool}):
-        return True
-    return kinds == {float} and not any(value != value for value in values)
+from ..kernels import active as active_kernels
 
 
 class EquivalenceClasses:
@@ -181,7 +170,11 @@ class EquivalenceClasses:
         """Per-class histograms of a column's values (for diversity models).
 
         ``values`` is the full column in row order; returns one value->count
-        dict per class, in class order.  Histograms are memoized per column
+        dict per class, in class order, keyed and ordered as a dict pass over
+        the class's rows builds it (entropy l-diversity iterates the
+        values in that order): the exact codes are counted per class in
+        first-occurrence order, and equal keys (``7`` beside ``7.0``) summed
+        under the class's first one.  Histograms are memoized per column
         *identity* (``Dataset.column`` returns a memoized tuple, so every
         consumer of the same release shares one grouping pass); the dicts
         are shared — callers must not mutate them.
@@ -193,47 +186,22 @@ class EquivalenceClasses:
         cached = self._histogram_cache.get(id(values))
         if cached is not None and cached[0] is values:
             return cached[1]
-        histograms = self._kernel_histograms(values)
-        if histograms is None:
-            histograms = []
-            for members in self._classes:
-                counts: dict[Any, int] = {}
-                for row_index in members:
-                    value = values[row_index]
-                    counts[value] = counts.get(value, 0) + 1
-                histograms.append(counts)
+        kernels = active_kernels()
+        codes, decode = kernels.intern(values)
+        grouped = kernels.grouped_value_counts(
+            kernels.asarray(self._class_of),
+            len(self._classes),
+            kernels.from_code_buffer(codes),
+        )
+        histograms = []
+        for per_class in grouped:
+            counts: dict[Any, int] = {}
+            for code, count in per_class:
+                value = decode[code]
+                counts[value] = counts.get(value, 0) + count
+            histograms.append(counts)
         self._histogram_cache[id(values)] = (values, histograms)
         return histograms
-
-    def _kernel_histograms(
-        self, values: Sequence[Any]
-    ) -> list[dict[Any, int]] | None:
-        """Vectorized histogram pass for plain columns under numpy.
-
-        Interns the column once, then groups ``(class, code)`` pairs in a
-        single kernel pass.  Pairs come back in first-occurrence-within-
-        class order — the same dict insertion order the row loop above
-        produces, which order-sensitive float consumers (entropy
-        l-diversity iterates ``histogram.values()``) rely on.  Returns
-        ``None`` (the row loop runs) on the pure backend and for columns
-        :func:`_kernel_histogram_column` rejects.  A key here is the
-        column-wide first object of its code, where the row loop keeps each
-        class's own first object.
-        """
-        from ..kernels import active as active_kernels
-
-        kernels = active_kernels()
-        if not (kernels.is_numpy and _kernel_histogram_column(values)):
-            return None
-        codes, decode = kernels.intern(values)
-        class_of = kernels.asarray(self._class_of)
-        grouped = kernels.grouped_value_counts(
-            class_of, len(self._classes), kernels.from_code_buffer(codes)
-        )
-        return [
-            {decode[code]: count for code, count in per_class}
-            for per_class in grouped
-        ]
 
     def sensitive_value_counts(self, values: Sequence[Any]) -> list[int]:
         """Per-row count of the row's own sensitive value within its class —

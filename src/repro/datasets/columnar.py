@@ -11,10 +11,12 @@ The view is value-preserving and order-preserving by construction:
 
 * codes are assigned by first occurrence in row order, so decode tables are
   deterministic and independent of ``PYTHONHASHSEED``;
-* ``decode[codes[i]] == column[i]`` — the decode table stores the exact
-  objects of the source column, the first of each set of equal values.
-  Interning is by equality, so ``7`` and ``7.0`` (or ``True`` and ``1``)
-  share one code and release as whichever came first.
+* interning is exact: ``decode[codes[i]]`` is the first object of row
+  ``i``'s type and ``repr`` equal to it, so ``7`` and ``7.0`` (or ``True``
+  and ``1``, ``0.0`` and ``-0.0``) keep codes of their own.  Consumers
+  that group by equality alone fold the codes over ``decode`` in
+  O(domain) (:meth:`ColumnCodes.equality_codes`; the level tables group
+  generalized values in a dict).
 
 :meth:`Dataset.columns` (see ``datasets/dataset.py``) caches one
 :class:`ColumnarView` per dataset; hierarchy *level tables* built on top of
@@ -35,9 +37,10 @@ class ColumnCodes:
     """One column interned to dense integer codes.
 
     Interning is the kernel layer's ``intern`` (one dict pass shared by
-    both backends): codes are assigned by first occurrence, and ``decode``
-    stores the column's exact objects.  Interning is by equality, so
-    ``7``/``7.0``, ``True``/``1`` and ``0.0``/``-0.0`` share one code.
+    both backends, :func:`repro.kernels.columnar.intern_values`): codes
+    are assigned by first occurrence, and values share a code only when
+    they are equal and of one type and ``repr``, so ``7``/``7.0``,
+    ``True``/``1`` and ``0.0``/``-0.0`` get codes of their own.
 
     Attributes
     ----------
@@ -47,7 +50,8 @@ class ColumnCodes:
         ``array('q')`` of per-row codes, in row order.
     decode:
         Tuple mapping code -> original value, in first-occurrence order;
-        ``decode[codes[i]]`` is the first object equal to row ``i``'s.
+        ``decode[codes[i]]`` is the first object of row ``i``'s code, of
+        its type and ``repr``.
     """
 
     __slots__ = ("name", "codes", "decode", "level_tables")
@@ -67,12 +71,20 @@ class ColumnCodes:
 
     @property
     def domain_size(self) -> int:
-        """Number of distinct values in the column."""
+        """Number of codes: distinct values, told apart by type and ``repr``."""
         return len(self.decode)
 
-    def code_of(self, value: Any) -> int:
-        """The code of one value (O(domain) — for tests and debugging)."""
-        return self.decode.index(value)
+    def equality_codes(self) -> tuple[Any, int]:
+        """``(codes, count)``: per-row codes (a kernel array) grouping rows
+        by equality alone, as ``set(column)`` does, and their number: the
+        exact codes folded over ``decode`` (O(domain), no row pass)."""
+        lookup: dict[Any, int] = {}
+        fold = [lookup.setdefault(value, len(lookup)) for value in self.decode]
+        kernels = active_kernels()
+        codes = kernels.from_code_buffer(self.codes)
+        if len(lookup) == len(fold):
+            return codes, len(fold)
+        return kernels.gather(fold, codes), len(lookup)
 
     def __repr__(self) -> str:
         return (

@@ -11,24 +11,21 @@ Tables are built once per (column identity, hierarchy identity) and
 memoized on the :class:`~repro.datasets.columnar.ColumnCodes` object (the
 memo stores the hierarchy itself, so the id key can never be recycled).
 
-Generalized codes are assigned by first occurrence over the base codes,
-which — because base codes are themselves first-occurrence in row order —
-equals first occurrence in row order.  The decode tables store the exact
-objects returned by ``hierarchy.generalize``, so cells materialized through
-the plane serialize identically to the row plane's.
+Base codes are exact, so ``7`` and ``7.0`` are generalized apart, while
+generalized codes group by *equality*, as the row plane's partition does.
+They are assigned by first occurrence over the base codes, which — because
+base codes are themselves first-occurrence in row order — equals first
+occurrence in row order.  The decode tables store the exact objects
+``hierarchy.generalize`` returns, and :attr:`Level.values` each base
+value's own, so released cells serialize identically to the row plane's.
 
-The table also answers two questions the incremental partition path needs:
-
-* :meth:`LevelTable.nested` — whether the level chain is *nested* (equal
-  codes at level ``L`` imply equal codes at every higher level) over the
-  actual column domain.  ART002 checks monotonicity on samples; band
-  hierarchies with shifted anchors can legitimately fail it, in which case
-  partitions cannot be coarsened incrementally and callers must fall back
-  to a fresh mixed-radix grouping.
-* :meth:`LevelTable.suppression_code` — the group code suppressed rows
-  take at a level: suppression is a gather to the top-level code, so a
-  suppressed row must collide with rows that naturally generalize to the
-  suppression token (and get a fresh code only when no such value exists).
+The table also answers the question the incremental partition path needs:
+:meth:`LevelTable.nested` — whether the level chain is *nested* (equal
+codes at level ``L`` imply equal codes at every higher level) over the
+actual column domain.  ART002 checks monotonicity on samples; band
+hierarchies with shifted anchors can legitimately fail it, in which case
+partitions cannot be coarsened incrementally and callers must fall back to
+a fresh mixed-radix grouping.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from array import array
 from typing import Any
 
 from ..datasets.columnar import ColumnCodes
-from .base import SUPPRESSED, Hierarchy
+from .base import Hierarchy
 
 
 class Level:
@@ -46,39 +43,44 @@ class Level:
     Attributes
     ----------
     gather:
-        ``array('q')``: base code -> generalized code.
+        ``array('q')``: base code -> generalized code (by equality).
     decode:
         Tuple: generalized code -> generalized value (exact ``generalize``
         return objects, first-occurrence order).
     values:
-        Tuple: base code -> generalized value (``decode[gather[b]]``).
+        Tuple: base code -> that base value's own ``generalize`` result.
+    mixed:
+        Whether some ``values[b]`` differs in type or ``repr`` from
+        ``decode[gather[b]]`` (``7`` beside ``7.0`` at level 0): only
+        then does a release store ``values``.
     loss:
         ``array('d')``: base code -> normalized LM loss at this level.
     count:
         Number of distinct generalized codes.  Every base code occurs in
         the column, so ``count`` is also the number of *distinct released
-        values* of the column at this level.
+        values* of the column at this level, up to type and ``repr``.
     """
 
-    __slots__ = ("gather", "decode", "values", "loss", "count")
+    __slots__ = ("gather", "decode", "values", "mixed", "loss", "count")
 
     def __init__(self, hierarchy: Hierarchy, base_decode: tuple[Any, ...], level: int):
         size = len(base_decode)
         gather = array("q", bytes(8 * size))
         loss = array("d", bytes(8 * size))
         lookup: dict[Any, int] = {}
+        values = []
         for base_code, value in enumerate(base_decode):
             generalized = hierarchy.generalize(value, level)
-            code = lookup.get(generalized)
-            if code is None:
-                code = len(lookup)
-                lookup[generalized] = code
-            gather[base_code] = code
+            gather[base_code] = lookup.setdefault(generalized, len(lookup))
+            values.append(generalized)
             loss[base_code] = hierarchy.loss(value, level)
         self.gather = gather
         self.decode: tuple[Any, ...] = tuple(lookup)
-        self.values: tuple[Any, ...] = tuple(
-            self.decode[code] for code in gather
+        self.values: tuple[Any, ...] = tuple(values)
+        self.mixed = any(
+            own is not shared
+            and (type(own) is not type(shared) or repr(own) != repr(shared))
+            for own, shared in zip(values, map(self.decode.__getitem__, gather))
         )
         self.loss = loss
         self.count = len(lookup)
@@ -135,21 +137,6 @@ class LevelTable:
                     return False
             previous = current
         return True
-
-    def suppression_code(self, level: int) -> tuple[int, int]:
-        """``(code, radix)`` for suppressed rows grouped at ``level``.
-
-        Suppression is maximal generalization, so a suppressed row's cell
-        must group with naturally fully-generalized cells: if the
-        suppression token already has a code at this level it is reused,
-        otherwise the next fresh code is designated (and the radix grows
-        by one to accommodate it).
-        """
-        built = self.level(level)
-        for code, value in enumerate(built.decode):
-            if isinstance(value, str) and value == SUPPRESSED:
-                return code, built.count
-        return built.count, built.count + 1
 
 
 def level_table(column: ColumnCodes, hierarchy: Hierarchy) -> LevelTable:

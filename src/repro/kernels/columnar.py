@@ -22,9 +22,10 @@ code arrays:
   codes over a *segmentation*: consecutive non-empty segments given by
   their ascending start offsets (the first 0), built once by ``segments``.
   Mondrian's level-at-a-time split runs on them;
-* ``intern`` — first-occurrence code interning by equality; both
-  backends share one dict pass (:func:`intern_values`), which beats a
-  vectorized ``np.unique`` on every column shape measured.
+* ``intern`` — exact first-occurrence code interning (equal values of
+  another type or ``repr`` keep codes of their own); both backends share
+  one dict pass (:func:`intern_values`), which beats a vectorized
+  ``np.unique`` on every column shape measured.
 
 **Canonical labels.**  Both backends number group labels by the *sorted
 rank* of the packed value (what ``np.unique(return_inverse=True)``
@@ -591,20 +592,35 @@ class NumpyKernels:
         return intern_values(values)
 
 
-def intern_values(values: Sequence[Any]) -> tuple["array[int]", tuple[Any, ...]]:
-    """Intern a column by equality: ``(codes, decode)``.
+#: Types whose equal values always share their type and ``repr``: a column
+#: of one of them is interned on the value itself.
+_VALUE_KEYED = frozenset({str, int, bool, type(None)})
 
-    Codes are numbered by first occurrence in row order; ``decode`` holds
-    the column's own objects, the first of each set of equal values, so
-    ``decode[codes[i]] == values[i]``.  One dict pass serves both backends:
-    it is faster than a vectorized ``np.unique`` on every column shape
-    measured, and it groups exactly as a hash lookup does (NaN by identity,
-    mixed types without coercion, ints of any size).
+
+def intern_values(values: Sequence[Any]) -> tuple["array[int]", tuple[Any, ...]]:
+    """Intern a column exactly: ``(codes, decode)``.
+
+    Codes are numbered by first occurrence in row order, and values share
+    a code only if they are equal *and* of one type and ``repr``: ``7``/
+    ``7.0``, ``True``/``1``/``1.0`` and ``0.0``/``-0.0`` do not.  ``decode``
+    holds the column's own objects, the first of each code, so
+    ``decode[codes[i]]`` has row ``i``'s type and ``repr``.  A column of one
+    ``_VALUE_KEYED`` type, or of floats without both zeros, is keyed on the
+    value, any other on ``(type, repr, value)``; NaN stays apart by
+    identity.  One dict pass serves both backends: it beats a vectorized
+    ``np.unique`` on every column shape measured.
     """
+    kinds = set(map(type, values))
+    by_value = len(kinds) <= 1 and (
+        kinds <= _VALUE_KEYED
+        # Equal floats share their ``repr``, except ``0.0`` and ``-0.0``.
+        or (kinds == {float} and len({repr(v) for v in values if v == 0.0}) <= 1)
+    )
+    keys = values if by_value else [(type(v), repr(v), v) for v in values]
     lookup: dict[Any, int] = {}
     intern_one = lookup.setdefault
-    codes = array("q", [intern_one(value, len(lookup)) for value in values])
-    return codes, tuple(lookup)
+    codes = array("q", [intern_one(key, len(lookup)) for key in keys])
+    return codes, tuple(lookup) if by_value else tuple(key[2] for key in lookup)
 
 
 _INT64_SPAN = 1 << 63  # keys below a bound b fit int64 iff b <= 2**63

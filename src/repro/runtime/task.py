@@ -33,7 +33,11 @@ from typing import Any, Callable, Iterator, Mapping
 #: so cached vectors changed pickle layout.
 #: "5": a cached release is the original's fingerprint plus its recoding
 #: (level gathers or distinct local rows), not two pickled row tables.
-CODE_EPOCH = "5"
+#: "6": the columnar plane interns exactly, so a full-domain release of a
+#: column holding equal values of other types (``7`` beside ``7.0``)
+#: releases each row's own cell; cached releases of such columns were
+#: wrong.
+CODE_EPOCH = "6"
 
 
 class TaskError(ValueError):

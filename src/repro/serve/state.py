@@ -32,6 +32,7 @@ import inspect
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Mapping
 
+from ..anonymize.algorithms.genetic import GeneticAnonymizer
 from ..anonymize.engine import Anonymization
 from ..obs import metrics as obs_metrics
 from ..runtime.cache import MISS, ResultCache
@@ -60,6 +61,11 @@ class ServeRequestError(ValueError):
 #: stay resident only in the study runtime's ``DATASET_MEMO_SIZE`` LRU, each
 #: with its memoized fingerprint.
 MAX_DATASET_ROWS = 1_000_000
+
+#: Most fitness evaluations (``population_size × generations``) one request
+#: may ask of ``genetic``: its default's 40 × 60.  A handler runs in the
+#: event loop, so a bigger search would stall every client.
+MAX_GENETIC_EVALUATIONS = 40 * 60
 
 
 class _ResidentLRU:
@@ -253,9 +259,17 @@ class ServeState:
             _checked_range("algorithm.params.k", params["k"], MAX_DATASET_ROWS)
         cell = AlgorithmSpec.of(name, **params).with_seed(self.seed)
         try:
-            cell.build()
+            anonymizer = cell.build()
         except (TypeError, ValueError) as exc:
             raise ServeRequestError(f"algorithm {cell.label}: {exc}") from None
+        if isinstance(anonymizer, GeneticAnonymizer):
+            work = anonymizer.population_size * anonymizer.generations
+            if work > MAX_GENETIC_EVALUATIONS:
+                raise ServeRequestError(
+                    f"algorithm {cell.label}: population_size × generations = "
+                    f"{work} exceeds the bound of {MAX_GENETIC_EVALUATIONS} "
+                    "fitness evaluations"
+                )
         return cell
 
     def fingerprint(self, dataset_spec: DatasetSpec) -> str:

@@ -35,12 +35,13 @@ def recode_rowwise(
         cells = list(row)
         for attribute in qi_names:
             position = qi_positions[attribute]
+            # A suppressed row's value must generalize too: the level maps
+            # the column's whole domain, as the columnar plane does.
+            cells[position] = hierarchies[attribute].generalize(
+                row[position], levels[attribute]
+            )
             if row_index in suppressed:
                 cells[position] = SUPPRESSED
-            else:
-                cells[position] = hierarchies[attribute].generalize(
-                    row[position], levels[attribute]
-                )
         released_rows.append(tuple(cells))
 
     label = name or "recode[" + ",".join(

@@ -28,7 +28,6 @@ from repro.anonymize.algorithms import (
 )
 from repro.anonymize.algorithms.cuts import (
     CutError,
-    _exact_column,
     LevelCut,
     NumericSplitCut,
     TaxonomyCut,
@@ -418,7 +417,8 @@ def per_row_cells_recoding(dataset, cuts):
     value), and rows are keyed by the identity of their cells."""
     columns = []
     for name in dataset.schema.quasi_identifier_names:
-        codes, decode = _exact_column(dataset, name)
+        column = dataset.columns().column(name)
+        codes, decode = column.codes, column.decode
         tokens = [cuts[name].map_value(value) for value in decode]
         columns.append([tokens[code] for code in codes])
     lookup, rows, codes = {}, [], []

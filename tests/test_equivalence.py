@@ -110,13 +110,11 @@ class TestValueCountKeys:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_int_and_bool_keys_per_backend(self, classes, backend):
-        # The numpy histogram kernel keys each value by its column-wide
-        # first object; the row loop by each class's own first object.
+        # Both backends key each class by its own first object.
         with force_backend(backend):
             histograms = classes.value_counts([True, 1, 1, 1, True, 1])
-        first = ("bool", "True") if backend == "numpy" else ("int", "1")
         assert typed_histograms(histograms) == [
             [("bool", "True", 3)],
-            [(*first, 2)],
-            [(*first, 1)],
+            [("int", "1", 2)],
+            [("int", "1", 1)],
         ]

@@ -301,16 +301,19 @@ value_strategy = st.one_of(
 
 
 def reference_intern(values):
-    """The dict-loop interning contract (first occurrence order)."""
+    """The exact interning contract: one dict loop keyed on ``(type, repr,
+    value)``, codes in first occurrence order, each code decoding to its
+    first object."""
     lookup = {}
     codes = []
     for value in values:
-        code = lookup.get(value)
+        key = (type(value), repr(value), value)
+        code = lookup.get(key)
         if code is None:
             code = len(lookup)
-            lookup[value] = code
+            lookup[key] = code
         codes.append(code)
-    return codes, tuple(lookup)
+    return codes, tuple(key[2] for key in lookup)
 
 
 #: Most rows a generated oracle case has; radices stay at or below

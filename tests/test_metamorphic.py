@@ -9,8 +9,17 @@ backends:
   breach-probability and tuple-utility vectors unchanged, and every
   comparator verdict between two subjects (strict dominance and the five
   ▶-better comparators of Section 5) too;
+* moving the non-QI columns ahead of the QIs, with the QIs kept in
+  their relative order, leaves every sorted vector and every verdict
+  unchanged too;
 * duplicating every row doubles every class size at every node of the
   full-domain lattice (``RecodingWorkspace.class_sizes``).
+
+Reversing the *QI* order is not asserted: it does change results, through
+tie-breaks taken in schema order (Mondrian tries equally spread attributes
+in QI order; bottomup and muargus scan their candidate steps in QI order).
+Mondrian's and bottomup's class sizes change, and so does muargus's
+tuple-utility vector.
 
 ``clustering`` (k-member) is not a subject: it grows each cluster greedily
 from the rows in table order, so a permutation changes which rows share a
@@ -28,6 +37,7 @@ from repro.anonymize.algorithms.base import RecodingWorkspace
 from repro.core.comparators import default_comparators
 from repro.datasets import adult_dataset, adult_hierarchies
 from repro.datasets.dataset import Dataset
+from repro.datasets.schema import Schema
 from repro.kernels import HAVE_NUMPY, force_backend
 from repro.runtime.study import ALGORITHM_FACTORIES, VECTOR_PROPERTIES
 
@@ -98,6 +108,23 @@ def test_row_permutation_changes_no_sorted_vector_or_verdict(backend):
     assert permuted_verdicts == verdicts
     # The verdicts are not all ties: the subjects do differ.
     assert set(verdicts.values()) - {"equivalent"}
+
+
+def test_non_qi_columns_first_changes_no_sorted_vector_or_verdict(backend):
+    original, _ = _tables()
+    schema = original.schema
+    order = [
+        position for qi_first in (False, True)
+        for position, attribute in enumerate(schema.attributes)
+        if attribute.is_quasi_identifier is qi_first
+    ]
+    assert order != list(range(len(schema)))
+    moved = Dataset(
+        Schema(tuple(schema.attributes[position] for position in order)),
+        [tuple(row[position] for position in order) for row in original.rows],
+    )
+    assert moved.schema.quasi_identifier_names == schema.quasi_identifier_names
+    assert _comparison(moved) == _comparison(original)
 
 
 def test_duplicating_every_row_doubles_every_class_size(backend):

@@ -36,7 +36,11 @@ from repro.runtime.task import CacheKey
 from repro.serve import ServeServer, ServerThread, ServeState
 from repro.serve.query import QUERY_SHAPES, render_cell
 from repro.serve.server import HttpRequest
-from repro.serve.state import MAX_DATASET_ROWS, ServeRequestError
+from repro.serve.state import (
+    MAX_DATASET_ROWS,
+    MAX_GENETIC_EVALUATIONS,
+    ServeRequestError,
+)
 
 ROWS = 80
 SEED = 42
@@ -372,6 +376,18 @@ class TestMalformedRequests:
         ]:
             status, payload = self._post(fuzz_server, path, body)
             assert status == 400, (path, body, payload)
+
+    def test_genetic_work_is_bounded(self, fuzz_server):
+        big = {"k": 5, "population_size": 80, "generations": 240}
+        status, payload = self._post(
+            fuzz_server, "/anonymize", {"algorithm": {"algorithm": "genetic", "params": big}}
+        )
+        assert status == 400, payload
+        assert f"bound of {MAX_GENETIC_EVALUATIONS} fitness evaluations" in payload["error"]
+        status, payload = self._post(
+            fuzz_server, "/anonymize", {"algorithm": {"algorithm": "genetic", "params": {"k": 5}}}
+        )
+        assert status == 200, payload
 
     @settings(
         max_examples=150,
