@@ -24,7 +24,7 @@ import abc
 from array import array
 from bisect import bisect_left
 from collections import OrderedDict
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Iterator, Mapping, Sequence
 
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
@@ -197,6 +197,30 @@ class RecodingWorkspace:
         every base code occurs in the column, so this is the level-table
         code count).  Sweeney's Datafly heuristic reads this per node."""
         return self._table(attribute).level(level).count
+
+    def nested_neighbors(
+        self,
+        node: Node,
+        attributes: Sequence[str] | None = None,
+        *,
+        upward: bool,
+    ) -> Iterator[Node]:
+        """``node``'s one-level generalizations (``upward``) or
+        specializations, in attribute order, along the attributes of the
+        projection whose level table is nested.
+
+        Raising a nested attribute one level only merges whole classes, so
+        no row's class shrinks: a node violates k on at least as many rows
+        as such a generalization.  That is the generalization property the
+        lattice searches infer verdicts by.  Across a non-nested attribute
+        a class can split, and nothing follows.
+        """
+        names = tuple(attributes) if attributes is not None else self.qi_names
+        step = 1 if upward else -1
+        for index, (table, level) in enumerate(zip(self._projection(names), node)):
+            moved = level + step
+            if 0 <= moved <= table.height and table.nested():
+                yield node[:index] + (moved,) + node[index + 1 :]
 
     # -- node partitions -----------------------------------------------------
 

@@ -4,9 +4,10 @@ Incognito computes *all* k-anonymous full-domain generalizations by dynamic
 programming over quasi-identifier subsets: a node can only be k-anonymous
 over a QI set if each of its projections onto the (i-1)-subsets is
 k-anonymous (k-anonymity is anti-monotone under adding attributes), and
-within one sub-lattice k-anonymity is monotone upward (the generalization
-property), so ancestors of a known-anonymous node are marked without
-rechecking.
+within one sub-lattice k-anonymity is monotone upward along every attribute
+whose level table is nested (the generalization property), so a node one
+nested level above a known-anonymous node is marked without rechecking.
+Across a non-nested attribute a class can split, and the node is counted.
 
 The final release is the minimum-loss node among the minimal k-anonymous
 nodes of the full QI set.  :meth:`k_anonymous_nodes` exposes the complete
@@ -22,6 +23,7 @@ from typing import Mapping
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
 from ...hierarchy.lattice import Node
+from ...obs import metrics as obs_metrics
 from ..engine import Anonymization
 from .base import (
     AlgorithmError,
@@ -58,22 +60,16 @@ class Incognito(Anonymizer):
     ) -> set[Node]:
         """k-anonymous nodes of one QI-subset sub-lattice."""
         anonymous: set[Node] = set()
-
-        def predecessor_anonymous(node: Node) -> bool:
-            # Candidates are valid nodes, so predecessors are built here
-            # rather than through ``Lattice.predecessors``' checks.
-            return any(
-                node[:i] + (level - 1,) + node[i + 1 :] in anonymous
-                for i, level in enumerate(node)
-                if level
-            )
-
         # Bottom-up breadth-first sweep; the generalization property marks
-        # every ancestor of an anonymous node without a frequency-set pass.
+        # a node anonymous without a frequency-set pass when a predecessor
+        # along a nested attribute is (see ``nested_neighbors``).
         for node in self._candidates(workspace, attributes, previous):
-            if predecessor_anonymous(node) or workspace.satisfies_k(
-                node, self.k, budget, attributes
+            if not anonymous.isdisjoint(
+                workspace.nested_neighbors(node, attributes, upward=False)
             ):
+                obs_metrics().inc("workspace.verdict.inferred")
+                anonymous.add(node)
+            elif workspace.satisfies_k(node, self.k, budget, attributes):
                 anonymous.add(node)
         return anonymous
 

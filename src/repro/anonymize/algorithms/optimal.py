@@ -5,8 +5,10 @@ restated on the full-domain lattice (the original searches set-based
 recodings; see DESIGN.md, Substitutions).  Two monotonicity facts prune the
 search:
 
-* k-anonymity (with a fixed suppression budget) is monotone upward — every
-  ancestor of a satisfying node satisfies;
+* k-anonymity (with a fixed suppression budget) is monotone upward along
+  every attribute whose level table is nested — raising such an attribute
+  keeps a satisfying node satisfying (across a non-nested one the node is
+  counted);
 * every cost metric used here (LM, DM) is non-decreasing along
   generalization.
 
@@ -22,6 +24,7 @@ from typing import Callable, Mapping
 from ...datasets.dataset import Dataset
 from ...hierarchy.base import Hierarchy
 from ...hierarchy.lattice import Node
+from ...obs import metrics as obs_metrics
 from ..engine import Anonymization
 from .base import (
     AlgorithmError,
@@ -89,24 +92,27 @@ class OptimalLattice(Anonymizer):
         self.name = f"optimal[k={k}]"
 
     def _sweep(self, workspace: RecodingWorkspace) -> tuple[list[Node], set[Node]]:
-        """Bottom-up sweep; returns (minimal frontier, all satisfying)."""
+        """Bottom-up sweep; returns (minimal frontier, all satisfying).
+
+        The frontier holds the satisfying nodes with no satisfying
+        immediate predecessor.
+        """
         budget = int(self.suppression_limit * len(workspace.dataset))
         lattice = workspace.lattice
         satisfying: set[Node] = set()
         frontier: list[Node] = []
         for height in range(lattice.max_height + 1):
             for node in lattice.nodes_at_height(height):
-                dominated = any(
-                    predecessor in satisfying
-                    for predecessor in lattice.predecessors(node)
-                )
-                if dominated:
-                    # Monotonicity: satisfies, but not minimal.
+                if not satisfying.isdisjoint(
+                    workspace.nested_neighbors(node, upward=False)
+                ):
+                    # The generalization property: satisfies, but not minimal.
+                    obs_metrics().inc("workspace.verdict.inferred")
                     satisfying.add(node)
-                    continue
-                if workspace.satisfies_k(node, self.k, budget):
+                elif workspace.satisfies_k(node, self.k, budget):
                     satisfying.add(node)
-                    frontier.append(node)
+                    if satisfying.isdisjoint(lattice.predecessors(node)):
+                        frontier.append(node)
         return frontier, satisfying
 
     def anonymize(

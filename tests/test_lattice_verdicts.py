@@ -33,7 +33,7 @@ from contextlib import ExitStack
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.anonymize.algorithms import (
@@ -42,9 +42,11 @@ from repro.anonymize.algorithms import (
     GeneticAnonymizer,
     Incognito,
     MuArgus,
+    OptimalLattice,
     RecodingWorkspace,
     Samarati,
     discernibility_cost,
+    loss_metric_cost,
 )
 from repro.anonymize.algorithms import (
     cuts,
@@ -56,13 +58,16 @@ from repro.anonymize.algorithms import (
 )
 from repro.anonymize.algorithms.cuts import CutEvaluator, bottom_cuts, top_cuts
 from repro.anonymize.engine import recode
+from repro.datasets.adult import adult_dataset, adult_hierarchies
 from repro.datasets.dataset import Dataset
 from repro.datasets.schema import AttributeKind, Schema, quasi_identifier, sensitive
+from repro.datasets.synthetic import skewed_dataset, synthetic_hierarchies
 from repro.hierarchy.categorical import TaxonomyHierarchy
 from repro.hierarchy.lattice import Lattice
 from repro.hierarchy.numeric import Banding, IntervalHierarchy
 from repro.kernels import HAVE_NUMPY, active, force_backend
 from repro.moo.nsga2 import privacy_rank_objective, weighted_k_objective
+from repro.obs import Observation, observing
 
 SCHEMA = Schema.of(
     quasi_identifier("num", AttributeKind.NUMERIC),
@@ -89,11 +94,11 @@ KS = range(1, 7)
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, num_max=100):
     size = draw(st.integers(min_value=1, max_value=30))
     rows = [
         (
-            draw(st.integers(min_value=0, max_value=100)),
+            draw(st.integers(min_value=0, max_value=num_max)),
             draw(st.sampled_from("abcdef")),
             draw(st.sampled_from("pqrs")),
             draw(st.sampled_from(["s1", "s2"])),
@@ -114,21 +119,23 @@ def projections():
         yield from itertools.combinations(QI_NAMES, size)
 
 
-def group_by_sizes(data, names, node):
+def group_by_sizes(data, names, node, hierarchies=HIERARCHIES):
     """Brute force: the sizes of the generalized-tuple groups at ``node``."""
     positions = [data.schema.index_of(name) for name in names]
     return Counter(
         tuple(
-            HIERARCHIES[name].generalize(row[position], level)
+            hierarchies[name].generalize(row[position], level)
             for name, position, level in zip(names, positions, node)
         )
         for row in data.rows
     ).values()
 
 
-def group_by_violations(data, names, node, k):
+def group_by_violations(data, names, node, k, hierarchies=HIERARCHIES):
     """Brute force: rows in generalized-tuple groups smaller than ``k``."""
-    return sum(size for size in group_by_sizes(data, names, node) if size < k)
+    return sum(
+        size for size in group_by_sizes(data, names, node, hierarchies) if size < k
+    )
 
 
 def group_by_unsafe_classes(data, names, node, k):
@@ -439,9 +446,171 @@ class TestVerdictReuse:
             ]
 
 
+    @pytest.mark.parametrize("rows, k", [(4000, 2), (7000, 5)])
+    def test_samarati_counts_few_verdicts_on_adult(self, rows, k):
+        """The height binary search counted 1,170 (4k rows, k=2) and 742
+        (7k rows, k=5) verdicts here; the descent counts at most 450."""
+        workspace = CountingWorkspace(adult_dataset(rows, seed=42), adult_hierarchies())
+        Samarati(k)._k_minimal_nodes(workspace)
+        assert set(workspace.verdicts.values()) == {1}
+        assert sum(workspace.verdicts.values()) <= 450
+
+    def test_inferred_verdicts_are_counted(self):
+        data = adult_dataset(300, seed=42)
+
+        def observed(search):
+            workspace = CountingWorkspace(data, adult_hierarchies())
+            observation = Observation()
+            with observing(observation):
+                search(workspace)
+            counters = observation.metrics.snapshot()["counters"]
+            inferred = counters.get("workspace.verdict.inferred", 0)
+            return inferred, sum(workspace.verdicts.values()), len(workspace.lattice)
+
+        # The sweep decides every lattice node: each is counted or inferred.
+        inferred, counted, nodes = observed(OptimalLattice(5, 0.0)._sweep)
+        assert inferred + counted == nodes and inferred > 0
+        assert observed(Samarati(5)._k_minimal_nodes)[0] > 0
+
+
 def fresh_copy(data):
     """The same rows as a new table object, whose verdict store is empty."""
     return Dataset(data.schema, data.rows)
+
+
+#: ``HIERARCHIES`` with a ``num`` chain that is not nested: a band of 5
+#: (say (5, 10]) straddles two bands of 7 ((0, 7] and (7, 14]).
+NON_NESTED = {
+    **HIERARCHIES,
+    "num": IntervalHierarchy("num", [Banding(5), Banding(7)], (0, 100)),
+}
+VARIANTS = {"nested": HIERARCHIES, "non-nested": NON_NESTED}
+
+
+def brute_force_satisfying(data, hierarchies, k, budget):
+    """Every lattice node whose brute-force violation count fits ``budget``."""
+    lattice = Lattice([hierarchies[name] for name in QI_NAMES])
+    return {
+        node
+        for node in lattice.nodes()
+        if group_by_violations(data, QI_NAMES, node, k, hierarchies) <= budget
+    }
+
+
+class TestFullLatticeOracles:
+    """The full-domain searches against the brute-force satisfying set of
+    the whole lattice, on nested and non-nested level tables."""
+
+    @common
+    @given(
+        datasets(num_max=9),
+        st.sampled_from(list(KS)),
+        st.sampled_from([0.0, 0.1, 0.3]),
+        st.sampled_from(sorted(VARIANTS)),
+    )
+    # Bands of 5 hold 3 rows each, bands of 7 hold 5 and 1: (1, 1, 2)
+    # satisfies k=3 and its generalization (2, 1, 2) does not.
+    @example(
+        Dataset(
+            SCHEMA,
+            [
+                (1, "a", "p", "s1"), (2, "b", "q", "s1"), (3, "c", "r", "s1"),
+                (6, "d", "s", "s1"), (7, "e", "p", "s1"), (8, "f", "q", "s1"),
+            ],
+        ),
+        3,
+        0.0,
+        "non-nested",
+    )
+    def test_searches_equal_brute_force(self, data, k, limit, variant):
+        hierarchies = VARIANTS[variant]
+        budget = int(limit * len(data))
+        lattice = Lattice([hierarchies[name] for name in QI_NAMES])
+        satisfying = brute_force_satisfying(data, hierarchies, k, budget)
+        heights = range(lattice.max_height + 1)
+        held = {
+            height
+            for height in heights
+            if not satisfying.isdisjoint(lattice.nodes_at_height(height))
+        }
+        # Samarati's contract: the lowest height such that every stratum
+        # from it to the top holds a satisfying node.
+        contract = min(
+            (h for h in heights if held.issuperset(range(h, lattice.max_height + 1))),
+            default=None,
+        )
+        k_minimal = (
+            None
+            if contract is None
+            else [n for n in lattice.nodes_at_height(contract) if n in satisfying]
+        )
+        frontier = [
+            node
+            for node in sorted(satisfying, key=lambda node: (sum(node), node))
+            if satisfying.isdisjoint(lattice.predecessors(node))
+        ]
+        for backend in BACKENDS:
+            with force_backend(backend):
+                workspace = RecodingWorkspace(fresh_copy(data), hierarchies)
+                nested = len(
+                    list(workspace.nested_neighbors(lattice.bottom, upward=True))
+                ) == len(QI_NAMES)
+                if nested:
+                    assert contract == min(held, default=None)
+                try:
+                    nodes = Samarati(k, limit)._k_minimal_nodes(workspace)
+                except AlgorithmError:
+                    nodes = None
+                assert nodes == k_minimal, backend
+                assert Incognito(k, limit).k_anonymous_nodes(
+                    fresh_copy(data), hierarchies
+                ) == sorted(satisfying), backend
+                optimal = OptimalLattice(k, limit)
+                swept = optimal._sweep(RecodingWorkspace(fresh_copy(data), hierarchies))
+                assert swept == (frontier, satisfying), backend
+                if nested and satisfying:
+                    release = optimal.anonymize(fresh_copy(data), hierarchies)
+                    chosen = tuple(release.levels[name] for name in QI_NAMES)
+
+                    def cost(node):
+                        return loss_metric_cost(workspace, node, k)
+
+                    assert cost(chosen) == min(map(cost, satisfying)), backend
+
+    def test_samarati_stops_above_the_first_failing_stratum(self):
+        """Stratum 5 holds a satisfying node, stratum 6 none: the verdicts
+        are not monotone, and the contract's answer is the top."""
+        rows = [
+            (3, "e", "p", "s1"), (7, "f", "q", "s1"), (8, "b", "s", "s1"),
+            (7, "a", "r", "s1"), (4, "b", "q", "s1"), (5, "b", "q", "s1"),
+        ]
+        data = Dataset(SCHEMA, rows)
+        lattice = Lattice([NON_NESTED[name] for name in QI_NAMES])
+        satisfying = brute_force_satisfying(data, NON_NESTED, 3, 0)
+        held = [
+            not satisfying.isdisjoint(lattice.nodes_at_height(height))
+            for height in range(lattice.max_height + 1)
+        ]
+        assert held[-3:] == [True, False, True]
+        assert Samarati(3, 0.0).k_minimal_nodes(data, NON_NESTED) == [lattice.top]
+
+    def test_skewed_table_infers_nothing_across_non_nested_attributes(self):
+        """``x`` and ``y`` are not nested on this table; inferring along
+        them marked two nodes that are not 2-anonymous."""
+        data = skewed_dataset(200, 1.0, seed=2)
+        hierarchies = synthetic_hierarchies()
+        names = data.schema.quasi_identifier_names
+        lattice = Lattice([hierarchies[name] for name in names])
+        satisfying = {
+            node
+            for node in lattice.nodes()
+            if group_by_violations(data, names, node, 2, hierarchies) == 0
+        }
+        assert Incognito(2, 0.0).k_anonymous_nodes(data, hierarchies) == sorted(
+            satisfying
+        )
+        _, swept = OptimalLattice(2, 0.0)._sweep(RecodingWorkspace(data, hierarchies))
+        assert swept == satisfying
 
 
 class TestSharedVerdictStore:
